@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .errors import BindingsError
-from .labels import FALSE, TRUE, FNot, FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
+from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
 from .lang import INT64_MAX, INT64_MIN
 from .modal import ModalValue, normalize
 
@@ -199,7 +199,7 @@ class _Reader:
     def feature_unary(self):
         if self.at("punct", "!"):
             self.advance()
-            return FNot(self.feature_unary())
+            return self._alg.complement(self.feature_unary())
         if self.at("punct", "("):
             self.advance()
             node = self.feature_or()
@@ -207,10 +207,10 @@ class _Reader:
             return node
         if self.at("id", "true"):
             self.advance()
-            return TRUE
+            return self._alg.top
         if self.at("id", "false"):
             self.advance()
-            return FALSE
+            return 0  # the empty world set
         if self.at("id"):
             return self._alg.var(self.advance()[1])
         self.fail("expected a feature expression")

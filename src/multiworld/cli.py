@@ -11,15 +11,16 @@ oracle, compared world by world).
 
 Output is deterministic: value pairs one per line as ``value @ label`` in
 normalized order, then ``error:KIND @ label`` lines.  Feature labels are
-displayed in a minimal sum-of-products form computed from their world sets;
-internally labels stay exactly as built.  Exit codes: 0 success (labeled
-per-world errors are answers, not failures), 1 usage or parse problems,
-2 invariant violations, 3 exceeded budgets.
+world sets, displayed as a minimal sum of products (as disjoint cubes
+above 12 features).  Exit codes: 0 success (labeled per-world errors are
+answers, not failures), 1 usage or parse problems, 2 invariant violations,
+3 exceeded budgets (including programs nested too deeply to evaluate).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass
 
@@ -43,7 +44,7 @@ from .errors import (
     TooManyFeatures,
     UndeclaredFeature,
 )
-from .labels import FNot, FVar, Tag, and_all, or_all
+from .labels import Tag
 from .lifting import LiftStats
 from .modal import project, render_result, validate, value_text
 from .modal_eval import ModalEnv, eval_modal, eval_shallow_blackbox
@@ -69,8 +70,6 @@ _INVARIANT_ERRORS = (
 )
 _BUDGET_ERRORS = (TooManyFeatures, BudgetExceeded)
 
-_DISPLAY_FEATURE_CAP = 12
-
 
 @dataclass
 class RunConfig:
@@ -84,96 +83,9 @@ class RunConfig:
     feature_limit: int = 24
 
 
-# --------------------------------------------------------------------------
-# Display form for feature labels: minimal sum of products over the label's
-# world set.  Rendering only -- the labels themselves are never rewritten.
-# --------------------------------------------------------------------------
-
-def _prime_implicants(minterms):
-    current = {(bits, 0) for bits in minterms}
-    primes = set()
-    while current:
-        merged = set()
-        nxt = set()
-        items = sorted(current)
-        for i, (bits_a, dc_a) in enumerate(items):
-            for bits_b, dc_b in items[i + 1 :]:
-                if dc_a != dc_b:
-                    continue
-                diff = bits_a ^ bits_b
-                if diff and not diff & (diff - 1):  # single differing bit
-                    nxt.add((bits_a & ~diff, dc_a | diff))
-                    merged.add((bits_a, dc_a))
-                    merged.add((bits_b, dc_b))
-        primes |= current - merged
-        current = nxt
-    return primes
-
-
-def _implicant_expr(bits, dont_care, features):
-    lits = []
-    for i, name in enumerate(features):
-        bit = 1 << i
-        if dont_care & bit:
-            continue
-        lits.append(FVar(name) if bits & bit else FNot(FVar(name)))
-    return and_all(lits)
-
-
-def _minimal_dnf(alg, label):
-    features = alg.features
-    width = len(features)
-    minterms = []
-    for mask in range(1 << width):
-        config = {name: bool(mask & (1 << i)) for i, name in enumerate(features)}
-        if alg.holds(label, config):
-            minterms.append(mask)
-    if not minterms:
-        return "false"
-    if len(minterms) == 1 << width:
-        return "true"
-    primes = _prime_implicants(minterms)
-
-    def coverage(prime):
-        bits, dc = prime
-        return frozenset(m for m in minterms if m & ~dc == bits)
-
-    cover_of = {p: coverage(p) for p in primes}
-    order = sorted(
-        primes,
-        key=lambda p: (width - bin(p[1]).count("1"),
-                       alg.canonical_text(_implicant_expr(*p, features))),
-    )
-    chosen = []
-    uncovered = set(minterms)
-    for m in minterms:
-        holders = [p for p in order if m in cover_of[p]]
-        if len(holders) == 1 and holders[0] not in chosen:
-            chosen.append(holders[0])
-            uncovered -= cover_of[holders[0]]
-    while uncovered:
-        best = max(order, key=lambda p: (len(cover_of[p] & uncovered),
-                                         p not in chosen))
-        chosen.append(best)
-        uncovered -= cover_of[best]
-    terms = [_implicant_expr(bits, dc, features) for bits, dc in chosen]
-    terms.sort(key=alg.canonical_text)
-    return alg.canonical_text(or_all(terms))
-
-
 def display_label(alg):
-    """Label-to-text hook for reports; memoized per run."""
-    if alg.kind != "feature" or len(alg.features) > _DISPLAY_FEATURE_CAP:
-        return alg.canonical_text
-    cache: dict = {}
-
-    def fmt(label):
-        key = id(label)
-        if key not in cache:
-            cache[key] = (label, _minimal_dnf(alg, label))  # pin the node
-        return cache[key][1]
-
-    return fmt
+    """The label-to-text function reports use: the algebra's own."""
+    return alg.canonical_text
 
 
 # --------------------------------------------------------------------------
@@ -231,12 +143,23 @@ def _run_plain(program, alg, bindings, cfg, stats):
         return [f"error:{ex.kind}"]
 
 
+@contextlib.contextmanager
+def _nesting_budget():
+    """A program nested deeper than the interpreter's stack is a budget overrun."""
+    try:
+        yield
+    except RecursionError:
+        raise BudgetExceeded("program nested too deeply to evaluate") from None
+
+
 def run(cfg: RunConfig):
     """Execute one run; returns (exit_code, stdout lines, stderr lines)."""
     out: list = []
     err: list = []
     with open(cfg.program, "r", encoding="utf-8") as handle:
-        program = lang.parse(handle.read())
+        text = handle.read()
+    with _nesting_budget():
+        program = lang.parse(text)
     alg, bindings = load_bindings(cfg.bindings, feature_limit=cfg.feature_limit)
 
     if cfg.check_invariants:
@@ -254,34 +177,34 @@ def run(cfg: RunConfig):
         check_invariants=cfg.check_invariants,
         interval_empty=cfg.interval_empty,
     )
-    fmt = display_label(alg)
 
     exit_code = 0
-    if cfg.mode == "plain":
-        out.extend(_run_plain(program, alg, bindings, cfg, stats))
-    elif cfg.mode == "shallow":
-        out.extend(render_result(alg, eval_shallow_blackbox(program, env, stats), fmt))
-    elif cfg.mode == "deep":
-        out.extend(render_result(alg, eval_modal(program, env, stats), fmt))
-    elif cfg.mode == "oracle":
-        out.extend(render_result(alg, brute_force_eval(program, bindings, alg, stats), fmt))
-    elif cfg.mode == "check":
-        deep = eval_modal(program, env, stats)
-        oracle = brute_force_eval(program, bindings, alg)
-        out.extend(render_result(alg, deep, fmt))
-        for label, result in (("deep", deep), ("oracle", oracle)):
-            report = validate(alg, result, interval_empty=cfg.interval_empty)
-            if not report:
-                err.append(f"{label} result invalid: " + "; ".join(report.problems))
+    with _nesting_budget():
+        if cfg.mode == "plain":
+            out.extend(_run_plain(program, alg, bindings, cfg, stats))
+        elif cfg.mode == "shallow":
+            out.extend(render_result(alg, eval_shallow_blackbox(program, env, stats)))
+        elif cfg.mode == "deep":
+            out.extend(render_result(alg, eval_modal(program, env, stats)))
+        elif cfg.mode == "oracle":
+            out.extend(render_result(alg, brute_force_eval(program, bindings, alg, stats)))
+        elif cfg.mode == "check":
+            deep = eval_modal(program, env, stats)
+            oracle = brute_force_eval(program, bindings, alg)
+            out.extend(render_result(alg, deep))
+            for label, result in (("deep", deep), ("oracle", oracle)):
+                report = validate(alg, result, interval_empty=cfg.interval_empty)
+                if not report:
+                    err.append(f"{label} result invalid: " + "; ".join(report.problems))
+                    exit_code = 2
+            ok, diff = assert_equiv(alg, deep, oracle)
+            if ok:
+                out.append("check: deep == oracle")
+            else:
+                err.append(f"check failed: {diff}")
                 exit_code = 2
-        ok, diff = assert_equiv(alg, deep, oracle)
-        if ok:
-            out.append("check: deep == oracle")
         else:
-            err.append(f"check failed: {diff}")
-            exit_code = 2
-    else:
-        raise ParseError(f"unknown mode {cfg.mode!r}")
+            raise ParseError(f"unknown mode {cfg.mode!r}")
 
     if cfg.stats:
         stats.sat_calls = getattr(alg, "sat_calls", 0)

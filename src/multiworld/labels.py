@@ -4,11 +4,10 @@ A label annotates one variant inside a modal value and denotes the set of
 worlds where that variant holds.  Three interchangeable algebras cover the
 three supported modalities:
 
-* ``FeatureAlgebra`` -- labels are propositional formulas over a declared,
-  ordered set of feature names; a world is a total true/false configuration
-  of those features.  Emptiness is propositional unsatisfiability, decided
-  by a small DPLL kernel over a Tseitin-style clausal form, memoized per
-  algebra instance.
+* ``FeatureAlgebra`` -- labels are sets of configurations of a declared,
+  ordered set of feature names, held as 2^k-bit ints; a world is a total
+  true/false configuration of those features.  Intersection, union and
+  complement are bitwise operations and a label is empty when it is 0.
 * ``ProbabilityAlgebra`` -- labels are weights in [0, 1].  Worlds are
   quantified rather than named; combining weights assumes independence
   (intersection multiplies, union of disjoint sets adds).
@@ -16,13 +15,14 @@ three supported modalities:
   The EMPTY tag only arises as the meet of mismatched tags; it never
   appears inside a valid modal value.
 
-Labels are immutable once built and are never simplified: merging modal
-pairs keys on values, not on label shape, so label equality is not needed.
+Labels are immutable values.  ``FeatureExpr`` formulas are output syntax
+only: the bindings parser folds label text straight into world sets.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -39,7 +39,8 @@ from .errors import (
 # --------------------------------------------------------------------------
 
 class FeatureExpr:
-    """A propositional formula over declared feature names."""
+    """A propositional formula over feature names, printed by
+    ``feature_text``; labels themselves are world sets."""
 
 
 @dataclass(frozen=True)
@@ -95,34 +96,6 @@ def feature_text(expr: FeatureExpr) -> str:
     raise TypeError(f"not a feature expression: {expr!r}")
 
 
-def satisfies(expr: FeatureExpr, config) -> bool:
-    """Evaluate a formula under a total feature-to-bool configuration."""
-    if isinstance(expr, FTrue):
-        return True
-    if isinstance(expr, FFalse):
-        return False
-    if isinstance(expr, FVar):
-        return bool(config[expr.name])
-    if isinstance(expr, FNot):
-        return not satisfies(expr.arg, config)
-    if isinstance(expr, FAnd):
-        return satisfies(expr.lhs, config) and satisfies(expr.rhs, config)
-    if isinstance(expr, FOr):
-        return satisfies(expr.lhs, config) or satisfies(expr.rhs, config)
-    raise TypeError(f"not a feature expression: {expr!r}")
-
-
-def feature_names(expr: FeatureExpr) -> set:
-    """All feature names referenced by a formula."""
-    if isinstance(expr, FVar):
-        return {expr.name}
-    if isinstance(expr, FNot):
-        return feature_names(expr.arg)
-    if isinstance(expr, (FAnd, FOr)):
-        return feature_names(expr.lhs) | feature_names(expr.rhs)
-    return set()
-
-
 def and_all(exprs) -> FeatureExpr:
     """Left fold of conjunction; empty input means the full world set."""
     out = None
@@ -139,89 +112,27 @@ def or_all(exprs) -> FeatureExpr:
     return FALSE if out is None else out
 
 
-# --------------------------------------------------------------------------
-# Satisfiability kernel
-# --------------------------------------------------------------------------
-
-def _clauses(expr: FeatureExpr, var_ids) -> list:
-    """Tseitin-style clausal form; the root literal is asserted as a unit.
-
-    Feature variables keep their declared ids (1..k); auxiliary variables
-    for the internal and/or nodes come after, so the DPLL branch heuristic
-    (smallest variable first) decides features before auxiliaries.  Shared
-    subformulas are translated once (labels built by repeated meets form
-    DAGs whose tree expansion can be exponential).
-    """
-    clauses: list = []
-    fresh = itertools.count(len(var_ids) + 1)
-    memo: dict = {}
-
-    def lit(e) -> int:
-        known = memo.get(id(e))
-        if known is not None:
-            return known
-        if isinstance(e, FTrue):
-            t = next(fresh)
-            clauses.append([t])
-        elif isinstance(e, FFalse):
-            t = next(fresh)
-            clauses.append([-t])
-        elif isinstance(e, FVar):
-            t = var_ids[e.name]
-        elif isinstance(e, FNot):
-            t = -lit(e.arg)
-        else:
-            a = lit(e.lhs)
-            b = lit(e.rhs)
-            t = next(fresh)
-            if isinstance(e, FAnd):
-                clauses.extend([[-t, a], [-t, b], [t, -a, -b]])
-            else:
-                clauses.extend([[-t, a, b], [t, -a], [t, -b]])
-        memo[id(e)] = t
-        return t
-
-    root = lit(expr)
-    clauses.append([root])
-    return clauses
+def _fold_text(op: str, texts) -> str:
+    """``feature_text`` of the left fold (``and_all``/``or_all``) of
+    non-empty operand texts, built without recursion."""
+    return "(" * (len(texts) - 1) + texts[0] + "".join(f" {op} {t})" for t in texts[1:])
 
 
-def _assign(clauses, literal):
-    out = []
-    for c in clauses:
-        if literal in c:
-            continue
-        if -literal in c:
-            c = [x for x in c if x != -literal]
-        out.append(c)
-    return out
+# a label takes 2^k bits, so no algebra declares more features than this,
+# whatever its feature_limit (4 MB per label at the cap)
+_BITSET_FEATURE_CAP = 25
+
+# above this many features, display falls back from a minimal DNF, whose
+# prime implicant table takes 4^k bits, to the cubes of a Shannon split
+_DNF_FEATURE_CAP = 12
 
 
-def _dpll(clauses) -> bool:
-    """DPLL with unit propagation and pure-literal elimination."""
-
-    def solve(cls):
-        while True:
-            if not cls:
-                return True
-            if any(not c for c in cls):
-                return False
-            unit = next((c[0] for c in cls if len(c) == 1), None)
-            if unit is not None:
-                cls = _assign(cls, unit)
-                continue
-            lits = {l for c in cls for l in c}
-            pure = next(
-                (l for l in sorted(lits, key=lambda x: (abs(x), x)) if -l not in lits),
-                None,
-            )
-            if pure is not None:
-                cls = _assign(cls, pure)
-                continue
-            branch = min(abs(l) for l in lits)
-            return solve(_assign(cls, branch)) or solve(_assign(cls, -branch))
-
-    return solve(clauses)
+def _members(bits: int):
+    """Positions of the set bits, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +140,14 @@ def _dpll(clauses) -> bool:
 # --------------------------------------------------------------------------
 
 class FeatureAlgebra:
-    """Labels are formulas over a fixed, ordered set of feature names."""
+    """Labels are world sets over a fixed, ordered set of feature names.
+
+    A label is an int: bit ``p`` is set iff configuration ``p`` is in the
+    set, where bit ``i`` of ``p`` is the value of ``features[i]``.  Equal
+    world sets are equal ints.  A feature's mask is built on first use.
+    No ``feature_limit`` admits more than ``_BITSET_FEATURE_CAP`` features.
+    ``sat_calls`` counts emptiness checks.
+    """
 
     kind = "feature"
 
@@ -241,61 +159,54 @@ class FeatureAlgebra:
             raise TooManyFeatures(
                 f"{len(features)} features declared, limit is {feature_limit}"
             )
+        if len(features) > _BITSET_FEATURE_CAP:
+            raise TooManyFeatures(
+                f"{len(features)} features declared, at most {_BITSET_FEATURE_CAP} "
+                f"fit in a label (a set of 2^k configurations)"
+            )
         self.features = features
-        self._ids = {name: i + 1 for i, name in enumerate(features)}
-        # caches key on object identity: deep evaluation shares subformulas
-        # heavily, and rendering a shared label to text can be exponential
-        self._sat_cache: dict = {}
-        self._holds_memo: dict = {}
-        self._keep: dict = {}
+        self._index = {name: i for i, name in enumerate(features)}
+        self._masks: dict = {}
+        self.top = (1 << (1 << len(features))) - 1
         self.sat_calls = 0
 
-    def var(self, name: str) -> FVar:
-        if name not in self._ids:
+    def _mask(self, i: int) -> int:
+        """The configurations where ``features[i]`` is true."""
+        mask = self._masks.get(i)
+        if mask is None:
+            width = 1 << i  # runs of 2^i zeros, then 2^i ones, repeated
+            mask = ((1 << width) - 1) << width
+            width *= 2
+            while width < 1 << len(self.features):
+                mask |= mask << width
+                width *= 2
+            self._masks[i] = mask
+        return mask
+
+    def _position(self, config) -> int:
+        return sum(1 << i for i, name in enumerate(self.features) if config[name])
+
+    def var(self, name: str) -> int:
+        if name not in self._index:
             known = ", ".join(self.features) or "none"
             raise UndeclaredFeature(f"feature {name!r} not declared (declared: {known})")
-        return FVar(name)
-
-    @property
-    def top(self) -> FeatureExpr:
-        return TRUE
+        return self._mask(self._index[name])
 
     def top_labels(self) -> tuple:
-        return (TRUE,)
+        return (self.top,)
 
-    def meet(self, l1, l2):
-        # constant folding only; composite labels are kept as built
-        if isinstance(l1, FTrue):
-            return l2
-        if isinstance(l2, FTrue):
-            return l1
-        if isinstance(l1, FFalse) or isinstance(l2, FFalse):
-            return FALSE
-        return FAnd(l1, l2)
+    def meet(self, l1: int, l2: int) -> int:
+        return l1 & l2
 
-    def join(self, l1, l2):
-        if isinstance(l1, FFalse):
-            return l2
-        if isinstance(l2, FFalse):
-            return l1
-        if isinstance(l1, FTrue) or isinstance(l2, FTrue):
-            return TRUE
-        return FOr(l1, l2)
+    def join(self, l1: int, l2: int) -> int:
+        return l1 | l2
 
-    def is_empty(self, label) -> bool:
-        return not self.sat_check(label)
+    def complement(self, label: int) -> int:
+        return self.top ^ label
 
-    def sat_check(self, expr: FeatureExpr) -> bool:
-        """True iff some configuration satisfies the formula (memoized)."""
+    def is_empty(self, label: int) -> bool:
         self.sat_calls += 1
-        key = id(expr)
-        hit = self._sat_cache.get(key)
-        if hit is not None:
-            return hit
-        result = _dpll(_clauses(expr, self._ids))
-        self._sat_cache[key] = result
-        self._keep[key] = expr  # pin the node so its id stays valid
-        return result
+        return label == 0
 
     def check_disjoint(self, labels_) -> bool:
         return all(
@@ -304,57 +215,126 @@ class FeatureAlgebra:
         )
 
     def check_total(self, labels_) -> bool:
-        return self.is_empty(FNot(or_all(labels_)))
+        return self.is_empty(self.complement(functools.reduce(self.join, labels_, 0)))
 
-    def holds(self, label, config) -> bool:
-        """Like ``satisfies`` but memoized over shared subformulas."""
-        ckey = tuple(bool(config[name]) for name in self.features)
-        memo = self._holds_memo
-
-        def go(e) -> bool:
-            key = (id(e), ckey)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            if isinstance(e, FTrue):
-                result = True
-            elif isinstance(e, FFalse):
-                result = False
-            elif isinstance(e, FVar):
-                result = bool(config[e.name])
-            elif isinstance(e, FNot):
-                result = not go(e.arg)
-            elif isinstance(e, FAnd):
-                result = go(e.lhs) and go(e.rhs)
-            else:
-                result = go(e.lhs) or go(e.rhs)
-            memo[key] = result
-            self._keep[id(e)] = e
-            return result
-
-        return go(label)
-
-    def canonical_text(self, label) -> str:
-        return feature_text(label)
-
-    def equivalent(self, a, b) -> bool:
-        """Denotational equality of two labels."""
-        return self.is_empty(self.meet(a, FNot(b))) and self.is_empty(
-            self.meet(b, FNot(a))
-        )
+    def holds(self, label: int, config) -> bool:
+        return bool(label >> self._position(config) & 1)
 
     def iter_configs(self):
         """All 2^k configurations, last declared feature varying fastest."""
         for bits in itertools.product((False, True), repeat=len(self.features)):
             yield dict(zip(self.features, bits))
 
-    def minterm(self, config) -> FeatureExpr:
-        """The conjunction of literals pinning exactly one configuration."""
-        lits = [
-            FVar(name) if config[name] else FNot(FVar(name))
-            for name in self.features
-        ]
-        return and_all(lits)
+    def minterm(self, config) -> int:
+        """The world set holding exactly one configuration."""
+        return 1 << self._position(config)
+
+    def first_config(self, label: int) -> dict:
+        """The first configuration of a non-empty label in ``iter_configs``
+        order: each feature false if the rest of the label allows it."""
+        config = {}
+        for i, name in enumerate(self.features):
+            mask = self._mask(i)
+            config[name] = not (label & ~mask)
+            label &= mask if config[name] else ~mask
+        return config
+
+    # -- display -----------------------------------------------------------
+
+    def canonical_text(self, label: int) -> str:
+        """A sum of products denoting the label's world set.
+
+        Up to ``_DNF_FEATURE_CAP`` features it is a minimal one: the
+        essential prime implicants plus a greedy cover of the rest, with
+        the products sorted by text.  Above the cap it is the disjoint
+        cubes of a Shannon split in declared-feature order.
+        """
+        if label == 0:
+            return "false"
+        if label == self.top:
+            return "true"
+        if len(self.features) > _DNF_FEATURE_CAP:
+            return _fold_text("|", self._shannon_cubes(label))
+        return _fold_text("|", sorted(self._minimal_cover(label)))
+
+    def _cube_text(self, bits: int, dont_care: int) -> str:
+        return _fold_text("&", [
+            name if bits >> i & 1 else "!" + name
+            for i, name in enumerate(self.features)
+            if not dont_care >> i & 1
+        ])
+
+    def _prime_cubes(self, label: int) -> list:
+        """Every prime implicant as (bits, dont_care), computed over the
+        truth table.  ``table[dc]`` has bit ``p`` set iff the cube that
+        fixes the features outside ``dc`` to their values in ``p`` (whose
+        ``dc`` bits are 0) lies inside the label."""
+        k = len(self.features)
+        table = [label]
+        for dc in range(1, 1 << k):
+            low = dc & -dc
+            half = table[dc ^ low]
+            table.append(half & (half >> low) & ~self._mask(low.bit_length() - 1))
+        primes = []
+        for dc, cubes in enumerate(table):
+            absorbed = 0
+            for i in range(k):
+                if not dc >> i & 1:
+                    wider = table[dc | 1 << i]
+                    absorbed |= wider | wider << (1 << i)
+            primes.extend((bits, dc) for bits in _members(cubes & ~absorbed))
+        return primes
+
+    def _minimal_cover(self, label: int) -> list:
+        """Texts of the products of a minimal-ish cover of the label."""
+        width = len(self.features)
+        primes = self._prime_cubes(label)
+        text = {p: self._cube_text(*p) for p in primes}
+        cover_of = {}
+        for bits, dc in primes:
+            cover = 1 << bits
+            for i in _members(dc):
+                cover |= cover << (1 << i)
+            cover_of[bits, dc] = cover
+        order = sorted(primes, key=lambda p: (width - p[1].bit_count(), text[p]))
+        once = twice = 0
+        for cover in cover_of.values():
+            twice |= once & cover
+            once |= cover
+        # essential primes: those covering a minterm no other prime covers
+        chosen = {p for p in primes if cover_of[p] & once & ~twice}
+        uncovered = label
+        for p in chosen:
+            uncovered &= ~cover_of[p]
+        while uncovered:
+            # the first prime in order that covers the most uncovered minterms
+            order = [p for p in order if cover_of[p] & uncovered]
+            best = max(order, key=lambda p: (cover_of[p] & uncovered).bit_count())
+            chosen.add(best)
+            uncovered &= ~cover_of[best]
+        return [text[p] for p in chosen]
+
+    def _shannon_cubes(self, label: int) -> list:
+        """Texts of the disjoint cubes that a Shannon split in declared
+        order ends in, false branch first.  A feature the remaining part
+        of the label does not depend on is not split on."""
+        # the truth table as text, configuration p at index p: fixing the
+        # lowest remaining feature keeps every other character, so each
+        # step works on a table half the size of the one it splits
+        table = format(label, "b").zfill(1 << len(self.features))[::-1]
+        cubes = []
+        stack = [(table, 0, [])]
+        while stack:
+            table, i, lits = stack.pop()
+            if "0" not in table:
+                cubes.append(_fold_text("&", lits))
+            elif "1" in table:
+                while table[0::2] == table[1::2]:
+                    table, i = table[0::2], i + 1
+                name = self.features[i]
+                stack.append((table[1::2], i + 1, lits + [name]))
+                stack.append((table[0::2], i + 1, lits + ["!" + name]))
+        return cubes
 
 
 class ProbabilityAlgebra:

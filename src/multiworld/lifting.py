@@ -49,7 +49,8 @@ class LiftStats:
     cross-product tuples that reached a real application, while
     ``applications`` also tallies named function calls made outside the
     cross-product machinery (user functions during deep evaluation, every
-    operator during plain runs).
+    operator during plain runs).  ``sat_calls`` is copied from the
+    algebra's count of emptiness checks.
     """
 
     applications: Counter = field(default_factory=Counter)

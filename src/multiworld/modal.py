@@ -14,10 +14,11 @@ MIN- and MAX-tagged pairs are kept apart (a range is exactly two pairs).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import EmptyModalValue, InvariantViolation, ProjectionUnsupported
-from .labels import Tag, feature_names
+from .labels import Tag
 
 Value = int | bool
 
@@ -82,8 +83,8 @@ def merge_pairs(alg, pairs, item_key) -> tuple:
             grouped[key] = (item, label)
     out = list(grouped.values())
     if alg.kind == "feature":
-        # items are unique after merging, and rendering a heavily shared
-        # feature label just for a tiebreak can be exponentially large
+        # items are unique after merging, so a tiebreak on label text (a
+        # minimal DNF, costly to compute) would never decide
         out.sort(key=lambda p: item_key(p[0]))
     else:
         out.sort(key=lambda p: (item_key(p[0]), alg.canonical_text(p[1])))
@@ -148,9 +149,8 @@ def _label_problems(alg, labels_) -> list:
     problems = []
     for label in labels_:
         if alg.kind == "feature":
-            unknown = feature_names(label) - set(alg.features)
-            if unknown:
-                problems.append(f"undeclared features in label: {sorted(unknown)}")
+            if not isinstance(label, int) or label & ~alg.top:
+                problems.append("label is not a set of the declared configurations")
         elif alg.kind == "probability":
             if not 0.0 <= label <= 1.0 + alg.tol:
                 problems.append(f"weight {label!r} outside [0, 1]")
@@ -190,14 +190,10 @@ def _total_problems(alg, labels_) -> list:
     if alg.check_total(labels_):
         return []
     if alg.kind == "feature":
-        if len(alg.features) <= 16:
-            for config in alg.iter_configs():
-                if not any(alg.holds(l, config) for l in labels_):
-                    missed = ", ".join(
-                        f"{n}={int(v)}" for n, v in config.items()
-                    )
-                    return [f"configuration {{{missed}}} is uncovered"]
-        return ["labels do not cover every configuration"]
+        uncovered = alg.complement(functools.reduce(alg.join, labels_))
+        first = alg.first_config(uncovered)
+        missed = ", ".join(f"{n}={int(v)}" for n, v in first.items())
+        return [f"configuration {{{missed}}} is uncovered"]
     if alg.kind == "probability":
         gap = 1.0 - sum(labels_)
         return [f"totality gap {gap:+.9g}"]

@@ -28,6 +28,7 @@ tuple, duplicating whatever work the program shares internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 from . import lang
@@ -39,7 +40,7 @@ from .errors import (
     ModalityMismatch,
     UndeclaredFeature,
 )
-from .labels import FNot, Tag, or_all
+from .labels import Tag
 from .lifting import LiftStats, PrimitiveFn, shallow_apply
 from .modal import (
     ModalResult,
@@ -99,7 +100,8 @@ class _DeepEval:
             return ctx
         alg = self.alg
         if alg.kind == "feature":
-            blocked = FNot(or_all([label for _, label in error_pairs]))
+            erring = reduce(alg.join, [label for _, label in error_pairs])
+            blocked = alg.complement(erring)
             ctx2 = blocked if ctx is None else alg.meet(ctx, blocked)
             return _DEAD if alg.is_empty(ctx2) else ctx2
         # interval: a tag either survives untouched or is fully blocked
@@ -143,7 +145,8 @@ class _DeepEval:
                             f"{alg.canonical_text(labels_[j])}"
                         )
             want = alg.top if ctx is None else ctx
-            if not alg.is_empty(alg.meet(want, FNot(or_all(labels_)))):
+            covered = reduce(alg.join, labels_, 0)
+            if not alg.is_empty(alg.meet(want, alg.complement(covered))):
                 raise InvariantViolation(
                     f"intermediate gap under {alg.canonical_text(want)}"
                 )
@@ -171,7 +174,7 @@ class _DeepEval:
             return self._finish(self._restrict_pairs(pairs, ctx), [], ctx)
         if isinstance(expr, lang.Feature):
             v = self.alg.var(expr.name)
-            pairs = [(False, FNot(v)), (True, v)]
+            pairs = [(False, self.alg.complement(v)), (True, v)]
             return self._finish(self._restrict_pairs(pairs, ctx), [], ctx)
         if isinstance(expr, lang.Not):
             av, ae = self.eval(expr.arg, scope, ctx)
@@ -380,7 +383,7 @@ def _split_by_features(alg, label, feature_list):
         v = alg.var(name)
         nxt = []
         for lab, cfg in leaves:
-            with_false = alg.meet(lab, FNot(v))
+            with_false = alg.meet(lab, alg.complement(v))
             with_true = alg.meet(lab, v)
             false_ok = not alg.is_empty(with_false)
             true_ok = not alg.is_empty(with_true)

@@ -33,6 +33,9 @@ from .modal import (
 
 FEATURE_BUDGET = 20
 JOINT_BUDGET = 10**6
+# per-world pairs are merged once this many are unmerged: a feature
+# minterm takes 2^k bits, so 2^20 unmerged ones would take 128 GiB
+MERGE_EVERY = 256
 
 
 def enumerate_worlds(alg, bindings) -> list:
@@ -70,6 +73,7 @@ def brute_force_eval(program: lang.Program, bindings, alg, stats=None) -> ModalR
     """Per-world plain runs, aggregated into a modal result."""
     values = []
     errors = []
+    merge_at = MERGE_EVERY
     for world, weight in enumerate_worlds(alg, bindings):
         if alg.kind == "feature":
             env = {n: project(alg, mv, world) for n, mv in bindings.items()}
@@ -88,6 +92,12 @@ def brute_force_eval(program: lang.Program, bindings, alg, stats=None) -> ModalR
             values.append((out, label))
         except EvalError as ex:
             errors.append((ex.kind, label))
+        if len(values) + len(errors) >= merge_at:
+            # merging keeps each item's encounter-order join, so the result
+            # is the same as one merge at the end
+            values = list(merge_value_pairs(alg, values))
+            errors = list(merge_error_pairs(alg, errors))
+            merge_at = len(values) + len(errors) + MERGE_EVERY
     return ModalResult(
         merge_value_pairs(alg, values), merge_error_pairs(alg, errors), alg.kind
     )

@@ -31,11 +31,9 @@ def test_label_precedence_and_parens():
     one = dict((v, l) for v, l in binds["v"].pairs)
     # ! binds tightest, & next, | loosest
     for cfg in alg.iter_configs():
-        from multiworld.labels import satisfies
-
         want_one = (not cfg["FA"]) and cfg["FB"] or cfg["FA"]
-        assert satisfies(one[1], cfg) == want_one
-        assert satisfies(one[2], cfg) == (not want_one)
+        assert alg.holds(one[1], cfg) == want_one
+        assert alg.holds(one[2], cfg) == (not want_one)
     assert validate(alg, binds["v"]).ok
 
 

@@ -122,6 +122,21 @@ def test_budget_exit_code():
     assert "limit" in err
 
 
+def test_feature_limit_cannot_lift_the_label_size_cap(tmp_path):
+    names = [f"F{i:02d}" for i in range(40)]
+    binds = tmp_path / "wide.mb"
+    binds.write_text(f"modality feature({', '.join(names)});\nbind x = {{ 1 @ true }};\n")
+    prog = tmp_path / "x.mdl"
+    prog.write_text("x")
+    code, out, err = run_cli(
+        "run", "-p", str(prog), "-b", str(binds), "--feature-limit", "40"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "at most 25" in err
+    assert "Traceback" not in err
+
+
 def test_usage_exit_codes():
     code, _, _ = run_cli("run", "-p", "no_such_file.mdl", "-b", str(PROGRAMS / "sharing.mb"))
     assert code == 1
@@ -159,17 +174,24 @@ def test_stats_include_sat_calls():
 def test_display_labels_depend_only_on_meaning():
     import random
 
+    from functools import reduce
+
     from multiworld.cli import display_label
-    from multiworld.labels import FAnd, FNot, FOr, FVar, FeatureAlgebra, or_all, satisfies
+    from multiworld.labels import FAnd, FNot, FOr, FVar, FeatureAlgebra
+    from reference import build, satisfies
 
     alg = FeatureAlgebra(("FA", "FB"))
     fmt = display_label(alg)
     fa, fb = FVar("FA"), FVar("FB")
-    assert fmt(FOr(FAnd(fa, FNot(fb)), FAnd(FNot(fa), FNot(fb)))) == "!FB"
-    assert fmt(FNot(fb)) == "!FB"
-    assert fmt(FAnd(fa, fb)) == "(FA & FB)"
-    assert fmt(FOr(fa, FNot(fa))) == "true"
-    assert fmt(FAnd(fa, FNot(fa))) == "false"
+
+    def show(expr):
+        return fmt(build(alg, expr))
+
+    assert show(FOr(FAnd(fa, FNot(fb)), FAnd(FNot(fa), FNot(fb)))) == "!FB"
+    assert show(FNot(fb)) == "!FB"
+    assert show(FAnd(fa, fb)) == "(FA & FB)"
+    assert show(FOr(fa, FNot(fa))) == "true"
+    assert show(FAnd(fa, FNot(fa))) == "false"
 
     # any label displays exactly like the join of its satisfying minterms
     rng = random.Random(3)
@@ -186,6 +208,15 @@ def test_display_labels_depend_only_on_meaning():
                 expr = FNot(expr)
         minterms = [alg.minterm(c) for c in alg.iter_configs() if satisfies(expr, c)]
         if not minterms:
-            assert display_label(alg)(expr) == "false"
+            assert show(expr) == "false"
         else:
-            assert display_label(alg)(expr) == display_label(alg)(or_all(minterms))
+            assert show(expr) == fmt(reduce(alg.join, minterms))
+
+
+def test_deep_nesting_exits_with_budget_code(tmp_path):
+    prog = tmp_path / "deep.mdl"
+    prog.write_text(" + ".join(["x"] * 3000))
+    code, out, err = run_cli("run", "-p", str(prog), "-b", str(PROGRAMS / "sharing.mb"))
+    assert code == 3
+    assert out == ""
+    assert err == "error: program nested too deeply to evaluate\n"

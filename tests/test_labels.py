@@ -1,3 +1,7 @@
+import functools
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +11,7 @@ from multiworld.errors import (
     TooManyFeatures,
     UndeclaredFeature,
 )
+from multiworld.cli import display_label
 from multiworld.labels import (
     FALSE,
     TRUE,
@@ -21,8 +26,8 @@ from multiworld.labels import (
     and_all,
     feature_text,
     or_all,
-    satisfies,
 )
+from reference import build, satisfies, world_set
 
 NAMES = ("FA", "FB", "FC", "FD", "FE", "FF")
 
@@ -54,37 +59,38 @@ def test_meet_is_conjunction():
     met = alg.meet(fa, fb)
     assert alg.canonical_text(met) == "(FA & FB)"
     for cfg in alg.iter_configs():
-        assert satisfies(met, cfg) == (cfg["FA"] and cfg["FB"])
+        assert alg.holds(met, cfg) == (cfg["FA"] and cfg["FB"])
 
 
 def test_meet_with_top_is_identity():
     alg = fresh_alg()
-    label = FOr(alg.var("FA"), FNot(alg.var("FB")))
-    met = alg.meet(label, TRUE)
-    assert alg.equivalent(met, label)
+    label = alg.join(alg.var("FA"), alg.complement(alg.var("FB")))
+    assert alg.meet(label, alg.top) == label
 
 
 def test_join_is_disjunction_denotationally():
     alg = fresh_alg()
     fa, fb = alg.var("FA"), alg.var("FB")
-    joined = alg.join(FAnd(fa, FNot(fb)), FAnd(FNot(fa), FNot(fb)))
+    joined = alg.join(alg.meet(fa, alg.complement(fb)),
+                      alg.meet(alg.complement(fa), alg.complement(fb)))
     # truth table over {FA, FB}: equivalent to !FB
     for cfg in alg.iter_configs():
-        assert satisfies(joined, cfg) == (not cfg["FB"])
+        assert alg.holds(joined, cfg) == (not cfg["FB"])
+    assert joined == alg.complement(fb)
 
 
 def test_is_empty_contradiction():
     alg = fresh_alg()
     fa = alg.var("FA")
-    assert alg.is_empty(FAnd(fa, FNot(fa)))
-    assert not alg.is_empty(TRUE)
+    assert alg.is_empty(alg.meet(fa, alg.complement(fa)))
+    assert not alg.is_empty(alg.top)
 
 
 def test_sat_examples():
     alg = fresh_alg()
-    fa, fb = alg.var("FA"), alg.var("FB")
-    assert alg.sat_check(FAnd(fa, fb))
-    assert not alg.sat_check(FAnd(fa, FNot(fa)))
+    fa, fb = FVar("FA"), FVar("FB")
+    assert not alg.is_empty(build(alg, FAnd(fa, fb)))
+    assert alg.is_empty(build(alg, FAnd(fa, FNot(fa))))
     # 4-row truth table over {FA, FB} says this is unsatisfiable
     expr = FAnd(FAnd(FOr(fa, fb), FNot(fa)), FNot(fb))
     assert not any(
@@ -92,7 +98,7 @@ def test_sat_examples():
         for a in (False, True)
         for b in (False, True)
     )
-    assert not alg.sat_check(expr)
+    assert alg.is_empty(build(alg, expr))
 
 
 def test_undeclared_feature_rejected():
@@ -106,6 +112,10 @@ def test_feature_limit():
         FeatureAlgebra([f"F{i}" for i in range(25)])
     with pytest.raises(TooManyFeatures):
         FeatureAlgebra(("FA", "FB"), feature_limit=1)
+    # a raised limit does not lift the cap on the size of a label
+    assert len(FeatureAlgebra([f"F{i}" for i in range(25)], feature_limit=25).features) == 25
+    with pytest.raises(TooManyFeatures):
+        FeatureAlgebra([f"F{i}" for i in range(26)], feature_limit=40)
 
 
 def test_check_disjoint_minterms():
@@ -118,70 +128,142 @@ def test_check_disjoint_minterms():
 def test_check_total_examples():
     alg = fresh_alg()
     fa, fb = alg.var("FA"), alg.var("FB")
-    assert alg.check_total([fa, FNot(fa)])
+    assert alg.check_total([fa, alg.complement(fa)])
     # configuration {FA=1, FB=0} is uncovered
-    assert not alg.check_total([FAnd(fa, fb), FNot(fa)])
+    assert not alg.check_total([alg.meet(fa, fb), alg.complement(fa)])
 
 
 @settings(max_examples=1000)
 @given(formulas())
 def test_sat_matches_truth_table(expr):
     alg = fresh_alg()
-    assert alg.sat_check(expr) == brute_sat(alg, expr)
+    label = build(alg, expr)
+    assert label == world_set(alg, expr)
+    assert alg.is_empty(label) == (not brute_sat(alg, expr))
 
 
 @given(formulas(), formulas())
 def test_meet_join_homomorphism(a, b):
     alg = fresh_alg()
-    met, joined = alg.meet(a, b), alg.join(a, b)
+    la, lb = build(alg, a), build(alg, b)
+    met, joined = alg.meet(la, lb), alg.join(la, lb)
     for cfg in alg.iter_configs():
-        assert satisfies(met, cfg) == (satisfies(a, cfg) and satisfies(b, cfg))
-        assert satisfies(joined, cfg) == (satisfies(a, cfg) or satisfies(b, cfg))
+        assert alg.holds(met, cfg) == (satisfies(a, cfg) and satisfies(b, cfg))
+        assert alg.holds(joined, cfg) == (satisfies(a, cfg) or satisfies(b, cfg))
 
 
 @given(formulas(), formulas())
 def test_meet_join_commute_denotationally(a, b):
     alg = fresh_alg()
-    assert alg.equivalent(alg.meet(a, b), alg.meet(b, a))
-    assert alg.equivalent(alg.join(a, b), alg.join(b, a))
+    la, lb = build(alg, a), build(alg, b)
+    assert alg.meet(la, lb) == alg.meet(lb, la)
+    assert alg.join(la, lb) == alg.join(lb, la)
 
 
 @given(formulas())
 def test_complement_meet_is_empty(expr):
     alg = fresh_alg()
-    assert alg.is_empty(alg.meet(expr, FNot(expr)))
+    label = build(alg, expr)
+    assert alg.is_empty(alg.meet(label, alg.complement(label)))
 
 
 @given(formulas())
 def test_meet_with_top_preserves_emptiness(expr):
     alg = fresh_alg()
-    assert alg.is_empty(alg.meet(expr, alg.top)) == alg.is_empty(expr)
+    label = build(alg, expr)
+    assert alg.is_empty(alg.meet(label, alg.top)) == alg.is_empty(label)
 
 
 @given(st.lists(st.integers(0, 2), min_size=4, max_size=4))
 def test_partition_covers_each_config_once(groups):
     # labels built by grouping the minterms of {FA, FB} are disjoint and
-    # total, and every configuration satisfies exactly one of them
+    # total, and every configuration lies in exactly one of them
     alg = FeatureAlgebra(("FA", "FB"))
     configs = list(alg.iter_configs())
     by_group = {}
     for cfg, g in zip(configs, groups):
         by_group.setdefault(g, []).append(alg.minterm(cfg))
-    labels = [or_all(ms) for ms in by_group.values()]
+    labels = [functools.reduce(alg.join, ms) for ms in by_group.values()]
     assert alg.check_disjoint(labels)
     assert alg.check_total(labels)
     for cfg in configs:
-        assert sum(satisfies(l, cfg) for l in labels) == 1
+        assert sum(alg.holds(l, cfg) for l in labels) == 1
 
 
 def test_canonical_text_shapes():
-    alg = fresh_alg()
-    fa, fb = alg.var("FA"), alg.var("FB")
+    fa, fb = FVar("FA"), FVar("FB")
     assert feature_text(FNot(fb)) == "!FB"
     assert feature_text(FNot(FAnd(fa, fb))) == "!(FA & FB)"
     assert feature_text(FOr(fa, FNot(fb))) == "(FA | !FB)"
     assert feature_text(and_all([])) == "true"
     assert feature_text(or_all([])) == "false"
+
+
+@given(formulas(), formulas())
+def test_meet_commutes_and_complement_covers(a, b):
+    alg = fresh_alg()
+    la, lb = build(alg, a), build(alg, b)
+    assert alg.meet(la, lb) == alg.meet(lb, la)
+    assert alg.join(la, alg.complement(la)) == alg.top
+
+
+def test_no_per_label_state():
+    alg = fresh_alg()
+    lits = [alg.var(n) for n in NAMES]
+    config = dict.fromkeys(NAMES, True)
+
+    def sizes():
+        return {k: len(v) for k, v in vars(alg).items() if hasattr(v, "__len__")}
+
+    before = sizes()
+    for i in range(10_000):
+        label = alg.join(alg.meet(lits[i % 6], lits[i * 5 % 6]), lits[i * 7 % 6])
+        alg.is_empty(label)
+        alg.holds(label, config)
+    assert sizes() == before
+
+
+def test_display_of_512_minterm_label_is_fast():
+    alg = FeatureAlgebra([f"F{i}" for i in range(10)])
+    start = time.perf_counter()
+    text = display_label(alg)(alg.var("F0"))
+    assert time.perf_counter() - start < 0.25
+    assert text == "F0"
+
+
+def test_wide_labels_print_as_shannon_cubes():
+    alg = FeatureAlgebra([f"G{i}" for i in range(16)])
+    g = {name: alg.var(name) for name in alg.features}
+    one = alg.join(alg.meet(g["G0"], alg.complement(g["G3"])), alg.meet(g["G5"], g["G15"]))
+    other = alg.complement(alg.meet(
+        alg.join(alg.complement(g["G15"]), alg.complement(g["G5"])),
+        alg.join(alg.complement(g["G0"]), g["G3"]),
+    ))
+    assert one == other
+    want = "((((!G0 & G5) & G15) | (G0 & !G3)) | (((G0 & G3) & G5) & G15))"
+    assert alg.canonical_text(one) == alg.canonical_text(other) == want
+    assert alg.canonical_text(alg.complement(g["G7"])) == "!G7"
+    assert alg.canonical_text(alg.top) == "true"
+    assert alg.canonical_text(alg.complement(alg.top)) == "false"
+
+
+def test_wide_label_display_is_fast_and_exact():
+    alg = FeatureAlgebra([f"F{i:02d}" for i in range(20)])
+    rng = random.Random(3)
+    label = functools.reduce(alg.join, (1 << rng.randrange(1 << 20) for _ in range(300)))
+    start = time.perf_counter()
+    text = alg.canonical_text(label)
+    # 1.1-1.5 s when every split step masked the whole 2^20-bit table
+    assert time.perf_counter() - start < 0.25
+    decoded = 0
+    for cube_text in text.split(" | "):
+        cube = alg.top
+        for lit in cube_text.replace("(", "").replace(")", "").split(" & "):
+            var = alg.var(lit.lstrip("!"))
+            cube = alg.meet(cube, alg.complement(var) if lit.startswith("!") else var)
+        assert alg.is_empty(alg.meet(decoded, cube))  # the cubes are disjoint
+        decoded = alg.join(decoded, cube)
+    assert decoded == label
 
 
 # --- probability algebra ----------------------------------------------------
@@ -259,10 +341,10 @@ def test_interval_empty_disjoint_total():
     assert alg.top_labels() == (Tag.MIN, Tag.MAX)
 
 
-def test_sat_cache_counts_calls():
+def test_sat_calls_count_emptiness_checks():
     alg = FeatureAlgebra(("FA",))
-    label = FAnd(alg.var("FA"), FNot(alg.var("FA")))
+    label = alg.meet(alg.var("FA"), alg.complement(alg.var("FA")))
     before = alg.sat_calls
     alg.is_empty(label)
     alg.is_empty(label)
-    assert alg.sat_calls == before + 2  # calls counted even on cache hits
+    assert alg.sat_calls == before + 2  # every emptiness check counts

@@ -4,10 +4,6 @@ import pytest
 
 from multiworld.errors import ArityMismatch, DisjointnessViolation, EvalError, ModalityMismatch
 from multiworld.labels import (
-    TRUE,
-    FAnd,
-    FNot,
-    FVar,
     FeatureAlgebra,
     IntervalAlgebra,
     ProbabilityAlgebra,
@@ -21,24 +17,25 @@ from multiworld.oracle import assert_equiv, outcome_at
 FEAT = FeatureAlgebra(("FA", "FB"))
 PROB = ProbabilityAlgebra()
 INTV = IntervalAlgebra()
-FA, FB = FVar("FA"), FVar("FB")
+FA, FB = FEAT.var("FA"), FEAT.var("FB")
+AND, NOT, TOP = FEAT.meet, FEAT.complement, FEAT.top
 
 ADD = PrimitiveFn("add", 2, lambda a, b: apply_op("+", a, b))
 DIV = PrimitiveFn("div", 2, lambda a, b: apply_op("/", a, b))
 
 
 def three_arg_inputs():
-    x = ModalValue(((-7, FA), (3, FNot(FA))), "feature")
+    x = ModalValue(((-7, FA), (3, NOT(FA))), "feature")
     y = ModalValue(
         (
-            (1, FAnd(FA, FB)),
-            (8, FAnd(FA, FNot(FB))),
-            (4, FAnd(FNot(FA), FB)),
-            (10, FAnd(FNot(FA), FNot(FB))),
+            (1, AND(FA, FB)),
+            (8, AND(FA, NOT(FB))),
+            (4, AND(NOT(FA), FB)),
+            (10, AND(NOT(FA), NOT(FB))),
         ),
         "feature",
     )
-    z = ModalValue(((5, TRUE),), "feature")
+    z = ModalValue(((5, TOP),), "feature")
     return x, y, z
 
 
@@ -54,7 +51,7 @@ def test_cross_product_prunes_contradictions():
     survivors = [label for _, label in result.values]
     minterms = [FEAT.minterm(cfg) for cfg in FEAT.iter_configs()]
     for m in minterms:
-        assert sum(FEAT.equivalent(m, s) for s in survivors) == 1
+        assert sum(m == s for s in survivors) == 1
     assert validate(FEAT, result).ok
 
 
@@ -89,13 +86,13 @@ def test_interval_addition_prunes_mixed_tags():
 
 
 def test_division_errors_are_per_world():
-    num = ModalValue(((9, FB), (9, FNot(FB))), "feature")
-    den = ModalValue(((0, FNot(FA)), (1, FA)), "feature")
+    num = ModalValue(((9, FB), (9, NOT(FB))), "feature")
+    den = ModalValue(((0, NOT(FA)), (1, FA)), "feature")
     result = shallow_apply(FEAT, DIV, [num, den])
     assert len(result.values) == 1 and result.values[0][0] == 9
-    assert FEAT.equivalent(result.values[0][1], FA)
+    assert result.values[0][1] == FA
     assert len(result.errors) == 1 and result.errors[0][0] == "DivByZero"
-    assert FEAT.equivalent(result.errors[0][1], FNot(FA))
+    assert result.errors[0][1] == NOT(FA)
     assert validate(FEAT, result).ok
 
 
@@ -162,11 +159,11 @@ def test_projection_homomorphism_random():
 # --- restrict -----------------------------------------------------------------
 
 def test_restrict_feature():
-    x = ModalValue(((-7, FA), (3, FNot(FA))), "feature")
+    x = ModalValue(((-7, FA), (3, NOT(FA))), "feature")
     out = restrict(FEAT, x, FB)
     for v, label in out.pairs:
-        want = FAnd(FA, FB) if v == -7 else FAnd(FNot(FA), FB)
-        assert FEAT.equivalent(label, want)
+        want = AND(FA, FB) if v == -7 else AND(NOT(FA), FB)
+        assert label == want
 
 
 def test_restrict_probability_multiplies():
@@ -177,42 +174,42 @@ def test_restrict_probability_multiplies():
 
 
 def test_restrict_by_top_is_identity():
-    x = ModalValue(((-7, FA), (3, FNot(FA))), "feature")
-    out = restrict(FEAT, x, TRUE)
+    x = ModalValue(((-7, FA), (3, NOT(FA))), "feature")
+    out = restrict(FEAT, x, TOP)
     assert assert_equiv(FEAT, out, x) == (True, None)
     assert restrict(FEAT, x, None) is x
 
 
 def test_restrict_can_empty_out():
     x = ModalValue(((1, FA),), "feature")
-    out = restrict(FEAT, x, FNot(FA))
+    out = restrict(FEAT, x, NOT(FA))
     assert out.pairs == ()
 
 
 # --- partial_union ---------------------------------------------------------------
 
 def test_split_then_union_is_identity():
-    x = ModalValue(((-7, FA), (3, FNot(FA))), "feature")
-    rejoined = partial_union(FEAT, restrict(FEAT, x, FB), restrict(FEAT, x, FNot(FB)))
+    x = ModalValue(((-7, FA), (3, NOT(FA))), "feature")
+    rejoined = partial_union(FEAT, restrict(FEAT, x, FB), restrict(FEAT, x, NOT(FB)))
     assert assert_equiv(FEAT, rejoined, x) == (True, None)
 
 
 def test_union_restores_joint_totality():
-    a = ModalResult(((9, FAnd(FA, FB)),), (), "feature")
-    b = ModalResult(((2, FNot(FB)),), (("DivByZero", FAnd(FNot(FA), FB)),), "feature")
+    a = ModalResult(((9, AND(FA, FB)),), (), "feature")
+    b = ModalResult(((2, NOT(FB)),), (("DivByZero", AND(NOT(FA), FB)),), "feature")
     merged = partial_union(FEAT, a, b)
     assert validate(FEAT, merged).ok
 
 
 def test_union_with_empty_branch():
-    m = ModalResult(((1, TRUE),), (), "feature")
+    m = ModalResult(((1, TOP),), (), "feature")
     empty = ModalResult((), (), "feature")
     assert partial_union(FEAT, empty, m) == m
 
 
 def test_union_checks_disjointness_when_asked():
     a = ModalResult(((1, FA),), (), "feature")
-    b = ModalResult(((2, TRUE),), (), "feature")
+    b = ModalResult(((2, TOP),), (), "feature")
     partial_union(FEAT, a, b)  # unchecked: caller's responsibility
     with pytest.raises(DisjointnessViolation):
         partial_union(FEAT, a, b, check=True)

@@ -3,15 +3,10 @@ from hypothesis import given, strategies as st
 
 from multiworld.errors import EmptyModalValue, InvariantViolation, ProjectionUnsupported
 from multiworld.labels import (
-    TRUE,
-    FAnd,
-    FNot,
-    FVar,
     FeatureAlgebra,
     IntervalAlgebra,
     ProbabilityAlgebra,
     Tag,
-    satisfies,
 )
 from multiworld.modal import (
     ModalResult,
@@ -30,7 +25,8 @@ FEAT = FeatureAlgebra(("FA", "FB"))
 PROB = ProbabilityAlgebra()
 INTV = IntervalAlgebra()
 
-FA, FB = FVar("FA"), FVar("FB")
+FA, FB = FEAT.var("FA"), FEAT.var("FB")
+AND, NOT, TOP = FEAT.meet, FEAT.complement, FEAT.top
 
 
 def fval(pairs):
@@ -41,7 +37,7 @@ def fval(pairs):
 
 def test_make_const_feature():
     mv = make_const(FEAT, 5)
-    assert mv.pairs == ((5, TRUE),)
+    assert mv.pairs == ((5, TOP),)
     assert validate(FEAT, mv).ok
 
 
@@ -60,13 +56,13 @@ def test_make_const_interval():
 # --- normalize ----------------------------------------------------------------
 
 def test_normalize_merges_equal_values():
-    raw = fval([(2, FAnd(FA, FNot(FB))), (2, FAnd(FNot(FA), FNot(FB))), (9, FAnd(FA, FB))])
+    raw = fval([(2, AND(FA, NOT(FB))), (2, AND(NOT(FA), NOT(FB))), (9, AND(FA, FB))])
     normal = normalize(FEAT, raw)
     assert len(normal.pairs) == 2
     # projection at every configuration of {FA, FB} is unchanged
     for cfg in FEAT.iter_configs():
-        raw_hits = [v for v, l in raw.pairs if satisfies(l, cfg)]
-        new_hits = [v for v, l in normal.pairs if satisfies(l, cfg)]
+        raw_hits = [v for v, l in raw.pairs if FEAT.holds(l, cfg)]
+        new_hits = [v for v, l in normal.pairs if FEAT.holds(l, cfg)]
         assert raw_hits == new_hits or (not raw_hits and not new_hits)
 
 
@@ -82,18 +78,18 @@ def test_normalize_probability_merges_cross_terms():
 
 
 def test_normalize_noop_on_normal_value():
-    mv = fval([(5, TRUE)])
+    mv = fval([(5, TOP)])
     assert normalize(FEAT, mv) == mv
 
 
 def test_normalize_drops_empty_and_raises_when_nothing_left():
-    mv = fval([(1, FAnd(FA, FNot(FA)))])
+    mv = fval([(1, AND(FA, NOT(FA)))])
     with pytest.raises(EmptyModalValue):
         normalize(FEAT, mv)
 
 
 def test_normalize_is_idempotent_and_orders_pairs():
-    raw = fval([(9, FAnd(FA, FB)), (2, FNot(FB)), (2, FAnd(FB, FNot(FA)))])
+    raw = fval([(9, AND(FA, FB)), (2, NOT(FB)), (2, AND(FB, NOT(FA)))])
     n1 = normalize(FEAT, raw)
     assert normalize(FEAT, n1) == n1
     assert [v for v, _ in n1.pairs] == sorted(v for v, _ in n1.pairs)
@@ -134,7 +130,7 @@ def test_normalize_preserves_probability_mass(weights):
 # --- validate -----------------------------------------------------------------
 
 def test_validate_accepts_wellformed_feature_value():
-    assert validate(FEAT, fval([(-7, FA), (3, FNot(FA))])).ok
+    assert validate(FEAT, fval([(-7, FA), (3, NOT(FA))])).ok
 
 
 def test_validate_reports_totality_gap():
@@ -159,9 +155,26 @@ def test_swap_policy_repairs_inverted_interval():
 
 
 def test_validate_rejects_overlap():
-    report = validate(FEAT, fval([(1, FA), (2, TRUE)]))
+    report = validate(FEAT, fval([(1, FA), (2, TOP)]))
     assert not report.ok
     assert any("overlap" in p for p in report.problems)
+
+
+def test_validate_names_first_uncovered_configuration():
+    report = validate(FEAT, fval([(1, AND(FA, FB)), (2, NOT(FA))]))
+    assert report.problems == ("configuration {FA=1, FB=0} is uncovered",)
+    # beyond 16 features too, in iter_configs order
+    wide = FeatureAlgebra([f"G{i}" for i in range(20)])
+    g0, g19 = wide.var("G0"), wide.var("G19")
+    report = validate(wide, ModalValue(((1, g0), (2, wide.meet(wide.complement(g0), g19))), "feature"))
+    missed = ", ".join(f"G{i}=0" for i in range(20))
+    assert report.problems == (f"configuration {{{missed}}} is uncovered",)
+
+
+def test_validate_rejects_label_outside_declared_configurations():
+    report = validate(FEAT, fval([(1, FEAT.top << 1)]))
+    assert not report.ok
+    assert "label is not a set of the declared configurations" in report.problems
 
 
 def test_validate_interval_needs_exactly_two_tags():
@@ -173,8 +186,8 @@ def test_validate_interval_needs_exactly_two_tags():
 
 def test_validate_result_jointly_total():
     result = ModalResult(
-        values=((9, FAnd(FA, FB)), (2, FNot(FB))),
-        errors=(("DivByZero", FAnd(FNot(FA), FB)),),
+        values=((9, AND(FA, FB)), (2, NOT(FB))),
+        errors=(("DivByZero", AND(NOT(FA), FB)),),
         modality="feature",
     )
     assert validate(FEAT, result).ok
@@ -191,7 +204,7 @@ def test_validate_all_consts():
 # --- project ------------------------------------------------------------------
 
 def test_project_examples():
-    x = fval([(-7, FA), (3, FNot(FA))])
+    x = fval([(-7, FA), (3, NOT(FA))])
     assert project(FEAT, x, {"FA": True, "FB": False}) == -7
     assert project(FEAT, x, {"FA": False, "FB": True}) == 3
     const = make_const(FEAT, 5)
@@ -208,7 +221,7 @@ def test_project_probability_unsupported():
 
 
 def test_project_requires_total_config():
-    x = fval([(1, TRUE)])
+    x = fval([(1, TOP)])
     with pytest.raises(ValueError):
         project(FEAT, x, {"FA": True})
 
@@ -222,7 +235,7 @@ def test_project_detects_bad_value():
 # --- rendering ------------------------------------------------------------------
 
 def test_render_feature_value():
-    x = fval([(-7, FA), (3, FNot(FA))])
+    x = fval([(-7, FA), (3, NOT(FA))])
     assert render_value(FEAT, x) == ["-7 @ FA", "3 @ !FA"]
 
 
@@ -234,5 +247,5 @@ def test_render_interval_forms():
 
 
 def test_render_bools_and_errors():
-    result = normalize_result(FEAT, ModalResult(((True, FA), (False, FNot(FA))), (), "feature"))
+    result = normalize_result(FEAT, ModalResult(((True, FA), (False, NOT(FA))), (), "feature"))
     assert render_result(FEAT, result) == ["false @ !FA", "true @ FA"]

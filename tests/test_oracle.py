@@ -4,10 +4,6 @@ import pytest
 
 from multiworld.errors import BudgetExceeded
 from multiworld.labels import (
-    TRUE,
-    FNot,
-    FOr,
-    FVar,
     FeatureAlgebra,
     IntervalAlgebra,
     ProbabilityAlgebra,
@@ -16,6 +12,7 @@ from multiworld.labels import (
 from multiworld.lang import parse
 from multiworld.modal import ModalResult, ModalValue, validate
 from multiworld.modal_eval import ModalEnv, eval_modal
+from multiworld import oracle
 from multiworld.oracle import (
     assert_equiv,
     brute_force_eval,
@@ -67,6 +64,31 @@ def test_joint_budget():
         enumerate_worlds(alg, binds)
 
 
+def test_oracle_merges_worlds_as_it_goes(monkeypatch):
+    names = ["FA", "FB"] + [f"F{i}" for i in range(8)]
+    feature = parse_bindings(
+        f"modality feature({', '.join(names)});\n"
+        "bind x = { 6 @ F0 & F5, 2 @ !(F0 & F5) };\nbind y = { 3 @ F7, 0 @ !F7 };"
+    )
+    weights = ", ".join(f"{i} @ {1 / 20!r}" for i in range(20))
+    probability = parse_bindings(
+        f"modality probability;\nbind x = {{ {weights} }};\nbind y = {{ {weights} }};"
+    )
+    for program, (alg, binds) in ((DIV, feature), ("x * y - x", probability)):
+        seen = []
+        merge = oracle.merge_value_pairs
+        monkeypatch.setattr(
+            oracle, "merge_value_pairs", lambda a, pairs: seen.append(len(pairs)) or merge(a, pairs)
+        )
+        result = brute_force_eval(parse(program), binds, alg)
+        # 1024 and 400 worlds; never more than MERGE_EVERY of them unmerged
+        assert len(seen) > 1 and max(seen) <= oracle.MERGE_EVERY + len(result.values)
+        monkeypatch.setattr(oracle, "merge_value_pairs", merge)
+        monkeypatch.setattr(oracle, "MERGE_EVERY", 1 << 11)  # one merge, at the end
+        assert brute_force_eval(parse(program), binds, alg) == result
+        monkeypatch.undo()
+
+
 def test_brute_force_div_program():
     program = parse(DIV)
     alg, binds = parse_bindings(
@@ -77,7 +99,7 @@ def test_brute_force_div_program():
     assert [k for k, _ in result.errors] == ["DivByZero"]
     err_label = result.errors[0][1]
     want = alg.minterm({"FA": False, "FB": True})
-    assert alg.equivalent(err_label, want)
+    assert err_label == want
     assert validate(alg, result).ok
 
 
@@ -92,17 +114,17 @@ def test_brute_force_constant_program():
 
 def test_assert_equiv_is_denotational():
     alg = FeatureAlgebra(("FA", "FB"))
-    fa = FVar("FA")
-    a = ModalResult(((2, FOr(fa, FNot(fa))),), (), "feature")
-    b = ModalResult(((2, TRUE),), (), "feature")
+    fa = alg.var("FA")
+    a = ModalResult(((2, alg.join(fa, alg.complement(fa))),), (), "feature")
+    b = ModalResult(((2, alg.top),), (), "feature")
     assert assert_equiv(alg, a, b) == (True, None)
 
 
 def test_assert_equiv_reports_diverging_world():
     alg = FeatureAlgebra(("FA",))
-    fa = FVar("FA")
-    a = ModalResult(((2, fa), (3, FNot(fa))), (), "feature")
-    b = ModalResult(((3, fa), (2, FNot(fa))), (), "feature")
+    fa = alg.var("FA")
+    a = ModalResult(((2, fa), (3, alg.complement(fa))), (), "feature")
+    b = ModalResult(((3, fa), (2, alg.complement(fa))), (), "feature")
     ok, diff = assert_equiv(alg, a, b)
     assert not ok
     assert "FA=" in diff
