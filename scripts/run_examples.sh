@@ -3,6 +3,7 @@
 # and oracle modes, with counters.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 
 for name in sharing feature_div prob_sum interval_abs; do
     for mode in deep shallow oracle; do

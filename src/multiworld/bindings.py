@@ -21,70 +21,78 @@ from __future__ import annotations
 
 import re
 
-from .errors import BindingsError
+from .errors import BindingsError, BudgetExceeded
 from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
 from .lang import INT64_MAX, INT64_MIN
 from .modal import ModalValue, normalize
 
+# One match per token: the whitespace and comments before it, then one
+# alternative per token class.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<float>\d+\.\d+)
-  | (?P<int>\d+)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<dots>\.\.)
-  | (?P<punct>[{}\[\]()@,;=!&|+-])
+    (?:\s|//[^\n]*)*
+    (?:(?P<float>\d+\.\d+)
+      |(?P<int>\d+)
+      |(?P<id>[A-Za-z_][A-Za-z0-9_]*)
+      |(?P<dots>\.\.)
+      |(?P<punct>[{}\[\]()@,;=!&|+-])
+      |(?P<eof>\Z)
+      |(?P<other>.))
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    line = 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise BindingsError(f"unexpected character {text[pos]!r}", line, None)
-        line += text[pos : m.end()].count("\n")
-        pos = m.end()
-        kind = m.lastgroup
-        if kind in ("ws", "comment"):
-            continue
-        tokens.append((kind, m.group(), line))
-    tokens.append(("eof", "", line))
-    return tokens
+def _line(text: str, offset: int) -> int:
+    return text.count("\n", 0, offset) + 1
+
+
+def _tokenize(text: str) -> tuple:
+    """Parallel lists of token kinds, texts and start offsets, ending in an
+    ``eof`` token.  A punctuation mark's kind is the mark itself."""
+    kinds, texts, starts = [], [], []
+    for m in _TOKEN_RE.finditer(text):
+        kind = group = m.lastgroup
+        word = m[group]
+        if group == "punct":
+            kind = word
+        elif group == "other":
+            raise BindingsError(f"unexpected character {word!r}", _line(text, m.start(group)), None)
+        kinds.append(kind)
+        texts.append(word)
+        starts.append(m.start(group))
+    return kinds, texts, starts
 
 
 class _Reader:
     def __init__(self, text: str, feature_limit: int):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.texts, self.starts = _tokenize(text)
         self.pos = 0
         self.feature_limit = feature_limit
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, message: str):
-        kind, text, line = self.peek()
-        raise BindingsError(f"{message} (found {text or kind!r})", line, None)
-
-    def expect(self, kind, text=None):
-        got_kind, got_text, _ = self.peek()
-        if got_kind != kind or (text is not None and got_text != text):
-            self.fail(f"expected {text or kind!r}")
-        return self.advance()
+        pos = self.pos
+        found = self.texts[pos] or self.kinds[pos]
+        raise BindingsError(f"{message} (found {found!r})", _line(self.text, self.starts[pos]), None)
 
     def at(self, kind, text=None) -> bool:
-        got_kind, got_text, _ = self.peek()
-        return got_kind == kind and (text is None or got_text == text)
+        pos = self.pos
+        return self.kinds[pos] == kind and (text is None or self.texts[pos] == text)
+
+    def accept(self, kind, text=None) -> bool:
+        """Consume the next token if it is of ``kind`` (and reads ``text``)."""
+        if self.at(kind, text):
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, kind, text=None) -> str:
+        """Consume one token of ``kind`` (reading ``text``); return its text."""
+        if not self.at(kind, text):
+            self.fail(f"expected {text or kind!r}")
+        self.pos += 1
+        return self.texts[self.pos - 1]
 
     # -- grammar -----------------------------------------------------------
 
@@ -92,29 +100,27 @@ class _Reader:
         self.expect("id", "modality")
         alg = self.modality()
         self._alg = alg  # the label sub-parser needs the declared features
-        self.expect("punct", ";")
+        self.expect(";")
         bindings: dict = {}
-        while self.at("id", "bind"):
-            self.advance()
-            name = self.expect("id")[1]
+        while self.accept("id", "bind"):
+            name = self.expect("id")
             if name in bindings:
                 self.fail(f"duplicate binding for {name!r}")
-            self.expect("punct", "=")
+            self.expect("=")
             bindings[name] = self.modal_value(alg)
-            self.expect("punct", ";")
+            self.expect(";")
         if not self.at("eof"):
             self.fail("expected 'bind' or end of file")
         return alg, bindings
 
     def modality(self):
-        kind = self.expect("id")[1]
+        kind = self.expect("id")
         if kind == "feature":
-            self.expect("punct", "(")
-            names = [self.expect("id")[1]]
-            while self.at("punct", ","):
-                self.advance()
-                names.append(self.expect("id")[1])
-            self.expect("punct", ")")
+            self.expect("(")
+            names = [self.expect("id")]
+            while self.accept(","):
+                names.append(self.expect("id"))
+            self.expect(")")
             if len(set(names)) != len(names):
                 self.fail("duplicate feature name")
             return FeatureAlgebra(names, feature_limit=self.feature_limit)
@@ -125,57 +131,52 @@ class _Reader:
         self.fail("expected feature(...), probability, or interval")
 
     def modal_value(self, alg) -> ModalValue:
-        if self.at("punct", "["):
+        if self.at("["):
             if alg.kind != "interval":
                 self.fail("range syntax needs the interval modality")
-            self.advance()
+            self.pos += 1
             lo = self.int_value()
             self.expect("dots")
             hi = self.int_value()
-            self.expect("punct", "]")
+            self.expect("]")
             pairs = ((lo, Tag.MIN), (hi, Tag.MAX))
             return normalize(alg, ModalValue(pairs, alg.kind))
         if alg.kind == "interval":
             self.fail("interval bindings use the [lo .. hi] form")
-        self.expect("punct", "{")
+        self.expect("{")
         pairs = [self.pair(alg)]
-        while self.at("punct", ","):
-            self.advance()
+        while self.accept(","):
             pairs.append(self.pair(alg))
-        self.expect("punct", "}")
+        self.expect("}")
         return normalize(alg, ModalValue(tuple(pairs), alg.kind))
 
     def pair(self, alg):
         value = self.value()
-        self.expect("punct", "@")
+        self.expect("@")
         if alg.kind == "feature":
             return value, self.feature_or()
         return value, self.weight()
 
     def value(self):
-        if self.at("id", "true"):
-            self.advance()
+        if self.accept("id", "true"):
             return True
-        if self.at("id", "false"):
-            self.advance()
+        if self.accept("id", "false"):
             return False
         return self.int_value()
 
     def int_value(self) -> int:
-        sign = 1
-        if self.at("punct", "-"):
-            self.advance()
-            sign = -1
-        tok = self.expect("int")
-        value = sign * int(tok[1])
+        sign = -1 if self.accept("-") else 1
+        digits = self.expect("int")
+        # int() refuses numerals of thousands of digits, and none fits
+        value = sign * int(digits) if len(digits.lstrip("0")) <= 19 else INT64_MAX + 1
         if not INT64_MIN <= value <= INT64_MAX:
             self.fail("integer out of 64-bit range")
         return value
 
     def weight(self) -> float:
-        kind, text, _ = self.peek()
-        if kind in ("float", "int"):
-            self.advance()
+        text = self.texts[self.pos]
+        if self.kinds[self.pos] in ("float", "int"):
+            self.pos += 1
             weight = float(text)
             if not 0.0 <= weight <= 1.0:
                 self.fail(f"weight {text} outside [0, 1]")
@@ -184,41 +185,49 @@ class _Reader:
 
     def feature_or(self):
         node = self.feature_and()
-        while self.at("punct", "|"):
-            self.advance()
+        while self.kinds[self.pos] == "|":
+            self.pos += 1
             node = self._alg.join(node, self.feature_and())
         return node
 
     def feature_and(self):
         node = self.feature_unary()
-        while self.at("punct", "&"):
-            self.advance()
+        while self.kinds[self.pos] == "&":
+            self.pos += 1
             node = self._alg.meet(node, self.feature_unary())
         return node
 
     def feature_unary(self):
-        if self.at("punct", "!"):
-            self.advance()
+        pos = self.pos
+        kind = self.kinds[pos]
+        self.pos = pos + 1
+        if kind == "!":
             return self._alg.complement(self.feature_unary())
-        if self.at("punct", "("):
-            self.advance()
+        if kind == "(":
             node = self.feature_or()
-            self.expect("punct", ")")
+            self.expect(")")
             return node
-        if self.at("id", "true"):
-            self.advance()
-            return self._alg.top
-        if self.at("id", "false"):
-            self.advance()
-            return 0  # the empty world set
-        if self.at("id"):
-            return self._alg.var(self.advance()[1])
+        if kind == "id":
+            name = self.texts[pos]
+            if name == "true":
+                return self._alg.top
+            if name == "false":
+                return 0  # the empty world set
+            return self._alg.var(name)
+        self.pos = pos
         self.fail("expected a feature expression")
 
 
 def parse_bindings(text: str, feature_limit: int = 24):
-    """Parse bindings text into (algebra, {name: ModalValue})."""
-    return _Reader(text, feature_limit).file()
+    """Parse bindings text into (algebra, {name: ModalValue}).
+
+    A label nested deeper than the parser's recursion allows raises
+    ``BudgetExceeded``.
+    """
+    try:
+        return _Reader(text, feature_limit).file()
+    except RecursionError:
+        raise BudgetExceeded("bindings nested too deeply to parse") from None
 
 
 def load_bindings(path: str, feature_limit: int = 24):

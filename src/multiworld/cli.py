@@ -13,8 +13,10 @@ Output is deterministic: value pairs one per line as ``value @ label`` in
 normalized order, then ``error:KIND @ label`` lines.  Feature labels are
 world sets, displayed as a minimal sum of products (as disjoint cubes
 above 12 features).  Exit codes: 0 success (labeled per-world errors are
-answers, not failures), 1 usage or parse problems, 2 invariant violations,
-3 exceeded budgets (including programs nested too deeply to evaluate).
+answers, not failures), 1 usage or parse problems, 2 invariant violations
+(bindings that are not disjoint and total are rejected on every run),
+3 exceeded budgets (including inputs nested too deeply to parse or
+evaluate).
 """
 
 from __future__ import annotations
@@ -158,17 +160,20 @@ def run(cfg: RunConfig):
     err: list = []
     with open(cfg.program, "r", encoding="utf-8") as handle:
         text = handle.read()
-    with _nesting_budget():
-        program = lang.parse(text)
+    program = lang.parse(text)
     alg, bindings = load_bindings(cfg.bindings, feature_limit=cfg.feature_limit)
 
-    if cfg.check_invariants:
-        for name, mv in bindings.items():
-            report = validate(alg, mv, interval_empty=cfg.interval_empty)
-            if not report:
-                raise InvariantViolation(
-                    f"binding {name!r}: " + "; ".join(report.problems)
-                )
+    # Every run rejects bindings that are not disjoint, total and well
+    # labeled.  Only --check-invariants also rejects an inverted interval
+    # range (validate skips that rule under the swap policy) and counts the
+    # emptiness tests of this check in sat_calls.
+    loaded_sat_calls = getattr(alg, "sat_calls", 0)
+    range_policy = cfg.interval_empty if cfg.check_invariants else "swap"
+    for name, mv in bindings.items():
+        report = validate(alg, mv, interval_empty=range_policy)
+        if not report:
+            raise InvariantViolation(f"binding {name!r}: " + "; ".join(report.problems))
+    uncounted = 0 if cfg.check_invariants else getattr(alg, "sat_calls", 0) - loaded_sat_calls
 
     stats = LiftStats()
     env = ModalEnv(
@@ -207,7 +212,7 @@ def run(cfg: RunConfig):
             raise ParseError(f"unknown mode {cfg.mode!r}")
 
     if cfg.stats:
-        stats.sat_calls = getattr(alg, "sat_calls", 0)
+        stats.sat_calls = getattr(alg, "sat_calls", 0) - uncounted
         for name in sorted(stats.applications):
             out.append(f"applications.{name}={stats.applications[name]}")
         out.append(f"tuples={stats.tuples}")

@@ -20,16 +20,27 @@ Program file grammar (``.mdl``, ``//`` comments):
 Precedence, loosest to tightest: ``||``, ``&&``, comparisons
 (``<`` ``<=`` ``==``), ``+ -``, ``* /``, unary ``! -``.  All binary
 operators associate to the left; unary minus desugars to ``0 - e``.
+Identifiers and numerals may use letters and decimal digits of any
+script; other digit characters (``²``) are not numerals.
+
+The front end makes one pass of each kind: one compiled regular
+expression splits the text into tokens, a precedence-climbing parser
+reads a chain of operators at one level as a loop, and the load checks
+(scopes, arities, call cycles) walk the tree with an explicit stack.
+Error positions are 1-based line and column.  Nesting deeper than the
+parser's recursion allows raises ``BudgetExceeded``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (
     DIV_BY_ZERO,
     OVERFLOW,
     TYPE_MISMATCH,
+    BudgetExceeded,
     CyclicCallError,
     EvalError,
     MissingBinding,
@@ -133,238 +144,194 @@ class Program:
 # Tokenizer
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # int | id | kw | string | op | eof
-    text: str
-    line: int
-    col: int
+# One match per token: the whitespace and comments before it, then one
+# alternative per token class.  ``\s``, ``\d`` and ``\w`` mean
+# ``str.isspace``, ``isdecimal`` and ``isalnum``-or-underscore, so identifiers
+# and numerals may come from any script; ``other`` is an identifier that
+# starts outside ASCII, or a stray character.
+_TOKEN_RE = re.compile(
+    r"""
+    (?:\s|//[^\n]*)*
+    (?:(?P<op>&&|\|\||<=|==|[-+*/<!(),;=])
+      |(?P<name>[A-Za-z_]\w*)
+      |(?P<int>\d+)
+      |(?P<string>"[^"\n]*")
+      |(?P<eof>\Z)
+      |(?P<other>[^\W\d]\w*|.))
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
-_TWO_CHAR_OPS = ("&&", "||", "<=", "==")
-_ONE_CHAR_OPS = "+-*/<!(),;="
+def _line_col(text: str, offset: int) -> tuple:
+    """The 1-based line and column of ``text[offset]``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c.isspace():
-            i, col = i + 1, col + 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in KEYWORDS else "id"
-            tokens.append(_Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            tokens.append(_Token("string", text[i + 1 : j], start_line, start_col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(_Token("op", two, start_line, start_col))
-            i, col = i + 2, col + 2
-            continue
-        if c in _ONE_CHAR_OPS:
-            tokens.append(_Token("op", c, start_line, start_col))
-            i, col = i + 1, col + 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", start_line, start_col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _tokenize(text: str) -> tuple:
+    """Parallel lists of token kinds, texts and start offsets, ending in an
+    ``eof`` token.
+
+    An operator's or a keyword's kind is its own text; the other kinds are
+    ``int``, ``id``, ``string`` (whose text leaves out the quotes) and
+    ``eof``.
+    """
+    kinds, texts, starts = [], [], []
+    for m in _TOKEN_RE.finditer(text):
+        kind = group = m.lastgroup
+        word = m[group]
+        if group == "op":
+            kind = word
+        elif group == "name":
+            kind = word if word in KEYWORDS else "id"
+        elif group == "string":
+            word = word[1:-1]
+        elif group == "other":
+            if not word[0].isalpha():
+                message = "unterminated string" if word == '"' else f"unexpected character {word[0]!r}"
+                raise ParseError(message, *_line_col(text, m.start(group)))
+            kind = "id"
+        kinds.append(kind)
+        texts.append(word)
+        starts.append(m.start(group))
+    return kinds, texts, starts
 
 
 # --------------------------------------------------------------------------
 # Parser
 # --------------------------------------------------------------------------
 
+# How tightly each binary operator binds; all associate to the left.  The
+# prefix operators ``!`` and ``-`` bind tighter than any of them.
+_PREC = {"||": 1, "&&": 2, "<": 3, "<=": 3, "==": 3, "+": 4, "-": 4, "*": 5, "/": 5}
+_PREFIX_PREC = 6
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.texts, self.starts = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, pos: int | None = None):
+        offset = self.starts[self.pos if pos is None else pos]
+        raise ParseError(message, *_line_col(self.text, offset))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def expect(self, kind: str) -> str:
+        """Consume one token of ``kind`` and return its text."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            got = self.texts[pos] or self.kinds[pos]
+            self.fail(f"expected {kind!r}, found {got!r}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            got = tok.text or tok.kind
-            self.fail(f"expected {want!r}, found {got!r}")
-        return self.advance()
-
-    def at_op(self, *texts) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in texts
-
-    def at_kw(self, text) -> bool:
-        tok = self.peek()
-        return tok.kind == "kw" and tok.text == text
+    def comma_list(self, item) -> tuple:
+        items = [item()]
+        while self.kinds[self.pos] == ",":
+            self.pos += 1
+            items.append(item())
+        return tuple(items)
 
     def program(self) -> Program:
         fundefs = []
-        while self.at_kw("fun"):
+        while self.kinds[self.pos] == "fun":
             fundefs.append(self.fundef())
         main = self.expr()
-        if self.peek().kind != "eof":
-            self.fail(f"unexpected trailing {self.peek().text!r}")
+        if self.kinds[self.pos] != "eof":
+            self.fail(f"unexpected trailing {self.texts[self.pos]!r}")
         return Program(tuple(fundefs), main)
 
     def fundef(self) -> FunDef:
-        self.expect("kw", "fun")
-        name = self.expect("id").text
-        self.expect("op", "(")
-        params = [self.expect("id").text]
-        while self.at_op(","):
-            self.advance()
-            params.append(self.expect("id").text)
-        self.expect("op", ")")
-        self.expect("op", "=")
+        self.pos += 1  # "fun"
+        name = self.expect("id")
+        self.expect("(")
+        params = self.comma_list(lambda: self.expect("id"))
+        self.expect(")")
+        self.expect("=")
         body = self.expr()
-        self.expect("op", ";")
-        return FunDef(name, tuple(params), body)
+        self.expect(";")
+        return FunDef(name, params, body)
 
-    def expr(self) -> Expr:
-        return self.or_expr()
-
-    def _binary_left(self, ops, sub):
-        node = sub()
-        while self.at_op(*ops):
-            op = self.advance().text
-            node = BinOp(op, node, sub())
-        return node
-
-    def or_expr(self) -> Expr:
-        return self._binary_left(("||",), self.and_expr)
-
-    def and_expr(self) -> Expr:
-        return self._binary_left(("&&",), self.cmp_expr)
-
-    def cmp_expr(self) -> Expr:
-        return self._binary_left(("<", "<=", "=="), self.add_expr)
-
-    def add_expr(self) -> Expr:
-        return self._binary_left(("+", "-"), self.mul_expr)
-
-    def mul_expr(self) -> Expr:
-        return self._binary_left(("*", "/"), self.unary_expr)
-
-    def unary_expr(self) -> Expr:
-        if self.at_op("!"):
-            self.advance()
-            return Not(self.unary_expr())
-        if self.at_op("-"):
-            self.advance()
-            return BinOp("-", IntLit(0), self.unary_expr())
-        return self.atom()
+    def expr(self, min_prec: int = 1) -> Expr:
+        """An expression whose binary operators all bind at least as tightly
+        as ``min_prec``.  Precedence climbing: a chain of operators at one
+        level is a loop, and each operand recurses one level tighter."""
+        kind = self.kinds[self.pos]
+        if kind == "!" or kind == "-":
+            self.pos += 1
+            arg = self.expr(_PREFIX_PREC)
+            node = Not(arg) if kind == "!" else BinOp("-", IntLit(0), arg)
+        else:
+            node = self.atom()
+        kinds = self.kinds
+        while True:
+            op = kinds[self.pos]
+            prec = _PREC.get(op, 0)
+            if prec < min_prec:
+                return node
+            self.pos += 1
+            node = BinOp(op, node, self.expr(prec + 1))
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            value = int(tok.text)
-            if value > INT64_MAX:
-                raise ParseError("integer literal out of range", tok.line, tok.col)
-            return IntLit(value)
-        if tok.kind == "kw":
-            if tok.text == "true":
-                self.advance()
-                return BoolLit(True)
-            if tok.text == "false":
-                self.advance()
-                return BoolLit(False)
-            if tok.text == "let":
-                self.advance()
-                name = self.expect("id").text
-                self.expect("op", "=")
-                bound = self.expr()
-                self.expect("kw", "in")
-                return Let(name, bound, self.expr())
-            if tok.text == "if":
-                self.advance()
-                guard = self.expr()
-                self.expect("kw", "then")
-                then = self.expr()
-                self.expect("kw", "else")
-                return If(guard, then, self.expr())
-            if tok.text == "feature":
-                self.advance()
-                self.expect("op", "(")
-                name_tok = self.expect("string")
-                name = name_tok.text
-                if not name or not all(c.isalnum() or c == "_" for c in name) or name[0].isdigit():
-                    raise ParseError(
-                        f"feature name must be an identifier, got {name!r}",
-                        name_tok.line,
-                        name_tok.col,
-                    )
-                self.expect("op", ")")
-                return Feature(name)
-            self.fail(f"unexpected keyword {tok.text!r}")
-        if tok.kind == "id":
-            self.advance()
-            if self.at_op("("):
-                self.advance()
-                args = [self.expr()]
-                while self.at_op(","):
-                    self.advance()
-                    args.append(self.expr())
-                self.expect("op", ")")
-                return Call(tok.text, tuple(args))
-            return Var(tok.text)
-        if self.at_op("("):
-            self.advance()
+        pos = self.pos
+        kind = self.kinds[pos]
+        self.pos = pos + 1
+        if kind == "(":
             inner = self.expr()
-            self.expect("op", ")")
+            self.expect(")")
             return inner
-        self.fail(f"unexpected {tok.text or tok.kind!r}")
+        if kind == "id":
+            if self.kinds[pos + 1] != "(":
+                return Var(self.texts[pos])
+            self.pos += 1
+            args = self.comma_list(self.expr)
+            self.expect(")")
+            return Call(self.texts[pos], args)
+        if kind == "int":
+            digits = self.texts[pos]
+            # int() refuses numerals of thousands of digits, and none fits
+            value = int(digits) if len(digits.lstrip("0")) <= 19 else INT64_MAX + 1
+            if value > INT64_MAX:
+                self.fail("integer literal out of range", pos)
+            return IntLit(value)
+        if kind == "let":
+            name = self.expect("id")
+            self.expect("=")
+            bound = self.expr()
+            self.expect("in")
+            return Let(name, bound, self.expr())
+        if kind == "if":
+            guard = self.expr()
+            self.expect("then")
+            then = self.expr()
+            self.expect("else")
+            return If(guard, then, self.expr())
+        if kind == "true" or kind == "false":
+            return BoolLit(kind == "true")
+        if kind == "feature":
+            self.expect("(")
+            name = self.expect("string")
+            if not name or not all(c.isalnum() or c == "_" for c in name) or name[0].isdigit():
+                self.fail(f"feature name must be an identifier, got {name!r}", self.pos - 1)
+            self.expect(")")
+            return Feature(name)
+        self.pos = pos
+        if kind in KEYWORDS:
+            self.fail(f"unexpected keyword {kind!r}")
+        self.fail(f"unexpected {self.texts[pos] or kind!r}")
 
 
 def parse(text: str) -> Program:
-    """Parse and load-check a program (scoping, arities, acyclic calls)."""
-    program = _Parser(text).program()
+    """Parse and load-check a program (scoping, arities, acyclic calls).
+
+    A program nested deeper than the parser's recursion allows raises
+    ``BudgetExceeded``.
+    """
+    try:
+        program = _Parser(text).program()
+    except RecursionError:
+        raise BudgetExceeded("program nested too deeply to parse") from None
     load_check(program)
     return program
 
@@ -373,55 +340,52 @@ def parse(text: str) -> Program:
 # Load checks
 # --------------------------------------------------------------------------
 
-def _walk(expr: Expr):
-    yield expr
-    if isinstance(expr, Let):
-        yield from _walk(expr.bound)
-        yield from _walk(expr.body)
-    elif isinstance(expr, If):
-        yield from _walk(expr.guard)
-        yield from _walk(expr.then)
-        yield from _walk(expr.orelse)
-    elif isinstance(expr, BinOp):
-        yield from _walk(expr.lhs)
-        yield from _walk(expr.rhs)
-    elif isinstance(expr, Not):
-        yield from _walk(expr.arg)
-    elif isinstance(expr, Call):
-        for a in expr.args:
-            yield from _walk(a)
+def _scoped_nodes(root: Expr, bound: frozenset = frozenset()):
+    """Every node of ``root`` in pre-order (left to right), each with the
+    names bound where it occurs.  Iterative, so nesting depth costs no
+    stack."""
+    stack = [(root, bound)]
+    while stack:
+        expr, bound = stack.pop()
+        yield expr, bound
+        cls = type(expr)
+        if cls is BinOp:
+            stack += ((expr.rhs, bound), (expr.lhs, bound))
+        elif cls is If:
+            stack += ((expr.orelse, bound), (expr.then, bound), (expr.guard, bound))
+        elif cls is Let:
+            stack += ((expr.body, bound | {expr.name}), (expr.bound, bound))
+        elif cls is Not:
+            stack.append((expr.arg, bound))
+        elif cls is Call:
+            stack += ((arg, bound) for arg in reversed(expr.args))
 
 
-def _check_scope(expr: Expr, bound: set, fundefs: dict, allow_free: bool, free: set):
-    if isinstance(expr, Var):
-        if expr.name not in bound:
-            if not allow_free:
+def _check_body(body: Expr, params, fundefs: dict) -> set:
+    """Check the scopes and arities in one body; return the names of the
+    functions it calls.  ``params`` is None for main, whose free variables
+    are left to the bindings."""
+    callees = set()
+    for expr, bound in _scoped_nodes(body, frozenset(params or ())):
+        cls = type(expr)
+        if cls is Var:
+            if params is not None and expr.name not in bound:
                 raise ScopeError(f"unbound variable {expr.name!r}")
-            free.add(expr.name)
-    elif isinstance(expr, Let):
-        _check_scope(expr.bound, bound, fundefs, allow_free, free)
-        _check_scope(expr.body, bound | {expr.name}, fundefs, allow_free, free)
-    elif isinstance(expr, If):
-        for sub in (expr.guard, expr.then, expr.orelse):
-            _check_scope(sub, bound, fundefs, allow_free, free)
-    elif isinstance(expr, BinOp):
-        _check_scope(expr.lhs, bound, fundefs, allow_free, free)
-        _check_scope(expr.rhs, bound, fundefs, allow_free, free)
-    elif isinstance(expr, Not):
-        _check_scope(expr.arg, bound, fundefs, allow_free, free)
-    elif isinstance(expr, Call):
-        fd = fundefs.get(expr.fn)
-        if fd is None:
-            raise ScopeError(f"call to undefined function {expr.fn!r}")
-        if len(expr.args) != len(fd.params):
-            raise ScopeError(
-                f"{expr.fn!r} takes {len(fd.params)} argument(s), got {len(expr.args)}"
-            )
-        for a in expr.args:
-            _check_scope(a, bound, fundefs, allow_free, free)
+        elif cls is Call:
+            callee = fundefs.get(expr.fn)
+            if callee is None:
+                raise ScopeError(f"call to undefined function {expr.fn!r}")
+            if len(expr.args) != len(callee.params):
+                raise ScopeError(
+                    f"{expr.fn!r} takes {len(callee.params)} argument(s), got {len(expr.args)}"
+                )
+            callees.add(expr.fn)
+    return callees
 
 
 def load_check(program: Program):
+    """Reject duplicate names, unbound variables in function bodies, calls
+    to undefined functions or with the wrong arity, and call cycles."""
     fundefs: dict = {}
     for fd in program.fundefs:
         if fd.name in fundefs:
@@ -430,65 +394,41 @@ def load_check(program: Program):
             raise ScopeError(f"duplicate parameter in {fd.name!r}")
         fundefs[fd.name] = fd
 
-    for fd in program.fundefs:
-        _check_scope(fd.body, set(fd.params), fundefs, False, set())
-    _check_scope(program.main, set(), fundefs, True, set())
+    edges = {fd.name: sorted(_check_body(fd.body, fd.params, fundefs)) for fd in program.fundefs}
+    _check_body(program.main, None, fundefs)
 
-    # cycle detection over the call graph (recursion is out of scope)
-    edges = {
-        fd.name: {e.fn for e in _walk(fd.body) if isinstance(e, Call)}
-        for fd in program.fundefs
-    }
-    state: dict = {}
-
-    def visit(name, trail):
-        if state.get(name) == "done":
-            return
-        if state.get(name) == "active":
-            cycle = trail[trail.index(name):] + [name]
-            raise CyclicCallError(f"call cycle: {' -> '.join(cycle)}")
-        state[name] = "active"
-        for callee in sorted(edges[name]):
-            visit(callee, trail + [name])
-        state[name] = "done"
-
-    for name in edges:
-        visit(name, [])
+    # cycle detection over the call graph (recursion is out of scope): a
+    # depth-first search whose trail is the chain of active calls
+    done: set = set()
+    for root in edges:
+        if root in done:
+            continue
+        trail, pending = [root], [iter(edges[root])]
+        while pending:
+            callee = next(pending[-1], None)
+            if callee is None:
+                done.add(trail.pop())
+                pending.pop()
+            elif callee in trail:
+                cycle = trail[trail.index(callee):] + [callee]
+                raise CyclicCallError(f"call cycle: {' -> '.join(cycle)}")
+            elif callee not in done:
+                trail.append(callee)
+                pending.append(iter(edges[callee]))
 
 
 def free_vars(expr: Expr) -> list:
     """Free variables in first-use order (pre-order walk)."""
-    out: list = []
-
-    def go(e, bound):
-        if isinstance(e, Var):
-            if e.name not in bound and e.name not in out:
-                out.append(e.name)
-        elif isinstance(e, Let):
-            go(e.bound, bound)
-            go(e.body, bound | {e.name})
-        elif isinstance(e, If):
-            go(e.guard, bound)
-            go(e.then, bound)
-            go(e.orelse, bound)
-        elif isinstance(e, BinOp):
-            go(e.lhs, bound)
-            go(e.rhs, bound)
-        elif isinstance(e, Not):
-            go(e.arg, bound)
-        elif isinstance(e, Call):
-            for a in e.args:
-                go(a, bound)
-
-    go(expr, set())
-    return out
+    out: dict = {}
+    for e, bound in _scoped_nodes(expr):
+        if type(e) is Var and e.name not in bound:
+            out[e.name] = None
+    return list(out)
 
 
 def used_features(program: Program) -> set:
-    names = set()
-    for root in [fd.body for fd in program.fundefs] + [program.main]:
-        names |= {e.name for e in _walk(root) if isinstance(e, Feature)}
-    return names
+    roots = [fd.body for fd in program.fundefs] + [program.main]
+    return {e.name for root in roots for e, _ in _scoped_nodes(root) if type(e) is Feature}
 
 
 # --------------------------------------------------------------------------

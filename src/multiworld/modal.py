@@ -69,12 +69,13 @@ def merge_pairs(alg, pairs, item_key) -> tuple:
     Interval pairs merge per endpoint tag: ``(5, MIN)`` and ``(5, MAX)``
     stay distinct, because a range always keeps both endpoints.
     """
+    per_tag = alg.kind == "interval"
     grouped: dict = {}
     for item, label in pairs:
         if alg.is_empty(label):
             continue
         key = item_key(item)
-        if alg.kind == "interval":
+        if per_tag:
             key = (key, label)
         if key in grouped:
             prev_item, prev_label = grouped[key]
@@ -82,12 +83,12 @@ def merge_pairs(alg, pairs, item_key) -> tuple:
         else:
             grouped[key] = (item, label)
     out = list(grouped.values())
-    if alg.kind == "feature":
-        # items are unique after merging, so a tiebreak on label text (a
-        # minimal DNF, costly to compute) would never decide
-        out.sort(key=lambda p: item_key(p[0]))
-    else:
+    if per_tag:
         out.sort(key=lambda p: (item_key(p[0]), alg.canonical_text(p[1])))
+    else:
+        # items are unique after merging, so a tiebreak on label text would
+        # never decide
+        out.sort(key=lambda p: item_key(p[0]))
     return tuple(out)
 
 

@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiworld.bindings import parse_bindings
-from multiworld.errors import BindingsError, TooManyFeatures, UndeclaredFeature
+from multiworld.errors import (
+    BindingsError,
+    BudgetExceeded,
+    EmptyModalValue,
+    TooManyFeatures,
+    UndeclaredFeature,
+)
 from multiworld.labels import Tag
 from multiworld.modal import validate
 
@@ -81,3 +88,48 @@ def test_feature_limit_flows_through():
     with pytest.raises(TooManyFeatures):
         parse_bindings(text)
     parse_bindings(text.replace(");", ");"), feature_limit=25)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("modality interval;\n// c\nbind x = [1 ..\n\n x];",
+         "expected 'int' (found 'x') (line 5, col None)"),
+        ("modality probability; bind // c", "expected 'id' (found 'eof') (line 1, col None)"),
+        ("modality feature(FA);\n\nbind x = { 1 @ FA $ };", "unexpected character '$' (line 3, col None)"),
+        ("modality interval;\nbind x = [1 .. " + "9" * 5000 + "];",
+         "integer out of 64-bit range (found ']') (line 2, col None)"),
+    ],
+    ids=["multi-line", "after-comment", "stray-character", "huge-integer"],
+)
+def test_error_messages_and_lines(text, message):
+    with pytest.raises(BindingsError) as exc:
+        parse_bindings(text)
+    assert str(exc.value) == message
+
+
+def test_deeply_nested_label_is_a_budget_error():
+    with pytest.raises(BudgetExceeded, match="nested too deeply to parse"):
+        parse_bindings("modality feature(FA);\nbind x = { 1 @ " + "(" * 3000 + "FA" + ")" * 3000 + " };")
+
+
+BINDINGS_TOKENS = [
+    "modality", "feature", "probability", "interval", "bind", "true", "false",
+    "x", "FA", "FB", "0", "7", "0.5", "1.5", "9223372036854775808",
+    "(", ")", "{", "}", "[", "]", "..", "@", ",", ";", "=", "!", "&", "|", "-", "+",
+    " ", "\n", "// c\n", ".", "$", "é",
+]
+HEADS = ["", "modality feature(FA, FB);", "modality probability;", "modality interval;"]
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(HEADS), st.lists(st.sampled_from(BINDINGS_TOKENS), max_size=40))
+def test_token_soup_raises_only_documented_errors(head, tokens):
+    try:
+        parse_bindings(head + " ".join(tokens))
+    except BindingsError as ex:
+        assert ex.line is not None
+    # a well-formed file can still name an undeclared feature, declare too
+    # many, or bind a value whose every label is empty
+    except (UndeclaredFeature, TooManyFeatures, EmptyModalValue):
+        pass

@@ -109,11 +109,13 @@ def test_invariant_violation_exit_code():
     )
     assert code == 2
     assert "totality" in err
-    # without the flag the run proceeds on unvalidated inputs
-    code, _, _ = run_cli(
+    # bindings are validated whatever the flags
+    code, out, err2 = run_cli(
         "run", "-p", str(PROGRAMS / "ident.mdl"), "-b", str(PROGRAMS / "bad_totality.mb")
     )
-    assert code == 0
+    assert code == 2
+    assert out == ""
+    assert err2 == err
 
 
 def test_budget_exit_code():
@@ -220,3 +222,33 @@ def test_deep_nesting_exits_with_budget_code(tmp_path):
     assert code == 3
     assert out == ""
     assert err == "error: program nested too deeply to evaluate\n"
+
+
+def test_bindings_are_validated_without_flags(tmp_path):
+    prog = tmp_path / "x.mdl"
+    prog.write_text("x + 1")
+    overlap = tmp_path / "overlap.mb"
+    overlap.write_text("modality feature(FA); bind x = { 1 @ FA, 2 @ FA };")
+    code, out, err = run_cli("run", "-p", str(prog), "-b", str(overlap))
+    assert (code, out) == (2, "")
+    assert err == "error: binding 'x': labels overlap: FA and FA; configuration {FA=0} is uncovered\n"
+
+    # an inverted range is an invariant violation only under --check-invariants
+    inverted = tmp_path / "inverted.mb"
+    inverted.write_text("modality interval;\nbind x = [5 .. 3];")
+    assert run_cli("run", "-p", str(prog), "-b", str(inverted)) == (0, "[6 .. 4]\n", "")
+    code, out, err = run_cli("run", "-p", str(prog), "-b", str(inverted), "--check-invariants")
+    assert (code, out) == (2, "")
+    assert err == "error: binding 'x': empty range: MAX value 3 < MIN value 5\n"
+
+
+def test_inputs_nested_too_deeply_to_parse_exit_with_budget_code(tmp_path):
+    prog = tmp_path / "deep.mdl"
+    prog.write_text("(" * 3000 + "x" + ")" * 3000)
+    code, out, err = run_cli("run", "-p", str(prog), "-b", str(PROGRAMS / "sharing.mb"))
+    assert (code, out, err) == (3, "", "error: program nested too deeply to parse\n")
+    binds = tmp_path / "deep.mb"
+    binds.write_text("modality feature(FA);\nbind x = { 1 @ " + "(" * 3000 + "FA" + ")" * 3000 + ", 2 @ !FA };")
+    prog.write_text("x")
+    code, out, err = run_cli("run", "-p", str(prog), "-b", str(binds))
+    assert (code, out, err) == (3, "", "error: bindings nested too deeply to parse\n")

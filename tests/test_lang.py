@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiworld.errors import (
+    BudgetExceeded,
     CyclicCallError,
     EvalError,
     MissingBinding,
@@ -77,10 +79,43 @@ def test_syntax_error_carries_position():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("let x = 1 in\n  x +\n    * 2", "unexpected '*' (line 3, col 5)"),
+        ('x + feature(\n "FA)', "unterminated string (line 2, col 2)"),
+        ("x + // c", "unexpected 'eof' (line 1, col 9)"),
+        ("// c\nx +\n// d", "unexpected 'eof' (line 3, col 5)"),
+        ("x ²", "unexpected character '²' (line 1, col 3)"),
+        ('feature("2a")', "feature name must be an identifier, got '2a' (line 1, col 9)"),
+    ],
+)
+def test_error_positions(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_integer_literal_range():
     parse(str(2**63 - 1))
-    with pytest.raises(ParseError):
-        parse(str(2**63))
+    assert parse("0" * 30 + "7").main == IntLit(7)
+    for text in (str(2**63), "9" * 5000):
+        with pytest.raises(ParseError, match="integer literal out of range"):
+            parse(text)
+
+
+def test_long_operator_chain_parses():
+    program = parse("+".join(["x"] * 3000))
+    node, depth = program.main, 0
+    while isinstance(node, BinOp):
+        assert node.op == "+" and node.rhs == Var("x")
+        node, depth = node.lhs, depth + 1
+    assert (node, depth) == (Var("x"), 2999)
+
+
+def test_deep_nesting_is_a_budget_error():
+    with pytest.raises(BudgetExceeded, match="nested too deeply to parse"):
+        parse("(" * 3000 + "x" + ")" * 3000)
 
 
 def test_scope_and_cycle_errors():
@@ -110,6 +145,38 @@ def test_render_round_trip_on_random_corpus():
         alg, binds = random_bindings(rng, kind)
         program = random_program(rng, alg, binds)
         assert parse(render_program(program)) == program
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(["feature", "interval", "probability"]),
+    st.integers(1, 8),
+)
+def test_render_round_trip_fuzzed(seed, kind, max_depth):
+    rng = random.Random(seed)
+    alg, binds = random_bindings(rng, kind)
+    program = random_program(rng, alg, binds, linear=kind == "probability", max_depth=max_depth)
+    assert parse(render_program(program)) == program
+
+
+PROGRAM_TOKENS = [
+    "fun", "let", "in", "if", "then", "else", "true", "false", "feature",
+    "x", "f", "_a1", "é", "0", "7", "9223372036854775808", '"FA"', '"2"', '""', '"',
+    "(", ")", ",", ";", "=", "+", "-", "*", "/", "<", "<=", "==", "&&", "||", "!",
+    " ", "\n", "// c\n", "&", "|", "@", "$", "²",
+]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(PROGRAM_TOKENS), max_size=40), st.sampled_from(["", " "]))
+def test_token_soup_raises_only_documented_errors(tokens, sep):
+    try:
+        parse(sep.join(tokens))
+    except ParseError as ex:
+        assert ex.line is not None and ex.col is not None
+    except (ScopeError, CyclicCallError):
+        pass
 
 
 def test_render_round_trip_shapes():

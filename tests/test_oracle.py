@@ -166,7 +166,7 @@ def test_brute_force_output_always_validates():
 
 def test_generator_respects_linearity():
     # every modal variable appears at most once in linear mode
-    from multiworld.lang import Var, _walk
+    from multiworld.lang import Var, _scoped_nodes
 
     for seed in range(120):
         rng = random.Random(seed)
@@ -176,7 +176,7 @@ def test_generator_respects_linearity():
         uses = [
             node.name
             for root in roots
-            for node in _walk(root)
+            for node, _ in _scoped_nodes(root)
             if isinstance(node, Var) and node.name in binds
         ]
         assert len(uses) == len(set(uses)), (seed, uses)
