@@ -18,7 +18,7 @@ from .labels import (
     algebra_for,
 )
 from .lang import Program, eval_plain, parse, render_program
-from .lifting import LiftStats, PrimitiveFn, partial_union, restrict, shallow_apply
+from .lifting import LiftStats, PrimitiveFn, restrict, shallow_apply
 from .modal import (
     ModalResult,
     ModalValue,
@@ -66,7 +66,6 @@ __all__ = [
     "normalize_result",
     "parse",
     "parse_bindings",
-    "partial_union",
     "project",
     "random_bindings",
     "random_program",

@@ -22,7 +22,6 @@ evaluate).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ from .bindings import load_bindings
 from .errors import (
     BudgetExceeded,
     CyclicCallError,
-    DisjointnessViolation,
     EmptyModalValue,
     EvalError,
     IntervalJoinMismatch,
@@ -46,7 +44,6 @@ from .errors import (
     TooManyFeatures,
     UndeclaredFeature,
 )
-from .labels import Tag
 from .lifting import LiftStats
 from .modal import project, render_result, validate, value_text
 from .modal_eval import ModalEnv, eval_modal, eval_shallow_blackbox
@@ -65,7 +62,6 @@ _USAGE_ERRORS = (
 )
 _INVARIANT_ERRORS = (
     InvariantViolation,
-    DisjointnessViolation,
     EmptyModalValue,
     ProbabilityOverflow,
     IntervalJoinMismatch,
@@ -94,64 +90,22 @@ def display_label(alg):
 # Drivers
 # --------------------------------------------------------------------------
 
-def _parse_world(alg, text):
-    if alg.kind == "interval":
-        tag = (text or "").strip().upper()
-        if tag not in ("MIN", "MAX"):
-            raise MissingConfig("plain interval runs need --config MIN or MAX")
-        return Tag.MIN if tag == "MIN" else Tag.MAX
-    if alg.kind == "probability":
-        raise ProjectionUnsupported(
-            "plain mode cannot project probability bindings; use deep or oracle"
-        )
-    config = {}
-    if text:
-        for part in text.split(","):
-            name, _, raw = part.partition("=")
-            name = name.strip()
-            raw = raw.strip().lower()
-            if raw not in ("0", "1", "true", "false"):
-                raise MissingConfig(f"bad configuration entry {part!r}")
-            config[name] = raw in ("1", "true")
-    missing = set(alg.features) - set(config)
-    extra = set(config) - set(alg.features)
-    if missing or extra:
-        raise MissingConfig(
-            f"configuration must assign exactly the declared features "
-            f"(missing {sorted(missing)}, unknown {sorted(extra)})"
-        )
-    return config
-
-
 def _run_plain(program, alg, bindings, cfg, stats):
-    if alg.kind == "probability":
-        singles = {}
-        for name, mv in bindings.items():
-            if len(mv.pairs) != 1:
-                raise ProjectionUnsupported(
-                    "plain mode needs constant probability bindings"
-                )
-            singles[name] = mv.pairs[0][0]
-        env = singles
+    if alg.worlds() is None:
+        # weights name no world: only constant bindings have one plain run
+        if any(len(mv.pairs) != 1 for mv in bindings.values()):
+            raise ProjectionUnsupported("plain mode needs constant probability bindings")
+        env = {name: mv.pairs[0][0] for name, mv in bindings.items()}
         config = None
     else:
-        world = _parse_world(alg, cfg.config)
+        world = alg.parse_world(cfg.config)
         env = {name: project(alg, mv, world) for name, mv in bindings.items()}
-        config = world if alg.kind == "feature" else None
+        config = world if alg.features else None
     try:
         out = lang.eval_plain(program, env, config, stats)
         return [value_text(out)]
     except EvalError as ex:
         return [f"error:{ex.kind}"]
-
-
-@contextlib.contextmanager
-def _nesting_budget():
-    """A program nested deeper than the interpreter's stack is a budget overrun."""
-    try:
-        yield
-    except RecursionError:
-        raise BudgetExceeded("program nested too deeply to evaluate") from None
 
 
 def run(cfg: RunConfig):
@@ -167,13 +121,13 @@ def run(cfg: RunConfig):
     # labeled.  Only --check-invariants also rejects an inverted interval
     # range (validate skips that rule under the swap policy) and counts the
     # emptiness tests of this check in sat_calls.
-    loaded_sat_calls = getattr(alg, "sat_calls", 0)
+    loaded_sat_calls = alg.sat_calls
     range_policy = cfg.interval_empty if cfg.check_invariants else "swap"
     for name, mv in bindings.items():
         report = validate(alg, mv, interval_empty=range_policy)
         if not report:
             raise InvariantViolation(f"binding {name!r}: " + "; ".join(report.problems))
-    uncounted = 0 if cfg.check_invariants else getattr(alg, "sat_calls", 0) - loaded_sat_calls
+    uncounted = 0 if cfg.check_invariants else alg.sat_calls - loaded_sat_calls
 
     stats = LiftStats()
     env = ModalEnv(
@@ -184,35 +138,34 @@ def run(cfg: RunConfig):
     )
 
     exit_code = 0
-    with _nesting_budget():
-        if cfg.mode == "plain":
-            out.extend(_run_plain(program, alg, bindings, cfg, stats))
-        elif cfg.mode == "shallow":
-            out.extend(render_result(alg, eval_shallow_blackbox(program, env, stats)))
-        elif cfg.mode == "deep":
-            out.extend(render_result(alg, eval_modal(program, env, stats)))
-        elif cfg.mode == "oracle":
-            out.extend(render_result(alg, brute_force_eval(program, bindings, alg, stats)))
-        elif cfg.mode == "check":
-            deep = eval_modal(program, env, stats)
-            oracle = brute_force_eval(program, bindings, alg)
-            out.extend(render_result(alg, deep))
-            for label, result in (("deep", deep), ("oracle", oracle)):
-                report = validate(alg, result, interval_empty=cfg.interval_empty)
-                if not report:
-                    err.append(f"{label} result invalid: " + "; ".join(report.problems))
-                    exit_code = 2
-            ok, diff = assert_equiv(alg, deep, oracle)
-            if ok:
-                out.append("check: deep == oracle")
-            else:
-                err.append(f"check failed: {diff}")
+    if cfg.mode == "plain":
+        out.extend(_run_plain(program, alg, bindings, cfg, stats))
+    elif cfg.mode == "shallow":
+        out.extend(render_result(alg, eval_shallow_blackbox(program, env, stats)))
+    elif cfg.mode == "deep":
+        out.extend(render_result(alg, eval_modal(program, env, stats)))
+    elif cfg.mode == "oracle":
+        out.extend(render_result(alg, brute_force_eval(program, bindings, alg, stats)))
+    elif cfg.mode == "check":
+        deep = eval_modal(program, env, stats)
+        oracle = brute_force_eval(program, bindings, alg)
+        out.extend(render_result(alg, deep))
+        for label, result in (("deep", deep), ("oracle", oracle)):
+            report = validate(alg, result, interval_empty=cfg.interval_empty)
+            if not report:
+                err.append(f"{label} result invalid: " + "; ".join(report.problems))
                 exit_code = 2
+        ok, diff = assert_equiv(alg, deep, oracle)
+        if ok:
+            out.append("check: deep == oracle")
         else:
-            raise ParseError(f"unknown mode {cfg.mode!r}")
+            err.append(f"check failed: {diff}")
+            exit_code = 2
+    else:
+        raise ParseError(f"unknown mode {cfg.mode!r}")
 
     if cfg.stats:
-        stats.sat_calls = getattr(alg, "sat_calls", 0) - uncounted
+        stats.sat_calls = alg.sat_calls - uncounted
         for name in sorted(stats.applications):
             out.append(f"applications.{name}={stats.applications[name]}")
         out.append(f"tuples={stats.tuples}")

@@ -72,11 +72,8 @@ class TooManyFeatures(ModalError):
 
 
 class BudgetExceeded(ModalError):
-    """World enumeration would exceed the configured budget."""
-
-
-class DisjointnessViolation(ModalError):
-    """Two supposedly disjoint partial results overlap."""
+    """World enumeration would exceed the configured budget, or input is
+    nested deeper than the parsers or evaluators can follow."""
 
 
 class InvariantViolation(ModalError):

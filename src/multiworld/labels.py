@@ -17,6 +17,11 @@ three supported modalities:
 
 Labels are immutable values.  ``FeatureExpr`` formulas are output syntax
 only: the bindings parser folds label text straight into world sets.
+
+Besides meet, join and emptiness, every algebra answers the questions on
+which the modalities differ (``Algebra`` lists them): the evaluators,
+validation, the oracle and the command line ask the algebra instead of
+testing which modality they run under.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ from dataclasses import dataclass
 
 from .errors import (
     IntervalJoinMismatch,
+    MissingConfig,
     ProbabilityOverflow,
+    ProjectionUnsupported,
     TooManyFeatures,
     UndeclaredFeature,
 )
@@ -139,7 +146,41 @@ def _members(bits: int):
 # The three algebras
 # --------------------------------------------------------------------------
 
-class FeatureAlgebra:
+class Algebra:
+    """What every algebra offers besides ``meet``/``join``/``is_empty``.
+
+    * ``minus(ctx, labels)`` -- the path condition ``ctx`` (``None``: every
+      world) without the worlds of ``labels``; empty when none are left.
+    * ``covers(label, world)`` -- does the label hold at one named world?
+    * ``worlds()`` -- the named worlds, lazily, or ``None`` when labels are
+      weights that name no world; ``minterm(world)`` is the label holding
+      exactly that world, ``world_text`` prints it, ``parse_world`` reads
+      the ``--config`` text naming one.
+    * ``problems(labels, within=ctx)`` -- why labels fail to partition
+      ``ctx`` (default: every world): overlaps first, then gaps.
+    * ``shape_problem(label)`` -- why a label is not one of this algebra.
+    * ``endpoints(values, errors)`` -- the (MIN, MAX) values of a complete
+      range, or ``None``.
+    * ``merge_per_label`` -- pairs merge on (item, label) instead of item.
+    * ``features`` -- the declared feature names (none but for features);
+      ``sat_calls`` -- the emptiness checks made (only features count).
+    """
+
+    features = ()
+    merge_per_label = False
+    sat_calls = 0
+
+    def endpoints(self, values, errors=()):
+        return None
+
+
+class _Config(dict):
+    """A configuration that knows its position in a label's bits."""
+
+    __slots__ = ("position",)
+
+
+class FeatureAlgebra(Algebra):
     """Labels are world sets over a fixed, ordered set of feature names.
 
     A label is an int: bit ``p`` is set iff configuration ``p`` is in the
@@ -184,6 +225,8 @@ class FeatureAlgebra:
         return mask
 
     def _position(self, config) -> int:
+        if isinstance(config, _Config):
+            return config.position
         return sum(1 << i for i, name in enumerate(self.features) if config[name])
 
     def var(self, name: str) -> int:
@@ -208,22 +251,29 @@ class FeatureAlgebra:
         self.sat_calls += 1
         return label == 0
 
-    def check_disjoint(self, labels_) -> bool:
-        return all(
-            self.is_empty(self.meet(a, b))
-            for a, b in itertools.combinations(list(labels_), 2)
-        )
-
-    def check_total(self, labels_) -> bool:
-        return self.is_empty(self.complement(functools.reduce(self.join, labels_, 0)))
+    def minus(self, ctx, labels) -> int:
+        left = self.complement(functools.reduce(self.join, labels, 0))
+        return left if ctx is None else ctx & left
 
     def holds(self, label: int, config) -> bool:
         return bool(label >> self._position(config) & 1)
 
+    def covers(self, label: int, world) -> bool:
+        if not isinstance(world, _Config) and set(world) != set(self.features):
+            raise ValueError(f"configuration must assign every declared feature: {world}")
+        return self.holds(label, world)
+
     def iter_configs(self):
         """All 2^k configurations, last declared feature varying fastest."""
-        for bits in itertools.product((False, True), repeat=len(self.features)):
-            yield dict(zip(self.features, bits))
+        k = len(self.features)
+        bits = itertools.product((False, True), repeat=k)
+        positions = itertools.product(*[(0, 1 << i) for i in range(k)])
+        for values, parts in zip(bits, positions):
+            config = _Config(zip(self.features, values))
+            config.position = sum(parts)
+            yield config
+
+    worlds = iter_configs
 
     def minterm(self, config) -> int:
         """The world set holding exactly one configuration."""
@@ -238,6 +288,43 @@ class FeatureAlgebra:
             config[name] = not (label & ~mask)
             label &= mask if config[name] else ~mask
         return config
+
+    def world_text(self, config) -> str:
+        return "{" + ", ".join(f"{n}={int(config[n])}" for n in self.features) + "}"
+
+    def parse_world(self, text):
+        """A configuration from ``FA=1,FB=0`` text naming every feature."""
+        config = {}
+        for part in text.split(",") if text else ():
+            name, _, raw = part.partition("=")
+            raw = raw.strip().lower()
+            if raw not in ("0", "1", "true", "false"):
+                raise MissingConfig(f"bad configuration entry {part!r}")
+            config[name.strip()] = raw in ("1", "true")
+        missing = set(self.features) - set(config)
+        extra = set(config) - set(self.features)
+        if missing or extra:
+            raise MissingConfig(
+                f"configuration must assign exactly the declared features "
+                f"(missing {sorted(missing)}, unknown {sorted(extra)})"
+            )
+        return config
+
+    def shape_problem(self, label):
+        if not isinstance(label, int) or label & ~self.top:
+            return "label is not a set of the declared configurations"
+        return None
+
+    def problems(self, labels, within=None) -> list:
+        out = []
+        for a, b in itertools.combinations(labels, 2):
+            if not self.is_empty(a & b):
+                out.append(f"labels overlap: {self.canonical_text(a)} and {self.canonical_text(b)}")
+                break
+        gap = self.minus(within, labels)
+        if not self.is_empty(gap):
+            out.append(f"configuration {self.world_text(self.first_config(gap))} is uncovered")
+        return out
 
     # -- display -----------------------------------------------------------
 
@@ -337,7 +424,7 @@ class FeatureAlgebra:
         return cubes
 
 
-class ProbabilityAlgebra:
+class ProbabilityAlgebra(Algebra):
     """Labels are weights in [0, 1]; combination assumes independence."""
 
     kind = "probability"
@@ -363,11 +450,27 @@ class ProbabilityAlgebra:
     def is_empty(self, label: float) -> bool:
         return label < self.empty_eps
 
-    def check_disjoint(self, labels_) -> bool:
-        return sum(labels_) <= 1.0 + self.tol
+    def covers(self, label: float, world) -> bool:
+        raise ProjectionUnsupported("probability labels do not name worlds")
 
-    def check_total(self, labels_) -> bool:
-        return abs(sum(labels_) - 1.0) <= self.tol
+    def worlds(self):
+        return None
+
+    def shape_problem(self, label):
+        if not 0.0 <= label <= 1.0 + self.tol:
+            return f"weight {label!r} outside [0, 1]"
+        return None
+
+    def problems(self, labels, within=None) -> list:
+        """Weights must add up to 1; every probabilistic evaluation runs in
+        a mass-1 frame, so there is no narrower ``within``."""
+        total = sum(labels)
+        out = []
+        if total > 1.0 + self.tol:
+            out.append(f"weights sum to {total:.12g} > 1")
+        if abs(1.0 - total) > self.tol:
+            out.append(f"totality gap {1.0 - total:+.9g}")
+        return out
 
     def canonical_text(self, label: float) -> str:
         return f"{label:.9f}"
@@ -379,14 +482,22 @@ class Tag(enum.Enum):
     EMPTY = "EMPTY"
 
 
-class IntervalAlgebra:
-    """Labels are the MIN/MAX endpoint tags of a range."""
+_ENDPOINTS = (Tag.MIN, Tag.MAX)
+
+
+class IntervalAlgebra(Algebra):
+    """Labels are the MIN/MAX endpoint tags of a range.
+
+    A path condition is one tag, or ``None`` for both; pairs merge per tag,
+    since a range always keeps both endpoints.
+    """
 
     kind = "interval"
+    merge_per_label = True
 
     def top_labels(self) -> tuple:
         # no single label covers both endpoint worlds
-        return (Tag.MIN, Tag.MAX)
+        return _ENDPOINTS
 
     def meet(self, l1: Tag, l2: Tag) -> Tag:
         return l1 if l1 is l2 else Tag.EMPTY
@@ -403,19 +514,47 @@ class IntervalAlgebra:
     def is_empty(self, label: Tag) -> bool:
         return label is Tag.EMPTY
 
-    def _one_of_each(self, labels_) -> bool:
-        tags = list(labels_)
-        return (
-            len(tags) == 2
-            and tags.count(Tag.MIN) == 1
-            and tags.count(Tag.MAX) == 1
-        )
+    def minus(self, ctx, labels):
+        left = [t for t in (_ENDPOINTS if ctx is None else (ctx,)) if t not in labels]
+        if len(left) == 2:
+            return None
+        return left[0] if left else Tag.EMPTY
 
-    def check_disjoint(self, labels_) -> bool:
-        return self._one_of_each(labels_)
+    def covers(self, label: Tag, world: Tag) -> bool:
+        return label is world
 
-    def check_total(self, labels_) -> bool:
-        return self._one_of_each(labels_)
+    def worlds(self):
+        return _ENDPOINTS
+
+    def minterm(self, world: Tag) -> Tag:
+        return world
+
+    def world_text(self, world: Tag) -> str:
+        return world.value
+
+    def parse_world(self, text) -> Tag:
+        tag = (text or "").strip().upper()
+        if tag not in ("MIN", "MAX"):
+            raise MissingConfig("plain interval runs need --config MIN or MAX")
+        return Tag(tag)
+
+    def shape_problem(self, label):
+        return "EMPTY tag inside a modal value" if label is Tag.EMPTY else None
+
+    def problems(self, labels, within=None) -> list:
+        want = _ENDPOINTS if within is None else (within,)
+        if len(labels) == len(want) and set(labels) == set(want):
+            return []
+        ones = " and ".join(f"one {t.value}" for t in want)
+        return [f"expected exactly {ones}, got {[self.canonical_text(l) for l in labels]}"]
+
+    def endpoints(self, values, errors=()):
+        if errors or len(values) != 2:
+            return None
+        by_tag = {label: v for v, label in values}
+        if by_tag.keys() != set(_ENDPOINTS):
+            return None
+        return by_tag[Tag.MIN], by_tag[Tag.MAX]
 
     def canonical_text(self, label: Tag) -> str:
         return label.value

@@ -527,7 +527,8 @@ def eval_plain(program: Program, env, config=None, stats=None):
 
     ``env`` binds the free variables of ``main`` to plain values; ``config``
     is a feature-to-bool map, required only when the program tests features.
-    ``stats``, when given, counts function and operator applications.
+    ``stats``, when given, counts function and operator applications.  A
+    program nested deeper than the interpreter's stack is a budget overrun.
     """
     fundefs = {fd.name: fd for fd in program.fundefs}
 
@@ -577,4 +578,7 @@ def eval_plain(program: Program, env, config=None, stats=None):
             return bool(config[e.name])
         raise TypeError(f"not an expression: {e!r}")
 
-    return ev(program.main, dict(env))
+    try:
+        return ev(program.main, dict(env))
+    except RecursionError:
+        raise BudgetExceeded("program nested too deeply to evaluate") from None

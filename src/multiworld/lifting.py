@@ -7,9 +7,11 @@ real application of the function, and per-world failures become labeled
 error pairs instead of aborting the whole call.  The result is normalized,
 so equal outputs from different tuples share one pair.
 
-``restrict`` and ``partial_union`` are the two combinators the deep
-evaluator builds conditionals from: restriction narrows a value to a path
-condition, and union stitches complementary branch results back together.
+``restrict`` narrows a value to a path condition; the deep evaluator
+reads every variable and constant through it.  Results that cover
+disjoint parts of the worlds are united by concatenating their pairs and
+normalizing (``modal.normalize_result``), which is what the deep evaluator
+does at every node.
 """
 
 from __future__ import annotations
@@ -18,14 +20,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import ArityMismatch, DisjointnessViolation, EvalError, ModalityMismatch
-from .modal import (
-    ModalResult,
-    ModalValue,
-    merge_error_pairs,
-    merge_value_pairs,
-    normalize_result,
-)
+from .errors import ArityMismatch, EvalError, ModalityMismatch
+from .modal import ModalResult, ModalValue, normalize_result
 
 
 @dataclass(frozen=True)
@@ -100,53 +96,30 @@ def shallow_apply(alg, f: PrimitiveFn, args, stats: LiftStats | None = None,
     )
 
 
-def _parts(obj):
-    if isinstance(obj, ModalResult):
-        return obj.values, obj.errors, True
-    return obj.pairs, (), False
+def _within(alg, pairs, context) -> tuple:
+    out = []
+    for item, label in pairs:
+        met = alg.meet(label, context)
+        if not alg.is_empty(met):
+            out.append((item, met))
+    return tuple(out)
 
 
 def restrict(alg, obj, context):
     """Meet every label with ``context``; drop pairs that empty out.
 
-    The result is partial: it is total relative to ``context``, not to the
-    full world set.  ``context=None`` means no restriction.
+    ``obj`` is a ModalValue, a ModalResult, or a bare sequence of
+    (item, label) pairs, as the deep evaluator holds them.  The result is
+    partial: it is total relative to ``context``, not to the full world
+    set.  ``context=None`` means no restriction.  Pairs keep their order,
+    so a normalized input stays normalized.
     """
     if context is None:
         return obj
-    values, errors, is_result = _parts(obj)
-    new_values = merge_value_pairs(
-        alg, [(v, alg.meet(label, context)) for v, label in values]
-    )
-    new_errors = merge_error_pairs(
-        alg, [(k, alg.meet(label, context)) for k, label in errors]
-    )
-    if is_result:
-        return ModalResult(new_values, new_errors, obj.modality)
-    return ModalValue(new_values, obj.modality)
-
-
-def partial_union(alg, a, b, *, check: bool = False, interval_empty: str = "reject"):
-    """Concatenate two partial results covering disjoint world sets.
-
-    With ``check`` on, every cross pairing of labels is verified to have an
-    empty meet first.
-    """
-    av, ae, a_result = _parts(a)
-    bv, be, b_result = _parts(b)
-    if check:
-        for _, l1 in list(av) + list(ae):
-            for _, l2 in list(bv) + list(be):
-                if not alg.is_empty(alg.meet(l1, l2)):
-                    raise DisjointnessViolation(
-                        f"overlap between {alg.canonical_text(l1)} "
-                        f"and {alg.canonical_text(l2)}"
-                    )
-    merged = normalize_result(
-        alg,
-        ModalResult(tuple(av) + tuple(bv), tuple(ae) + tuple(be), alg.kind),
-        interval_empty=interval_empty,
-    )
-    if not (a_result or b_result) and not merged.errors:
-        return ModalValue(merged.values, alg.kind)
-    return merged
+    if isinstance(obj, ModalResult):
+        return ModalResult(
+            _within(alg, obj.values, context), _within(alg, obj.errors, context), obj.modality
+        )
+    if isinstance(obj, ModalValue):
+        return ModalValue(_within(alg, obj.pairs, context), obj.modality)
+    return _within(alg, obj, context)

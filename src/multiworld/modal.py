@@ -8,16 +8,17 @@ total, so a division by zero in some worlds never poisons the rest.
 
 Normalization is the sharing mechanism of the whole package: pairs carrying
 the same value are merged by joining their labels, so results stay compact
-no matter how many worlds produced them.  For the interval modality the
-MIN- and MAX-tagged pairs are kept apart (a range is exactly two pairs).
+no matter how many worlds produced them.  An algebra with
+``merge_per_label`` (interval) keeps pairs with different labels apart: a
+range is exactly two pairs.  Every per-modality rule here is a call into
+the algebra (see ``labels.Algebra``).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .errors import EmptyModalValue, InvariantViolation, ProjectionUnsupported
+from .errors import EmptyModalValue, InvariantViolation
 from .labels import Tag
 
 Value = int | bool
@@ -66,10 +67,10 @@ def merge_pairs(alg, pairs, item_key) -> tuple:
     """Drop empty-label pairs, merge pairs with equal items by joining
     their labels in encounter order, and sort.
 
-    Interval pairs merge per endpoint tag: ``(5, MIN)`` and ``(5, MAX)``
-    stay distinct, because a range always keeps both endpoints.
+    Under ``alg.merge_per_label`` the key is (item, label): interval
+    ``(5, MIN)`` and ``(5, MAX)`` stay distinct.
     """
-    per_tag = alg.kind == "interval"
+    per_tag = alg.merge_per_label
     grouped: dict = {}
     for item, label in pairs:
         if alg.is_empty(label):
@@ -100,18 +101,20 @@ def merge_error_pairs(alg, pairs) -> tuple:
     return merge_pairs(alg, pairs, lambda kind: kind)
 
 
+def _inverted(alg, value_pairs, error_pairs):
+    """The (MIN, MAX) values of a range whose MAX sits below its MIN."""
+    ends = alg.endpoints(value_pairs, error_pairs)
+    if ends and value_key(ends[1]) < value_key(ends[0]):
+        return ends
+    return None
+
+
 def _swap_inverted(alg, value_pairs, error_pairs) -> tuple:
     """Interval ``swap`` repair: if the MAX value sits below the MIN value,
     exchange the two values (the tags stay where they are)."""
-    if alg.kind != "interval" or error_pairs or len(value_pairs) != 2:
-        return value_pairs
-    by_tag = {label: v for v, label in value_pairs}
-    if set(by_tag) != {Tag.MIN, Tag.MAX}:
-        return value_pairs
-    if value_key(by_tag[Tag.MAX]) < value_key(by_tag[Tag.MIN]):
-        repaired = [(by_tag[Tag.MAX], Tag.MIN), (by_tag[Tag.MIN], Tag.MAX)]
-        repaired.sort(key=lambda p: (value_key(p[0]), alg.canonical_text(p[1])))
-        return tuple(repaired)
+    ends = _inverted(alg, value_pairs, error_pairs)
+    if ends:
+        return ((ends[1], Tag.MIN), (ends[0], Tag.MAX))
     return value_pairs
 
 
@@ -149,57 +152,12 @@ class ValidationReport:
 def _label_problems(alg, labels_) -> list:
     problems = []
     for label in labels_:
-        if alg.kind == "feature":
-            if not isinstance(label, int) or label & ~alg.top:
-                problems.append("label is not a set of the declared configurations")
-        elif alg.kind == "probability":
-            if not 0.0 <= label <= 1.0 + alg.tol:
-                problems.append(f"weight {label!r} outside [0, 1]")
-        elif alg.kind == "interval":
-            if label is Tag.EMPTY:
-                problems.append("EMPTY tag inside a modal value")
+        shape = alg.shape_problem(label)
+        if shape:
+            problems.append(shape)
         if alg.is_empty(label):
             problems.append(f"empty label: {alg.canonical_text(label)}")
     return problems
-
-
-def _disjoint_problems(alg, labels_) -> list:
-    if alg.kind == "feature":
-        out = []
-        for i in range(len(labels_)):
-            for j in range(i + 1, len(labels_)):
-                if not alg.is_empty(alg.meet(labels_[i], labels_[j])):
-                    out.append(
-                        "labels overlap: "
-                        f"{alg.canonical_text(labels_[i])} and "
-                        f"{alg.canonical_text(labels_[j])}"
-                    )
-                    return out
-        return out
-    if alg.kind == "probability":
-        total = sum(labels_)
-        if total > 1.0 + alg.tol:
-            return [f"weights sum to {total:.12g} > 1"]
-        return []
-    if not alg.check_disjoint(labels_):
-        tags = [alg.canonical_text(l) for l in labels_]
-        return [f"expected exactly one MIN and one MAX, got {tags}"]
-    return []
-
-
-def _total_problems(alg, labels_) -> list:
-    if alg.check_total(labels_):
-        return []
-    if alg.kind == "feature":
-        uncovered = alg.complement(functools.reduce(alg.join, labels_))
-        first = alg.first_config(uncovered)
-        missed = ", ".join(f"{n}={int(v)}" for n, v in first.items())
-        return [f"configuration {{{missed}}} is uncovered"]
-    if alg.kind == "probability":
-        gap = 1.0 - sum(labels_)
-        return [f"totality gap {gap:+.9g}"]
-    tags = [alg.canonical_text(l) for l in labels_]
-    return [f"expected exactly one MIN and one MAX, got {tags}"]
 
 
 def validate(alg, obj, *, interval_empty: str = "reject") -> ValidationReport:
@@ -226,17 +184,15 @@ def validate(alg, obj, *, interval_empty: str = "reject") -> ValidationReport:
     labels_ = [label for _, label in all_pairs]
     problems.extend(_label_problems(alg, labels_))
     if not problems:
-        problems.extend(_disjoint_problems(alg, labels_))
-        problems.extend(_total_problems(alg, labels_))
+        problems.extend(alg.problems(labels_))
 
-    if alg.kind == "interval" and not problems and interval_empty == "reject":
-        by_tag = {label: v for v, label in value_pairs}
-        if set(by_tag) == {Tag.MIN, Tag.MAX}:
-            if value_key(by_tag[Tag.MAX]) < value_key(by_tag[Tag.MIN]):
-                problems.append(
-                    f"empty range: MAX value {value_text(by_tag[Tag.MAX])} "
-                    f"< MIN value {value_text(by_tag[Tag.MIN])}"
-                )
+    if not problems and interval_empty == "reject":
+        ends = _inverted(alg, value_pairs, error_pairs)
+        if ends:
+            problems.append(
+                f"empty range: MAX value {value_text(ends[1])} "
+                f"< MIN value {value_text(ends[0])}"
+            )
 
     return ValidationReport(not problems, tuple(problems))
 
@@ -245,22 +201,9 @@ def validate(alg, obj, *, interval_empty: str = "reject") -> ValidationReport:
 # Projection
 # --------------------------------------------------------------------------
 
-def covers(alg, label, world) -> bool:
-    """Does this label's world set contain the given world?"""
-    if alg.kind == "feature":
-        return alg.holds(label, world)
-    if alg.kind == "interval":
-        return label is world
-    raise ProjectionUnsupported("probability labels do not name worlds")
-
-
 def project(alg, mv: ModalValue, world) -> Value:
     """The unique value a modal value takes at one world."""
-    if alg.kind == "probability":
-        raise ProjectionUnsupported("probability labels do not name worlds")
-    if alg.kind == "feature" and set(world) != set(alg.features):
-        raise ValueError(f"configuration must assign every declared feature: {world}")
-    matches = [v for v, label in mv.pairs if covers(alg, label, world)]
+    matches = [v for v, label in mv.pairs if alg.covers(label, world)]
     if len(matches) != 1:
         raise InvariantViolation(
             f"world {world!r} matched {len(matches)} pairs (expected exactly 1)"
@@ -278,15 +221,9 @@ def render_result(alg, result: ModalResult, label_text=None) -> list:
     A complete interval value renders as ``[min .. max]`` instead.
     """
     fmt = label_text or alg.canonical_text
-    tags = [label for _, label in result.values]
-    if (
-        alg.kind == "interval"
-        and not result.errors
-        and len(result.values) == 2
-        and set(tags) == {Tag.MIN, Tag.MAX}
-    ):
-        by_tag = {label: v for v, label in result.values}
-        return [f"[{value_text(by_tag[Tag.MIN])} .. {value_text(by_tag[Tag.MAX])}]"]
+    ends = alg.endpoints(result.values, result.errors)
+    if ends:
+        return [f"[{value_text(ends[0])} .. {value_text(ends[1])}]"]
     lines = [f"{value_text(v)} @ {fmt(label)}" for v, label in result.values]
     lines.extend(f"error:{kind} @ {fmt(label)}" for kind, label in result.errors)
     return lines

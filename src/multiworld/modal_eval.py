@@ -8,11 +8,16 @@ arguments) are evaluated once no matter how many worlds flow through them.
 Conditionals split the current path condition by the guard's labels: each
 branch is evaluated only under the worlds that take it, and the partial
 results are unioned back together.  Errors are confined to their worlds and
-excluded from every downstream context; within one world the first error
-(left-to-right evaluation order) wins.
+excluded from every downstream context (the algebra's ``minus``); within
+one world the first error (left-to-right evaluation order) wins.
 
 The feature and interval modalities thread the path condition as a label
-(their meets are idempotent, so re-restricting at every leaf is harmless).
+(their meets are idempotent, so re-restricting at every leaf is harmless):
+variables and constants are read through ``lifting.restrict``.  Every node
+ends in one merge of its pairs (``_finish``), which is the union of its
+parts and, under ``check_invariants``, where the algebra's ``problems``
+checks that the node's labels partition its path condition.
+
 Probability labels multiply under meet, so the same trick would double-count
 mass; the probabilistic path keeps every sub-evaluation in a mass-1 frame
 and scales once at each binding or branch point instead.  Repeated uses of
@@ -28,20 +33,19 @@ tuple, duplicating whatever work the program shares internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 
 from . import lang
 from .errors import (
     TYPE_MISMATCH,
+    BudgetExceeded,
     EvalError,
     InvariantViolation,
     MissingBinding,
     ModalityMismatch,
     UndeclaredFeature,
 )
-from .labels import Tag
-from .lifting import LiftStats, PrimitiveFn, shallow_apply
+from .lifting import LiftStats, PrimitiveFn, restrict, shallow_apply
 from .modal import (
     ModalResult,
     ModalValue,
@@ -84,34 +88,12 @@ class _DeepEval:
 
     # -- context helpers ---------------------------------------------------
 
-    def _restrict_pairs(self, pairs, ctx):
-        if ctx is None or self.quant:
-            return list(pairs)
-        out = []
-        for v, label in pairs:
-            met = self.alg.meet(label, ctx)
-            if not self.alg.is_empty(met):
-                out.append((v, met))
-        return out
-
     def _narrow(self, ctx, error_pairs):
         """Remove the error worlds from a path condition."""
-        if not error_pairs or self.quant:
+        if not error_pairs:
             return ctx
-        alg = self.alg
-        if alg.kind == "feature":
-            erring = reduce(alg.join, [label for _, label in error_pairs])
-            blocked = alg.complement(erring)
-            ctx2 = blocked if ctx is None else alg.meet(ctx, blocked)
-            return _DEAD if alg.is_empty(ctx2) else ctx2
-        # interval: a tag either survives untouched or is fully blocked
-        err_tags = {label for _, label in error_pairs}
-        if ctx is None:
-            left = [t for t in (Tag.MIN, Tag.MAX) if t not in err_tags]
-            if not left:
-                return _DEAD
-            return None if len(left) == 2 else left[0]
-        return _DEAD if ctx in err_tags else ctx
+        ctx = self.alg.minus(ctx, [label for _, label in error_pairs])
+        return _DEAD if self.alg.is_empty(ctx) else ctx
 
     @staticmethod
     def _scaled(pairs, factor):
@@ -121,42 +103,11 @@ class _DeepEval:
         values = merge_value_pairs(self.alg, values)
         errors = merge_error_pairs(self.alg, errors)
         if self.env.check_invariants:
-            self._check_partial(values, errors, ctx)
+            labels_ = [label for _, label in values] + [label for _, label in errors]
+            problems = self.alg.problems(labels_, within=ctx)
+            if problems:
+                raise InvariantViolation("intermediate value: " + "; ".join(problems))
         return values, errors
-
-    def _check_partial(self, values, errors, ctx):
-        """Disjointness plus totality relative to the current context."""
-        alg = self.alg
-        labels_ = [label for _, label in values] + [label for _, label in errors]
-        if self.quant:
-            total = sum(labels_)
-            if abs(total - 1.0) > 1e-9:
-                raise InvariantViolation(
-                    f"intermediate mass {total:.12f} drifted from 1.0"
-                )
-            return
-        if alg.kind == "feature":
-            for i in range(len(labels_)):
-                for j in range(i + 1, len(labels_)):
-                    if not alg.is_empty(alg.meet(labels_[i], labels_[j])):
-                        raise InvariantViolation(
-                            "intermediate overlap: "
-                            f"{alg.canonical_text(labels_[i])} and "
-                            f"{alg.canonical_text(labels_[j])}"
-                        )
-            want = alg.top if ctx is None else ctx
-            covered = reduce(alg.join, labels_, 0)
-            if not alg.is_empty(alg.meet(want, alg.complement(covered))):
-                raise InvariantViolation(
-                    f"intermediate gap under {alg.canonical_text(want)}"
-                )
-            return
-        want_tags = [Tag.MIN, Tag.MAX] if ctx is None else [ctx]
-        if sorted(l.value for l in labels_) != sorted(t.value for t in want_tags):
-            raise InvariantViolation(
-                f"interval tags {[l.value for l in labels_]} do not cover "
-                f"{[t.value for t in want_tags]}"
-            )
 
     # -- expression dispatch -------------------------------------------------
 
@@ -171,11 +122,11 @@ class _DeepEval:
                 pairs = scope[expr.name]
             except KeyError:
                 raise MissingBinding(f"no value bound for {expr.name!r}") from None
-            return self._finish(self._restrict_pairs(pairs, ctx), [], ctx)
+            return self._finish(restrict(self.alg, pairs, ctx), [], ctx)
         if isinstance(expr, lang.Feature):
             v = self.alg.var(expr.name)
-            pairs = [(False, self.alg.complement(v)), (True, v)]
-            return self._finish(self._restrict_pairs(pairs, ctx), [], ctx)
+            pairs = ((False, self.alg.complement(v)), (True, v))
+            return self._finish(restrict(self.alg, pairs, ctx), [], ctx)
         if isinstance(expr, lang.Not):
             av, ae = self.eval(expr.arg, scope, ctx)
             res = self._apply(_primitive("!"), [av])
@@ -202,7 +153,7 @@ class _DeepEval:
 
     def _const(self, v, ctx):
         pairs = [(v, label) for label in self.alg.top_labels()]
-        return self._finish(self._restrict_pairs(pairs, ctx), [], ctx)
+        return self._finish(restrict(self.alg, pairs, ctx), [], ctx)
 
     def _apply(self, prim, arg_pair_lists):
         args = [ModalValue(tuple(pairs), self.alg.kind) for pairs in arg_pair_lists]
@@ -351,10 +302,11 @@ class _DeepEval:
         return result
 
 
-def _preflight(program: lang.Program, alg):
+def _preflight(program: lang.Program, alg) -> set:
+    """The features the program tests, all declared by a feature modality."""
     names = lang.used_features(program)
     if not names:
-        return
+        return names
     if alg.kind != "feature":
         raise ModalityMismatch(
             f"the program tests features but the modality is {alg.kind!r}"
@@ -364,11 +316,15 @@ def _preflight(program: lang.Program, alg):
         raise UndeclaredFeature(
             f"program tests undeclared feature(s): {sorted(undeclared)}"
         )
+    return names
 
 
 def eval_modal(program: lang.Program, env: ModalEnv, stats: LiftStats | None = None) -> ModalResult:
     """Deep-lifted evaluation of a program over modal bindings."""
-    return _DeepEval(program, env, stats if stats is not None else LiftStats()).run()
+    try:
+        return _DeepEval(program, env, stats if stats is not None else LiftStats()).run()
+    except RecursionError:
+        raise BudgetExceeded("program nested too deeply to evaluate") from None
 
 
 # --------------------------------------------------------------------------
@@ -410,16 +366,13 @@ def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
     alg = env.alg
     if stats is None:
         stats = LiftStats()
-    _preflight(program, alg)
+    used = _preflight(program, alg)
 
     names = lang.free_vars(program.main)
     for name in names:
         if name not in env.bindings:
             raise MissingBinding(f"no value bound for {name!r}")
-    feature_list = ()
-    if alg.kind == "feature":
-        used = lang.used_features(program)
-        feature_list = tuple(n for n in alg.features if n in used)
+    feature_list = tuple(n for n in alg.features if n in used)
 
     if names:
         space = (

@@ -13,6 +13,7 @@ used by the equivalence and invariant sweeps.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 from . import lang
@@ -21,7 +22,6 @@ from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
 from .modal import (
     ModalResult,
     ModalValue,
-    covers,
     make_const,
     merge_error_pairs,
     merge_value_pairs,
@@ -38,35 +38,52 @@ JOINT_BUDGET = 10**6
 MERGE_EVERY = 256
 
 
-def enumerate_worlds(alg, bindings) -> list:
-    """All worlds with their weights.
+def _named_worlds(alg):
+    k = len(alg.features)
+    if k > FEATURE_BUDGET:
+        raise BudgetExceeded(
+            f"{2**k} configurations from {k} features exceeds the budget"
+        )
+    return alg.worlds()
 
-    Features: every configuration (weight 1).  Interval: the two endpoint
-    tags.  Probability: the joint support of the bound variables, assuming
-    independence, with product weights.
-    """
-    if alg.kind == "feature":
-        k = len(alg.features)
-        if k > FEATURE_BUDGET:
-            raise BudgetExceeded(
-                f"{2**k} configurations from {k} features exceeds the budget"
-            )
-        return [(config, 1.0) for config in alg.iter_configs()]
-    if alg.kind == "interval":
-        return [(Tag.MIN, 1.0), (Tag.MAX, 1.0)]
+
+def _joint_draws(bindings):
+    """Each joint draw of independent bindings as (env, None, weight)."""
     names = list(bindings)
     size = 1
     for name in names:
         size *= len(bindings[name].pairs)
         if size > JOINT_BUDGET:
             raise BudgetExceeded(f"joint support exceeds {JOINT_BUDGET} entries")
-    worlds = []
-    for combo in product(*[bindings[n].pairs for n in names]):
-        weight = 1.0
-        for _, w in combo:
-            weight *= w
-        worlds.append((dict(zip(names, [v for v, _ in combo])), weight))
-    return worlds
+    return (
+        (dict(zip(names, [v for v, _ in combo])), None, math.prod([w for _, w in combo], start=1.0))
+        for combo in product(*[bindings[n].pairs for n in names])
+    )
+
+
+def enumerate_worlds(alg, bindings):
+    """Every world, lazily, as (env, config, label): the plain value of
+    each binding there, the feature configuration the plain evaluator
+    sees (``None`` when the modality declares no features), and the label
+    of that world alone.
+
+    Named worlds (configurations, endpoint tags) project every binding and
+    are labeled by their minterm or tag.  Weights name no world, so under
+    probability the worlds are the joint draws of the bindings, assumed
+    independent, labeled by their product weight.  An over-budget world
+    count raises ``BudgetExceeded`` at the call.
+    """
+    worlds = _named_worlds(alg)
+    if worlds is None:
+        return _joint_draws(bindings)
+    return (
+        (
+            {n: project(alg, mv, world) for n, mv in bindings.items()},
+            world if alg.features else None,
+            alg.minterm(world),
+        )
+        for world in worlds
+    )
 
 
 def brute_force_eval(program: lang.Program, bindings, alg, stats=None) -> ModalResult:
@@ -74,19 +91,7 @@ def brute_force_eval(program: lang.Program, bindings, alg, stats=None) -> ModalR
     values = []
     errors = []
     merge_at = MERGE_EVERY
-    for world, weight in enumerate_worlds(alg, bindings):
-        if alg.kind == "feature":
-            env = {n: project(alg, mv, world) for n, mv in bindings.items()}
-            config = world
-            label = alg.minterm(world)
-        elif alg.kind == "interval":
-            env = {n: project(alg, mv, world) for n, mv in bindings.items()}
-            config = None
-            label = world
-        else:
-            env = world
-            config = None
-            label = weight
+    for env, config, label in enumerate_worlds(alg, bindings):
         try:
             out = lang.eval_plain(program, env, config, stats)
             values.append((out, label))
@@ -117,15 +122,14 @@ def outcome_at(alg, result, world) -> tuple:
     """The single outcome a result takes at one world:
     ("value", v), ("error", kind), or ("invalid", diagnostic)."""
     result = _as_result(result)
-    hits = [("value", v) for v, label in result.values if covers(alg, label, world)]
-    hits += [("error", k) for k, label in result.errors if covers(alg, label, world)]
+    hits = [("value", v) for v, label in result.values if alg.covers(label, world)]
+    hits += [("error", k) for k, label in result.errors if alg.covers(label, world)]
     if len(hits) != 1:
         return ("invalid", f"{len(hits)} outcomes at {world!r}")
     return hits[0]
 
 
-def _weight_maps(alg, result):
-    result = _as_result(result)
+def _weight_maps(result):
     values: dict = {}
     for v, w in result.values:
         key = value_key(v)
@@ -136,37 +140,39 @@ def _weight_maps(alg, result):
     return values, errors
 
 
+def _equal_weights(a, b, tol) -> tuple:
+    av, ae = _weight_maps(a)
+    bv, be = _weight_maps(b)
+    for key in sorted(set(av) | set(bv)):
+        wa = av.get(key, (None, 0.0))[1]
+        wb = bv.get(key, (None, 0.0))[1]
+        if abs(wa - wb) > tol:
+            shown = av.get(key, bv.get(key))[0]
+            return False, f"value {value_text(shown)}: weight {wa!r} vs {wb!r}"
+    for kind in sorted(set(ae) | set(be)):
+        wa, wb = ae.get(kind, 0.0), be.get(kind, 0.0)
+        if abs(wa - wb) > tol:
+            return False, f"error {kind}: weight {wa!r} vs {wb!r}"
+    return True, None
+
+
 def assert_equiv(alg, a, b, tol: float = 1e-9) -> tuple:
-    """Denotational equality of two results; (ok, first-divergence)."""
-    if _as_result(a).modality != _as_result(b).modality:
+    """Denotational equality of two results; (ok, first-divergence).
+
+    Results agree at every named world, or, when labels are weights, give
+    every outcome the same total weight within ``tol``.
+    """
+    a, b = _as_result(a), _as_result(b)
+    if a.modality != b.modality:
         raise ModalityMismatch("cannot compare results of different modalities")
-    if alg.kind == "probability":
-        av, ae = _weight_maps(alg, a)
-        bv, be = _weight_maps(alg, b)
-        for key in sorted(set(av) | set(bv)):
-            wa = av.get(key, (None, 0.0))[1]
-            wb = bv.get(key, (None, 0.0))[1]
-            if abs(wa - wb) > tol:
-                shown = av.get(key, bv.get(key))[0]
-                return False, f"value {value_text(shown)}: weight {wa!r} vs {wb!r}"
-        for kind in sorted(set(ae) | set(be)):
-            wa, wb = ae.get(kind, 0.0), be.get(kind, 0.0)
-            if abs(wa - wb) > tol:
-                return False, f"error {kind}: weight {wa!r} vs {wb!r}"
-        return True, None
-    if alg.kind == "feature":
-        worlds = [w for w, _ in enumerate_worlds(alg, {})]
-    else:
-        worlds = [Tag.MIN, Tag.MAX]
+    worlds = _named_worlds(alg)
+    if worlds is None:
+        return _equal_weights(a, b, tol)
     for world in worlds:
         oa = outcome_at(alg, a, world)
         ob = outcome_at(alg, b, world)
         if oa != ob:
-            if alg.kind == "feature":
-                shown = "{" + ", ".join(f"{n}={int(v)}" for n, v in world.items()) + "}"
-            else:
-                shown = world.value
-            return False, f"diverges at {shown}: {oa!r} vs {ob!r}"
+            return False, f"diverges at {alg.world_text(world)}: {oa!r} vs {ob!r}"
     return True, None
 
 
@@ -217,7 +223,7 @@ class _ProgramGen:
 
     def __init__(self, rng, alg, binding_names, *, linear: bool, max_depth: int):
         self.rng = rng
-        self.features = alg.features if alg.kind == "feature" else ()
+        self.features = alg.features
         self.linear = linear
         self.max_depth = max_depth
         self.pool = list(binding_names)

@@ -121,16 +121,46 @@ def test_feature_limit():
 def test_check_disjoint_minterms():
     alg = FeatureAlgebra(("FA", "FB"))
     minterms = [alg.minterm(cfg) for cfg in alg.iter_configs()]
-    assert alg.check_disjoint(minterms)
-    assert alg.check_total(minterms)
+    assert alg.problems(minterms) == []
 
 
 def test_check_total_examples():
     alg = fresh_alg()
     fa, fb = alg.var("FA"), alg.var("FB")
-    assert alg.check_total([fa, alg.complement(fa)])
-    # configuration {FA=1, FB=0} is uncovered
-    assert not alg.check_total([alg.meet(fa, fb), alg.complement(fa)])
+    assert alg.problems([fa, alg.complement(fa)]) == []
+    assert alg.problems([alg.meet(fa, fb), alg.complement(fa)]) == [
+        "configuration {FA=1, FB=0, FC=0, FD=0, FE=0, FF=0} is uncovered"
+    ]
+
+
+def test_feature_problems_within_a_context():
+    alg = FeatureAlgebra(("FA", "FB"))
+    fa, fb = alg.var("FA"), alg.var("FB")
+    ctx = alg.complement(fa)
+    # a partition of !FA: complete under that context, not under true
+    parts = [alg.meet(ctx, fb), alg.meet(ctx, alg.complement(fb))]
+    assert alg.problems(parts, within=ctx) == []
+    assert alg.problems(parts) == ["configuration {FA=1, FB=0} is uncovered"]
+    # a gap under the context names its first uncovered configuration
+    assert alg.problems(parts[:1], within=ctx) == [
+        "configuration {FA=0, FB=0} is uncovered"
+    ]
+    # an overlap is reported once, before any gap
+    assert alg.problems([ctx, fb], within=ctx) == ["labels overlap: !FA and FB"]
+    assert alg.problems([alg.meet(ctx, fb), fb], within=ctx) == [
+        "labels overlap: (!FA & FB) and FB",
+        "configuration {FA=0, FB=0} is uncovered",
+    ]
+
+
+def test_problems_counts_every_emptiness_check():
+    # validation keeps the pairwise count that --stats sat_calls reports:
+    # one check per pair of labels plus one for the gap
+    alg = FeatureAlgebra(("FA", "FB"))
+    minterms = [alg.minterm(cfg) for cfg in alg.iter_configs()]
+    before = alg.sat_calls
+    alg.problems(minterms)
+    assert alg.sat_calls - before == 6 + 1
 
 
 @settings(max_examples=1000)
@@ -184,8 +214,7 @@ def test_partition_covers_each_config_once(groups):
     for cfg, g in zip(configs, groups):
         by_group.setdefault(g, []).append(alg.minterm(cfg))
     labels = [functools.reduce(alg.join, ms) for ms in by_group.values()]
-    assert alg.check_disjoint(labels)
-    assert alg.check_total(labels)
+    assert alg.problems(labels) == []
     for cfg in configs:
         assert sum(alg.holds(l, cfg) for l in labels) == 1
 
@@ -292,10 +321,11 @@ def test_probability_empty_disjoint_total():
     alg = ProbabilityAlgebra()
     assert alg.is_empty(0.0)
     assert not alg.is_empty(0.2)
-    assert not alg.check_disjoint([0.6, 0.6])
-    assert alg.check_disjoint([0.6, 0.4])
-    assert alg.check_total([0.2, 0.8])
-    assert not alg.check_total([0.2, 0.7])
+    # mass above 1 is both an overlap and a gap; below 1, only a gap
+    assert alg.problems([0.6, 0.6]) == ["weights sum to 1.2 > 1", "totality gap -0.2"]
+    assert alg.problems([0.6, 0.4]) == []
+    assert alg.problems([0.25, 0.75 + 1e-12]) == []  # within tolerance
+    assert alg.problems([0.2, 0.7]) == ["totality gap +0.1"]
     assert alg.canonical_text(0.2) == "0.200000000"
 
 
@@ -333,12 +363,54 @@ def test_interval_empty_disjoint_total():
     alg = IntervalAlgebra()
     assert alg.is_empty(Tag.EMPTY)
     assert not alg.is_empty(Tag.MIN)
-    assert alg.check_disjoint([Tag.MIN, Tag.MAX])
-    assert alg.check_total([Tag.MAX, Tag.MIN])
-    assert not alg.check_disjoint([Tag.MIN, Tag.MIN])
-    assert not alg.check_total([Tag.MIN])
+    assert alg.problems([Tag.MIN, Tag.MAX]) == []
+    assert alg.problems([Tag.MAX, Tag.MIN]) == []
+    assert alg.problems([Tag.MIN, Tag.MIN])
+    assert alg.problems([Tag.MIN])
     assert alg.canonical_text(Tag.MIN) == "MIN"
     assert alg.top_labels() == (Tag.MIN, Tag.MAX)
+
+
+def test_interval_problems_within_a_tag():
+    alg = IntervalAlgebra()
+    assert alg.problems([Tag.MIN]) == [
+        "expected exactly one MIN and one MAX, got ['MIN']"
+    ]
+    assert alg.problems([Tag.MAX], within=Tag.MAX) == []
+    # the context's tag missing, doubled, or joined by the other tag
+    assert alg.problems([], within=Tag.MAX) == ["expected exactly one MAX, got []"]
+    assert alg.problems([Tag.MIN, Tag.MIN], within=Tag.MIN) == [
+        "expected exactly one MIN, got ['MIN', 'MIN']"
+    ]
+    assert alg.problems([Tag.MAX, Tag.MIN], within=Tag.MIN) == [
+        "expected exactly one MIN, got ['MAX', 'MIN']"
+    ]
+
+
+def test_minus_removes_worlds_from_a_context():
+    alg = FeatureAlgebra(("FA", "FB"))
+    fa, fb = alg.var("FA"), alg.var("FB")
+    assert alg.minus(None, [fa]) == alg.complement(fa)
+    assert alg.minus(fb, [fa]) == alg.meet(fb, alg.complement(fa))
+    assert alg.minus(fa, [fa]) == 0
+    intv = IntervalAlgebra()
+    assert intv.minus(None, [Tag.MIN]) is Tag.MAX
+    assert intv.minus(None, [Tag.MIN, Tag.MAX]) is Tag.EMPTY
+    assert intv.minus(Tag.MAX, [Tag.MIN]) is Tag.MAX
+    assert intv.minus(Tag.MAX, [Tag.MAX]) is Tag.EMPTY
+
+
+def test_enumerated_configurations_know_their_position():
+    alg = FeatureAlgebra(("FA", "FB", "FC"))
+    rng = random.Random(3)
+    labels = [rng.getrandbits(8) for _ in range(20)]
+    for cfg in alg.iter_configs():
+        plain = dict(cfg)
+        assert alg.minterm(cfg) == alg.minterm(plain)
+        for label in labels:
+            assert alg.covers(label, cfg) == alg.holds(label, plain)
+    with pytest.raises(ValueError):
+        alg.covers(1, {"FA": True})
 
 
 def test_sat_calls_count_emptiness_checks():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from multiworld.errors import ArityMismatch, DisjointnessViolation, EvalError, ModalityMismatch
+from multiworld.errors import ArityMismatch, EvalError, ModalityMismatch
 from multiworld.labels import (
     FeatureAlgebra,
     IntervalAlgebra,
@@ -10,8 +10,15 @@ from multiworld.labels import (
     Tag,
 )
 from multiworld.lang import apply_op
-from multiworld.lifting import LiftStats, PrimitiveFn, partial_union, restrict, shallow_apply
-from multiworld.modal import ModalResult, ModalValue, make_const, project, validate
+from multiworld.lifting import LiftStats, PrimitiveFn, restrict, shallow_apply
+from multiworld.modal import (
+    ModalResult,
+    ModalValue,
+    make_const,
+    normalize_result,
+    project,
+    validate,
+)
 from multiworld.oracle import assert_equiv, outcome_at
 
 FEAT = FeatureAlgebra(("FA", "FB"))
@@ -186,30 +193,44 @@ def test_restrict_can_empty_out():
     assert out.pairs == ()
 
 
-# --- partial_union ---------------------------------------------------------------
+def test_restrict_keeps_order_of_results_and_bare_pairs():
+    x = ModalValue(((-7, FA), (1, AND(NOT(FA), FB)), (3, AND(NOT(FA), NOT(FB)))), "feature")
+    assert restrict(FEAT, x.pairs, NOT(FA)) == x.pairs[1:]
+    r = restrict(FEAT, ModalResult(x.pairs[1:], (("DivByZero", FA),), "feature"), FA)
+    assert r == ModalResult((), (("DivByZero", FA),), "feature")
+
+
+# --- union: results over disjoint worlds, concatenated and normalized -------------
+
+def union(alg, a, b):
+    def parts(obj):
+        return (obj.values, obj.errors) if isinstance(obj, ModalResult) else (obj.pairs, ())
+
+    (av, ae), (bv, be) = parts(a), parts(b)
+    return normalize_result(alg, ModalResult(av + bv, ae + be, alg.kind))
+
 
 def test_split_then_union_is_identity():
     x = ModalValue(((-7, FA), (3, NOT(FA))), "feature")
-    rejoined = partial_union(FEAT, restrict(FEAT, x, FB), restrict(FEAT, x, NOT(FB)))
+    rejoined = union(FEAT, restrict(FEAT, x, FB), restrict(FEAT, x, NOT(FB)))
     assert assert_equiv(FEAT, rejoined, x) == (True, None)
 
 
 def test_union_restores_joint_totality():
     a = ModalResult(((9, AND(FA, FB)),), (), "feature")
     b = ModalResult(((2, NOT(FB)),), (("DivByZero", AND(NOT(FA), FB)),), "feature")
-    merged = partial_union(FEAT, a, b)
+    merged = union(FEAT, a, b)
     assert validate(FEAT, merged).ok
 
 
 def test_union_with_empty_branch():
     m = ModalResult(((1, TOP),), (), "feature")
     empty = ModalResult((), (), "feature")
-    assert partial_union(FEAT, empty, m) == m
+    assert union(FEAT, empty, m) == m
 
 
 def test_union_checks_disjointness_when_asked():
     a = ModalResult(((1, FA),), (), "feature")
     b = ModalResult(((2, TOP),), (), "feature")
-    partial_union(FEAT, a, b)  # unchecked: caller's responsibility
-    with pytest.raises(DisjointnessViolation):
-        partial_union(FEAT, a, b, check=True)
+    report = validate(FEAT, union(FEAT, a, b))
+    assert report.problems == ("labels overlap: FA and true",)

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from multiworld.errors import MissingBinding, ModalityMismatch, UndeclaredFeature
+from multiworld import lang, modal_eval
+from multiworld.errors import (
+    BudgetExceeded,
+    InvariantViolation,
+    MissingBinding,
+    ModalityMismatch,
+    UndeclaredFeature,
+)
 from multiworld.labels import Tag
 from multiworld.lang import parse
 from multiworld.lifting import LiftStats
@@ -267,3 +274,39 @@ def test_redundancy_dominance_and_strictness():
     eval_modal(program, env, sd)
     eval_shallow_blackbox(program, env, sb)
     assert sd.total_applications() < sb.total_applications()
+
+
+# --- budgets and the per-node check ---------------------------------------------
+
+DEEP_CHAIN = " + ".join(["x"] * 3000)
+
+
+@pytest.mark.parametrize(
+    "entry", ["eval_modal", "eval_shallow_blackbox", "eval_plain", "brute_force_eval"]
+)
+def test_deep_nesting_is_a_budget_error(entry):
+    program, alg, binds, env = setup(DEEP_CHAIN, SHARING_BINDS)
+    run = {
+        "eval_modal": lambda: eval_modal(program, env),
+        "eval_shallow_blackbox": lambda: eval_shallow_blackbox(program, env),
+        "eval_plain": lambda: lang.eval_plain(program, {"x": 1}),
+        "brute_force_eval": lambda: brute_force_eval(program, binds, alg),
+    }[entry]
+    with pytest.raises(BudgetExceeded, match="program nested too deeply to evaluate"):
+        run()
+
+
+@pytest.mark.parametrize("binds_text, message", [
+    (SHARING_BINDS, "intermediate value: labels overlap: "),
+    ("modality interval;\nbind x = [1 .. 4];", "intermediate value: expected exactly one MAX, got "),
+])
+def test_check_invariants_catches_an_unrestricted_read(monkeypatch, binds_text, message):
+    # a variable read that ignores its path condition puts both branches'
+    # worlds into each branch; the per-node check names the overlap
+    program, alg, binds, env = setup(
+        "if x < 2 then x else x + 1", binds_text, check_invariants=True
+    )
+    eval_modal(program, env)
+    monkeypatch.setattr(modal_eval, "restrict", lambda alg, obj, ctx: obj)
+    with pytest.raises(InvariantViolation, match=message):
+        eval_modal(program, env)

@@ -32,22 +32,37 @@ foo(x, y)
 
 def test_enumerate_feature_configurations():
     alg = FeatureAlgebra(("FA", "FB"))
-    worlds = enumerate_worlds(alg, {})
+    worlds = list(enumerate_worlds(alg, {}))
     assert len(worlds) == 4
-    assert all(w == 1.0 for _, w in worlds)
+    # each world is labeled by its own minterm, and the labels partition
+    assert [label for _, _, label in worlds] == [alg.minterm(c) for c in alg.iter_configs()]
+    assert alg.problems([label for _, _, label in worlds]) == []
+    assert [config for _, config, _ in worlds] == list(alg.iter_configs())
 
 
 def test_enumerate_interval_endpoints():
-    assert [w for w, _ in enumerate_worlds(IntervalAlgebra(), {})] == [Tag.MIN, Tag.MAX]
+    worlds = list(enumerate_worlds(IntervalAlgebra(), {}))
+    assert [label for _, _, label in worlds] == [Tag.MIN, Tag.MAX]
+    assert all(config is None for _, config, _ in worlds)
 
 
 def test_enumerate_probability_joint():
     alg, binds = parse_bindings(
         "modality probability;\nbind x = { 7 @ 0.2, 9 @ 0.8 };\nbind y = { 1 @ 0.5, 2 @ 0.5 };"
     )
-    worlds = enumerate_worlds(alg, binds)
+    worlds = list(enumerate_worlds(alg, binds))
     assert len(worlds) == 4
-    assert sorted(round(w, 10) for _, w in worlds) == [0.1, 0.1, 0.4, 0.4]
+    assert sorted(round(w, 10) for _, _, w in worlds) == [0.1, 0.1, 0.4, 0.4]
+    assert {(env["x"], env["y"]) for env, _, _ in worlds} == {(7, 1), (7, 2), (9, 1), (9, 2)}
+
+
+def test_worlds_stream():
+    # a 20-feature world space is walked lazily, not built up front
+    alg = FeatureAlgebra([f"F{i:02d}" for i in range(20)])
+    worlds = enumerate_worlds(alg, {})
+    env, config, label = next(worlds)
+    assert env == {} and label == 1 and not any(config.values())
+    assert next(worlds)[1] == {**config, "F19": True}
 
 
 def test_feature_budget():
