@@ -1,0 +1,98 @@
+"""Deep evaluation pinned record by record.
+
+``golden/deep_eval.jsonl`` holds one record per deep run of a seeded random
+program (``oracle.random_bindings`` + ``oracle.random_program``): 100 seeds
+per modality, even seeds linear, odd seeds not.  The non-linear
+probability programs are the independent-draw cases the oracle cannot
+check.  Every program runs with ``check_invariants`` off and on, interval
+programs also under both ``interval_empty`` policies.
+
+A record holds the result's values and errors with ``repr`` labels (exact
+floats), the ``LiftStats`` counters, the sorted applications and the
+emptiness checks the run made -- or the type and message of what it raised.
+
+Regenerate (only when a change of output is intended):
+
+    PYTHONPATH=src python3 tests/test_deep_golden.py
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from multiworld import lang
+from multiworld.lifting import LiftStats
+from multiworld.modal_eval import ModalEnv, eval_modal
+from multiworld.oracle import random_bindings, random_program
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "deep_eval.jsonl"
+SEEDS = range(100)
+KINDS = ("feature", "probability", "interval")
+
+
+def runs():
+    """(kind, seed, check_invariants, interval_empty) of every record."""
+    for kind in KINDS:
+        policies = ("reject", "swap") if kind == "interval" else ("reject",)
+        for seed in SEEDS:
+            for check in (False, True):
+                for policy in policies:
+                    yield kind, seed, check, policy
+
+
+def record(kind, seed, check, policy) -> dict:
+    rng = random.Random(seed)
+    alg, binds = random_bindings(rng, kind)
+    program = random_program(rng, alg, binds, linear=seed % 2 == 0)
+    text = lang.render_program(program)
+    out = {
+        "kind": kind,
+        "seed": seed,
+        "check": check,
+        "policy": policy,
+        "program": hashlib.sha256(text.encode()).hexdigest()[:12],
+    }
+    env = ModalEnv(alg, binds, check_invariants=check, interval_empty=policy)
+    stats = LiftStats()
+    before = alg.sat_calls
+    try:
+        result = eval_modal(program, env, stats)
+    except Exception as ex:  # noqa: BLE001 -- what is raised is pinned too
+        out["raised"] = f"{type(ex).__name__}: {ex}"
+        return out
+    out["values"] = [[repr(v), repr(label)] for v, label in result.values]
+    out["errors"] = [[k, repr(label)] for k, label in result.errors]
+    out["tuples"] = stats.tuples
+    out["pruned"] = stats.pruned
+    out["applied"] = stats.applied
+    out["applications"] = sorted(stats.applications.items())
+    out["emptiness_checks"] = alg.sat_calls - before
+    return out
+
+
+def _recorded() -> dict:
+    with GOLDEN.open(encoding="utf-8") as handle:
+        rows = [json.loads(line) for line in handle]
+    return {(r["kind"], r["seed"], r["check"], r["policy"]): r for r in rows}
+
+
+def test_golden_covers_every_run():
+    assert sorted(_recorded()) == sorted(runs())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_deep_eval_matches_golden(kind):
+    recorded = _recorded()
+    for key in runs():
+        if key[0] == kind:
+            # JSON turns the applications' tuples into lists
+            assert json.loads(json.dumps(record(*key))) == recorded[key], key
+
+
+if __name__ == "__main__":
+    with GOLDEN.open("w", encoding="utf-8") as handle:
+        for key in runs():
+            handle.write(json.dumps(record(*key), sort_keys=True, separators=(",", ":")) + "\n")

@@ -1,7 +1,8 @@
 """Outputs pinned byte for byte.
 
 ``golden/cli/<example>.<mode>.out`` is the stdout of ``modal run --stats``
-on each shipped example, ``sat_calls`` included.  ``golden/display_labels.json``
+on each shipped example, ``sat_calls`` included; ``<example>.deep-checked.out``
+is that of ``--mode deep --stats --check-invariants``.  ``golden/display_labels.json``
 holds seeded feature labels (world sets as hex bitmasks, bit ``p`` set iff
 configuration ``p`` is in the set, bit ``i`` of ``p`` being ``features[i]``)
 with their display text, over 1-6 features and a few at 10.
@@ -27,6 +28,13 @@ def test_cli_output_matches_golden(name, mode):
     code, out, err = run_example(name, "--mode", mode, "--stats")
     assert code == 0, err
     assert out == (GOLDEN / "cli" / f"{name}.{mode}.out").read_text()
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_checked_deep_output_matches_golden(name):
+    code, out, err = run_example(name, "--mode", "deep", "--stats", "--check-invariants")
+    assert code == 0, err
+    assert out == (GOLDEN / "cli" / f"{name}.deep-checked.out").read_text()
 
 
 def test_display_text_matches_golden():
