@@ -134,6 +134,10 @@ _BITSET_FEATURE_CAP = 25
 _DNF_FEATURE_CAP = 12
 
 
+# the frame ``Algebra.narrow`` gives when no world is left
+NOWHERE = object()
+
+
 def _members(bits: int):
     """Positions of the set bits, lowest first."""
     while bits:
@@ -164,6 +168,17 @@ class Algebra:
     * ``merge_per_label`` -- pairs merge on (item, label) instead of item.
     * ``features`` -- the declared feature names (none but for features);
       ``sat_calls`` -- the emptiness checks made (only features count).
+
+    Deep evaluation threads a *frame* through the program; these four
+    operations are all it knows of it.  Here a frame is a path condition:
+
+    * ``narrow(ctx, values, errors)`` -- the frame of what runs after a
+      sub-result: ``ctx`` without the worlds of ``errors``, or ``NOWHERE``
+      when no world is left;
+    * ``enter(frame)`` -- the path condition a sub-evaluation runs under;
+    * ``leave(pairs, frame)`` -- a sub-evaluation's pairs, as seen from
+      the frame that entered it;
+    * ``bind(values)`` -- the pairs a variable is bound to.
     """
 
     features = ()
@@ -172,6 +187,21 @@ class Algebra:
 
     def endpoints(self, values, errors=()):
         return None
+
+    def narrow(self, ctx, values, errors):
+        if not errors:
+            return ctx
+        ctx = self.minus(ctx, [label for _, label in errors])
+        return NOWHERE if self.is_empty(ctx) else ctx
+
+    def enter(self, frame):
+        return frame
+
+    def leave(self, pairs, frame):
+        return pairs
+
+    def bind(self, values) -> tuple:
+        return tuple(values)
 
 
 class _Config(dict):
@@ -425,7 +455,21 @@ class FeatureAlgebra(Algebra):
 
 
 class ProbabilityAlgebra(Algebra):
-    """Labels are weights in [0, 1]; combination assumes independence."""
+    """Labels are weights in [0, 1]; combination assumes independence.
+
+    Weights multiply under meet, so threading a path condition through
+    deep evaluation would count a world's mass once per restriction.
+    Instead every sub-evaluation runs in a mass-1 frame (``enter`` gives
+    ``None``), and its pairs are scaled once, by the frame's weight, where
+    it returns (``leave``): at a branch, the weight is the guard's; after
+    a binding or an operand, the mass of the values evaluated so far
+    (``narrow``; ``NOWHERE`` when it is at most ``empty_eps``).  A bound
+    variable holds its values rescaled to mass 1 (``bind``).  Each
+    reference to a variable is therefore an independent draw -- ``x + x``
+    convolves, it does not double -- so the brute-force oracle, which
+    draws every binding once, agrees only on programs that reference each
+    modal variable at most once.
+    """
 
     kind = "probability"
     empty_eps = 1e-12
@@ -449,6 +493,24 @@ class ProbabilityAlgebra(Algebra):
 
     def is_empty(self, label: float) -> bool:
         return label < self.empty_eps
+
+    def narrow(self, ctx, values, errors):
+        mass = sum(w for _, w in values)
+        if mass <= self.empty_eps:
+            return NOWHERE
+        return mass if ctx is None else ctx * mass
+
+    def enter(self, frame):
+        return None
+
+    def leave(self, pairs, frame):
+        if frame is None:
+            return pairs
+        return [(x, w * frame) for x, w in pairs]
+
+    def bind(self, values) -> tuple:
+        scale = 1.0 / sum(w for _, w in values)
+        return tuple((x, w * scale) for x, w in values)
 
     def covers(self, label: float, world) -> bool:
         raise ProjectionUnsupported("probability labels do not name worlds")

@@ -5,7 +5,9 @@ by argument position.  Each tuple's labels are met together; tuples whose
 combined label denotes no world are pruned, every surviving tuple gets one
 real application of the function, and per-world failures become labeled
 error pairs instead of aborting the whole call.  The result is normalized,
-so equal outputs from different tuples share one pair.
+so equal outputs from different tuples share one pair; outputs are merged
+as they come (``modal.collect_outcomes``), so a wide cross product never
+holds every tuple's label at once.
 
 ``restrict`` narrows a value to a path condition; the deep evaluator
 reads every variable and constant through it.  Results that cover
@@ -20,8 +22,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import ArityMismatch, EvalError, ModalityMismatch
-from .modal import ModalResult, ModalValue, normalize_result
+from .errors import ArityMismatch, ModalityMismatch
+from .modal import ModalResult, ModalValue, collect_outcomes, normalize_result
 
 
 @dataclass(frozen=True)
@@ -72,27 +74,22 @@ def shallow_apply(alg, f: PrimitiveFn, args, stats: LiftStats | None = None,
     if stats is None:
         stats = LiftStats()
 
-    out_values = []
-    out_errors = []
-    for combo in product(*[mv.pairs for mv in args]):
-        label = combo[0][1]
-        for _, l in combo[1:]:
-            label = alg.meet(label, l)
-        stats.tuples += 1
-        if alg.is_empty(label):
-            stats.pruned += 1
-            continue
-        stats.applied += 1
-        stats.applications[f.name] += 1
-        try:
-            out_values.append((f.fn(*[v for v, _ in combo]), label))
-        except EvalError as ex:
-            out_errors.append((ex.kind, label))
+    def runs():
+        for combo in product(*[mv.pairs for mv in args]):
+            label = combo[0][1]
+            for _, l in combo[1:]:
+                label = alg.meet(label, l)
+            stats.tuples += 1
+            if alg.is_empty(label):
+                stats.pruned += 1
+                continue
+            stats.applied += 1
+            stats.applications[f.name] += 1
+            yield label, f.fn, [v for v, _ in combo]
 
+    values, errors = collect_outcomes(alg, runs())
     return normalize_result(
-        alg,
-        ModalResult(tuple(out_values), tuple(out_errors), alg.kind),
-        interval_empty=interval_empty,
+        alg, ModalResult(tuple(values), tuple(errors), alg.kind), interval_empty=interval_empty
     )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyModalValue, InvariantViolation
+from .errors import EmptyModalValue, EvalError, InvariantViolation
 from .labels import Tag
 
 Value = int | bool
@@ -99,6 +99,37 @@ def merge_value_pairs(alg, pairs) -> tuple:
 
 def merge_error_pairs(alg, pairs) -> tuple:
     return merge_pairs(alg, pairs, lambda kind: kind)
+
+
+# pairs are merged once this many are unmerged: a feature label takes
+# 2^k bits, so 2^20 unmerged minterms would take 128 GiB
+MERGE_EVERY = 256
+
+
+def collect_outcomes(alg, runs) -> tuple:
+    """The (value pairs, error pairs) of ``(label, fn, args)`` runs: what
+    ``fn(*args)`` returns, or the kind of the ``EvalError`` it raises, at
+    ``label``.
+
+    The pairs are merged whenever ``MERGE_EVERY`` of them are unmerged.  A
+    merge keeps each item's encounter-order join, so merging the lists
+    once more gives what one merge of every outcome would.
+    """
+    values: list = []
+    errors: list = []
+    held, merge_at = 0, MERGE_EVERY
+    for label, fn, args in runs:
+        try:
+            values.append((fn(*args), label))
+        except EvalError as ex:
+            errors.append((ex.kind, label))
+        held += 1
+        if held >= merge_at:
+            values = list(merge_value_pairs(alg, values))
+            errors = list(merge_error_pairs(alg, errors))
+            held = len(values) + len(errors)
+            merge_at = held + MERGE_EVERY
+    return values, errors
 
 
 def _inverted(alg, value_pairs, error_pairs):

@@ -8,22 +8,18 @@ arguments) are evaluated once no matter how many worlds flow through them.
 Conditionals split the current path condition by the guard's labels: each
 branch is evaluated only under the worlds that take it, and the partial
 results are unioned back together.  Errors are confined to their worlds and
-excluded from every downstream context (the algebra's ``minus``); within
-one world the first error (left-to-right evaluation order) wins.
+excluded from every downstream context; within one world the first error
+(left-to-right evaluation order) wins.
 
-The feature and interval modalities thread the path condition as a label
-(their meets are idempotent, so re-restricting at every leaf is harmless):
-variables and constants are read through ``lifting.restrict``.  Every node
-ends in one merge of its pairs (``_finish``), which is the union of its
-parts and, under ``check_invariants``, where the algebra's ``problems``
-checks that the node's labels partition its path condition.
-
-Probability labels multiply under meet, so the same trick would double-count
-mass; the probabilistic path keeps every sub-evaluation in a mass-1 frame
-and scales once at each binding or branch point instead.  Repeated uses of
-one probabilistic variable are therefore treated as independent draws --
-weights lose world identity -- which is why the brute-force oracle is only
-matched on programs that reference each modal variable at most once.
+One code path serves every modality: what a path condition is, how it
+narrows after a sub-result and how a sub-result returns to it are the
+algebra's frame operations (``labels.Algebra``).  Feature and interval
+frames are labels, and variables and constants are read through
+``lifting.restrict``; probability runs every sub-evaluation in a mass-1
+frame and scales where it returns (``labels.ProbabilityAlgebra``).  Every
+node ends in one merge of its pairs (``_finish``), which is the union of
+its parts and, under ``check_invariants``, where the algebra's
+``problems`` checks that the node's labels partition its path condition.
 
 ``eval_shallow_blackbox`` is the contrast case: it crosses the bindings of
 the whole program up front and runs the plain evaluator once per surviving
@@ -32,6 +28,7 @@ tuple, duplicating whatever work the program shares internally.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -39,26 +36,22 @@ from . import lang
 from .errors import (
     TYPE_MISMATCH,
     BudgetExceeded,
-    EvalError,
     InvariantViolation,
     MissingBinding,
     ModalityMismatch,
     UndeclaredFeature,
 )
+from .labels import NOWHERE
 from .lifting import LiftStats, PrimitiveFn, restrict, shallow_apply
 from .modal import (
     ModalResult,
     ModalValue,
+    collect_outcomes,
     merge_error_pairs,
     merge_value_pairs,
     normalize_result,
     validate,
 )
-
-# context sentinel: evaluation reached a world-less point
-_DEAD = object()
-
-_MASS_EPS = 1e-12
 
 
 @dataclass
@@ -71,10 +64,11 @@ class ModalEnv:
     interval_empty: str = "reject"
 
 
-def _primitive(op: str) -> PrimitiveFn:
-    if op == "!":
-        return PrimitiveFn("not", 1, lang.apply_not)
-    return PrimitiveFn(lang.OP_NAMES[op], 2, lambda a, b: lang.apply_op(op, a, b))
+_PRIMITIVES = {
+    op: PrimitiveFn(name, 2, functools.partial(lang.apply_op, op))
+    for op, name in lang.OP_NAMES.items()
+}
+_PRIMITIVES["!"] = PrimitiveFn("not", 1, lang.apply_not)
 
 
 class _DeepEval:
@@ -82,22 +76,8 @@ class _DeepEval:
         self.program = program
         self.env = env
         self.alg = env.alg
-        self.quant = env.alg.kind == "probability"
         self.stats = stats
         self.fundefs = {fd.name: fd for fd in program.fundefs}
-
-    # -- context helpers ---------------------------------------------------
-
-    def _narrow(self, ctx, error_pairs):
-        """Remove the error worlds from a path condition."""
-        if not error_pairs:
-            return ctx
-        ctx = self.alg.minus(ctx, [label for _, label in error_pairs])
-        return _DEAD if self.alg.is_empty(ctx) else ctx
-
-    @staticmethod
-    def _scaled(pairs, factor):
-        return [(x, w * factor) for x, w in pairs]
 
     def _finish(self, values, errors, ctx):
         values = merge_value_pairs(self.alg, values)
@@ -113,10 +93,9 @@ class _DeepEval:
 
     def eval(self, expr, scope, ctx):
         """Returns (value_pairs, error_pairs) jointly covering ``ctx``."""
-        if isinstance(expr, lang.IntLit):
-            return self._const(expr.value, ctx)
-        if isinstance(expr, lang.BoolLit):
-            return self._const(expr.value, ctx)
+        if isinstance(expr, (lang.IntLit, lang.BoolLit)):
+            pairs = [(expr.value, label) for label in self.alg.top_labels()]
+            return self._finish(restrict(self.alg, pairs, ctx), [], ctx)
         if isinstance(expr, lang.Var):
             try:
                 pairs = scope[expr.name]
@@ -129,31 +108,22 @@ class _DeepEval:
             return self._finish(restrict(self.alg, pairs, ctx), [], ctx)
         if isinstance(expr, lang.Not):
             av, ae = self.eval(expr.arg, scope, ctx)
-            res = self._apply(_primitive("!"), [av])
-            return self._finish(list(res.values), list(ae) + list(res.errors), ctx)
+            res = self._apply(_PRIMITIVES["!"], [av])
+            return self._finish(res.values, [*ae, *res.errors], ctx)
         if isinstance(expr, lang.BinOp):
-            if expr.op in ("&&", "||"):
-                return self._shortcircuit(expr, scope, ctx)
+            if expr.op == "&&":
+                # a && b  ==  if a then bool(b) else false; dually for ||
+                return self._branch(expr.lhs, expr.rhs, False, scope, ctx, want_bool=True)
+            if expr.op == "||":
+                return self._branch(expr.lhs, True, expr.rhs, scope, ctx, want_bool=True)
             return self._binop(expr, scope, ctx)
         if isinstance(expr, lang.If):
-            return self._branch(
-                expr.guard,
-                {
-                    True: lambda c: self.eval(expr.then, scope, c),
-                    False: lambda c: self.eval(expr.orelse, scope, c),
-                },
-                scope,
-                ctx,
-            )
+            return self._branch(expr.guard, expr.then, expr.orelse, scope, ctx)
         if isinstance(expr, lang.Let):
             return self._let(expr, scope, ctx)
         if isinstance(expr, lang.Call):
             return self._call(expr, scope, ctx)
         raise TypeError(f"not an expression: {expr!r}")
-
-    def _const(self, v, ctx):
-        pairs = [(v, label) for label in self.alg.top_labels()]
-        return self._finish(restrict(self.alg, pairs, ctx), [], ctx)
 
     def _apply(self, prim, arg_pair_lists):
         args = [ModalValue(tuple(pairs), self.alg.kind) for pairs in arg_pair_lists]
@@ -162,125 +132,72 @@ class _DeepEval:
         )
 
     def _binop(self, expr, scope, ctx):
+        alg = self.alg
         lv, le = self.eval(expr.lhs, scope, ctx)
-        if self.quant:
-            mass = sum(w for _, w in lv)
-            if mass <= _MASS_EPS:
-                return self._finish([], le, ctx)
-            rv, re_ = self.eval(expr.rhs, scope, None)
-            res = self._apply(_primitive(expr.op), [lv, rv])
-            errors = list(le) + self._scaled(re_, mass) + list(res.errors)
-            return self._finish(list(res.values), errors, ctx)
-        ctx2 = self._narrow(ctx, le)
-        if ctx2 is _DEAD:
+        frame = alg.narrow(ctx, lv, le)
+        if frame is NOWHERE:
             return self._finish([], le, ctx)
-        rv, re_ = self.eval(expr.rhs, scope, ctx2)
-        res = self._apply(_primitive(expr.op), [lv, rv])
-        errors = list(le) + list(re_) + list(res.errors)
-        return self._finish(list(res.values), errors, ctx)
+        rv, re_ = self.eval(expr.rhs, scope, alg.enter(frame))
+        res = self._apply(_PRIMITIVES[expr.op], [lv, rv])
+        return self._finish(res.values, [*le, *alg.leave(re_, frame), *res.errors], ctx)
 
-    def _branch(self, guard_expr, handlers, scope, ctx):
-        """Evaluate each branch only under the guard labels that select it.
+    def _branch(self, guard, then, orelse, scope, ctx, want_bool=False):
+        """Evaluate each arm only under the guard labels that select it.
 
-        Guard worlds holding a non-boolean become TypeMismatch errors; the
-        remaining worlds proceed.  A branch no world selects is never
-        evaluated at all.
+        An arm is an expression or a decided bool.  Guard worlds holding a
+        non-boolean become TypeMismatch errors, and so do the worlds where
+        an arm gives a non-boolean under ``want_bool`` (the right operand
+        of ``&&``/``||``).  An arm no world selects is never evaluated.
         """
-        gv, ge = self.eval(guard_expr, scope, ctx)
+        alg = self.alg
+        gv, ge = self.eval(guard, scope, ctx)
         values: list = []
         errors: list = list(ge)
         for val, label in gv:
             if not isinstance(val, bool):
                 errors.append((TYPE_MISMATCH, label))
                 continue
-            handler = handlers[val]
-            if self.quant:
-                bv, be = handler(None)
-                values.extend(self._scaled(bv, label))
-                errors.extend(self._scaled(be, label))
-            else:
-                bv, be = handler(label)
-                values.extend(bv)
-                errors.extend(be)
+            arm = then if val else orelse
+            if isinstance(arm, bool):
+                values.append((arm, label))
+                continue
+            av, ae = self.eval(arm, scope, alg.enter(label))
+            if want_bool:
+                ae = [*ae, *((TYPE_MISMATCH, l) for v, l in av if not isinstance(v, bool))]
+                av = [(v, l) for v, l in av if isinstance(v, bool)]
+            values.extend(alg.leave(av, label))
+            errors.extend(alg.leave(ae, label))
         return self._finish(values, errors, ctx)
 
-    def _shortcircuit(self, expr, scope, ctx):
-        # a && b  ==  if a then bool(b) else false; dually for ||.
-        # Worlds decided by the left operand never evaluate the right one.
-        def rhs_branch(branch_ctx):
-            bv, be = self.eval(expr.rhs, scope, branch_ctx)
-            ok = [(v, label) for v, label in bv if isinstance(v, bool)]
-            bad = [(TYPE_MISMATCH, label) for v, label in bv if not isinstance(v, bool)]
-            return ok, list(be) + bad
-
-        def const_branch(value):
-            def handler(branch_ctx):
-                if self.quant:
-                    return [(value, 1.0)], []
-                return [(value, branch_ctx)], []
-
-            return handler
-
-        if expr.op == "&&":
-            handlers = {True: rhs_branch, False: const_branch(False)}
-        else:
-            handlers = {True: const_branch(True), False: rhs_branch}
-        return self._branch(expr.lhs, handlers, scope, ctx)
-
     def _let(self, expr, scope, ctx):
+        alg = self.alg
         bv, be = self.eval(expr.bound, scope, ctx)
-        if self.quant:
-            mass = sum(w for _, w in bv)
-            if mass <= _MASS_EPS:
-                return self._finish([], be, ctx)
-            inner = {**scope, expr.name: tuple(self._scaled(bv, 1.0 / mass))}
-            xv, xe = self.eval(expr.body, inner, None)
-            return self._finish(
-                self._scaled(xv, mass), list(be) + self._scaled(xe, mass), ctx
-            )
-        ctx2 = self._narrow(ctx, be)
-        if ctx2 is _DEAD:
+        frame = alg.narrow(ctx, bv, be)
+        if frame is NOWHERE:
             return self._finish([], be, ctx)
-        inner = {**scope, expr.name: tuple(bv)}
-        xv, xe = self.eval(expr.body, inner, ctx2)
-        return self._finish(xv, list(be) + list(xe), ctx)
+        inner = {**scope, expr.name: alg.bind(bv)}
+        xv, xe = self.eval(expr.body, inner, alg.enter(frame))
+        return self._finish(alg.leave(xv, frame), [*be, *alg.leave(xe, frame)], ctx)
 
     def _call(self, expr, scope, ctx):
         # the call counts as applied only once its body runs, matching the
         # plain evaluator (argument errors abort before the call happens)
+        alg = self.alg
         fd = self.fundefs[expr.fn]
-        if self.quant:
-            scale = 1.0
-            errors: list = []
-            arg_pairs = []
-            for arg in expr.args:
-                av, ae = self.eval(arg, scope, None)
-                errors.extend(self._scaled(ae, scale))
-                mass = sum(w for _, w in av)
-                if mass <= _MASS_EPS:
-                    return self._finish([], errors, ctx)
-                scale *= mass
-                arg_pairs.append(tuple(self._scaled(av, 1.0 / mass)))
-            inner = dict(zip(fd.params, arg_pairs))
-            self.stats.applications[expr.fn] += 1
-            xv, xe = self.eval(fd.body, inner, None)
-            return self._finish(
-                self._scaled(xv, scale), errors + self._scaled(xe, scale), ctx
-            )
-        ctx2 = ctx
-        errors = []
+        frame = ctx
+        errors: list = []
         arg_pairs = []
         for arg in expr.args:
-            av, ae = self.eval(arg, scope, ctx2)
-            errors.extend(ae)
-            ctx2 = self._narrow(ctx2, ae)
-            if ctx2 is _DEAD:
+            av, ae = self.eval(arg, scope, alg.enter(frame))
+            errors.extend(alg.leave(ae, frame))
+            frame = alg.narrow(frame, av, ae)
+            if frame is NOWHERE:
                 return self._finish([], errors, ctx)
-            arg_pairs.append(tuple(av))
+            arg_pairs.append(alg.bind(av))
         inner = dict(zip(fd.params, arg_pairs))
         self.stats.applications[expr.fn] += 1
-        xv, xe = self.eval(fd.body, inner, ctx2)
-        return self._finish(xv, errors + list(xe), ctx)
+        xv, xe = self.eval(fd.body, inner, alg.enter(frame))
+        return self._finish(alg.leave(xv, frame), [*errors, *alg.leave(xe, frame)], ctx)
 
     # -- entry point ---------------------------------------------------------
 
@@ -288,18 +205,7 @@ class _DeepEval:
         _preflight(self.program, self.alg)
         scope = {name: mv.pairs for name, mv in self.env.bindings.items()}
         values, errors = self.eval(self.program.main, scope, None)
-        result = normalize_result(
-            self.alg,
-            ModalResult(tuple(values), tuple(errors), self.alg.kind),
-            interval_empty=self.env.interval_empty,
-        )
-        if self.env.check_invariants:
-            report = validate(
-                self.alg, result, interval_empty=self.env.interval_empty
-            )
-            if not report:
-                raise InvariantViolation("; ".join(report.problems))
-        return result
+        return _finish_result(self.env, values, errors)
 
 
 def _preflight(program: lang.Program, alg) -> set:
@@ -376,47 +282,40 @@ def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
 
     if names:
         space = (
-            ([v for v, _ in combo], _meet_all(alg, [l for _, l in combo]))
+            ([v for v, _ in combo], functools.reduce(alg.meet, [l for _, l in combo]))
             for combo in product(*[env.bindings[n].pairs for n in names])
         )
     else:
         space = (([], label) for label in alg.top_labels())
 
-    out_values = []
-    out_errors = []
-    for tuple_values, label in space:
-        if alg.is_empty(label):
-            stats.tuples += 1
-            stats.pruned += 1
-            continue
-        if feature_list:
-            leaves = _split_by_features(alg, label, feature_list)
-        else:
-            leaves = [(label, None)]
-        for leaf_label, config in leaves:
-            stats.tuples += 1
-            stats.applied += 1
-            plain_env = dict(zip(names, tuple_values))
-            try:
-                out = lang.eval_plain(program, plain_env, config, stats)
-                out_values.append((out, leaf_label))
-            except EvalError as ex:
-                out_errors.append((ex.kind, leaf_label))
+    def runs():
+        for tuple_values, label in space:
+            if alg.is_empty(label):
+                stats.tuples += 1
+                stats.pruned += 1
+                continue
+            if feature_list:
+                leaves = _split_by_features(alg, label, feature_list)
+            else:
+                leaves = [(label, None)]
+            for leaf_label, config in leaves:
+                stats.tuples += 1
+                stats.applied += 1
+                plain_env = dict(zip(names, tuple_values))
+                yield leaf_label, lang.eval_plain, (program, plain_env, config, stats)
 
+    return _finish_result(env, *collect_outcomes(alg, runs()))
+
+
+def _finish_result(env: ModalEnv, values, errors) -> ModalResult:
+    """The normalized result of a run, validated under ``check_invariants``."""
     result = normalize_result(
-        alg,
-        ModalResult(tuple(out_values), tuple(out_errors), alg.kind),
+        env.alg,
+        ModalResult(tuple(values), tuple(errors), env.alg.kind),
         interval_empty=env.interval_empty,
     )
     if env.check_invariants:
-        report = validate(alg, result, interval_empty=env.interval_empty)
+        report = validate(env.alg, result, interval_empty=env.interval_empty)
         if not report:
             raise InvariantViolation("; ".join(report.problems))
     return result
-
-
-def _meet_all(alg, labels_):
-    label = labels_[0]
-    for l in labels_[1:]:
-        label = alg.meet(label, l)
-    return label

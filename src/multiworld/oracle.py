@@ -17,11 +17,12 @@ import math
 from itertools import product
 
 from . import lang
-from .errors import BudgetExceeded, EvalError, ModalityMismatch
+from .errors import BudgetExceeded, ModalityMismatch
 from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
 from .modal import (
     ModalResult,
     ModalValue,
+    collect_outcomes,
     make_const,
     merge_error_pairs,
     merge_value_pairs,
@@ -33,9 +34,6 @@ from .modal import (
 
 FEATURE_BUDGET = 20
 JOINT_BUDGET = 10**6
-# per-world pairs are merged once this many are unmerged: a feature
-# minterm takes 2^k bits, so 2^20 unmerged ones would take 128 GiB
-MERGE_EVERY = 256
 
 
 def _named_worlds(alg):
@@ -88,21 +86,10 @@ def enumerate_worlds(alg, bindings):
 
 def brute_force_eval(program: lang.Program, bindings, alg, stats=None) -> ModalResult:
     """Per-world plain runs, aggregated into a modal result."""
-    values = []
-    errors = []
-    merge_at = MERGE_EVERY
-    for env, config, label in enumerate_worlds(alg, bindings):
-        try:
-            out = lang.eval_plain(program, env, config, stats)
-            values.append((out, label))
-        except EvalError as ex:
-            errors.append((ex.kind, label))
-        if len(values) + len(errors) >= merge_at:
-            # merging keeps each item's encounter-order join, so the result
-            # is the same as one merge at the end
-            values = list(merge_value_pairs(alg, values))
-            errors = list(merge_error_pairs(alg, errors))
-            merge_at = len(values) + len(errors) + MERGE_EVERY
+    values, errors = collect_outcomes(alg, (
+        (label, lang.eval_plain, (program, env, config, stats))
+        for env, config, label in enumerate_worlds(alg, bindings)
+    ))
     return ModalResult(
         merge_value_pairs(alg, values), merge_error_pairs(alg, errors), alg.kind
     )

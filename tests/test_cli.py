@@ -1,6 +1,17 @@
+import io
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from multiworld.cli import main
+from multiworld.lang import render_program
+from multiworld.oracle import random_bindings, random_program
+from test_bindings import BINDINGS_TOKENS
+from test_lang import PROGRAM_TOKENS
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -252,3 +263,74 @@ def test_inputs_nested_too_deeply_to_parse_exit_with_budget_code(tmp_path):
     prog.write_text("x")
     code, out, err = run_cli("run", "-p", str(prog), "-b", str(binds))
     assert (code, out, err) == (3, "", "error: bindings nested too deeply to parse\n")
+
+
+# --- fuzzed command lines ------------------------------------------------------
+
+def _bindings_text(alg, binds) -> str:
+    head = {
+        "feature": f"modality feature({', '.join(alg.features)});",
+        "probability": "modality probability;",
+        "interval": "modality interval;",
+    }[alg.kind]
+    lines = [head]
+    for name, mv in binds.items():
+        if alg.kind == "interval":
+            lo, hi = (v for v, _ in mv.pairs)
+            lines.append(f"bind {name} = [{lo} .. {hi}];")
+        else:
+            text = alg.canonical_text if alg.kind == "feature" else repr
+            pairs = ", ".join(f"{v} @ {text(label)}" for v, label in mv.pairs)
+            lines.append(f"bind {name} = {{ {pairs} }};")
+    return "\n".join(lines)
+
+
+@st.composite
+def _inputs(draw):
+    """(program text, bindings text): rendered random programs over random
+    bindings of at most 4 features, mutated or not, or token soup."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    alg, binds = random_bindings(rng, draw(st.sampled_from(["feature", "interval", "probability"])))
+    texts = [
+        render_program(random_program(rng, alg, binds, linear=draw(st.booleans()), max_depth=4)),
+        _bindings_text(alg, binds),
+    ]
+    soups = (PROGRAM_TOKENS, BINDINGS_TOKENS)
+    for i in range(2):
+        how = draw(st.sampled_from(["valid", "valid", "valid", "mutated", "soup"]))
+        if how == "mutated":
+            at = draw(st.integers(0, len(texts[i])))
+            cut = draw(st.integers(0, 6))
+            texts[i] = texts[i][:at] + draw(st.sampled_from(soups[i])) + texts[i][at + cut:]
+        elif how == "soup":
+            texts[i] = " ".join(draw(st.lists(st.sampled_from(soups[i]), max_size=30)))
+    return texts
+
+
+@st.composite
+def _flags(draw):
+    flags = ["--mode", draw(st.sampled_from(["plain", "shallow", "deep", "oracle", "check"]))]
+    for flag in ("--check-invariants", "--stats"):
+        if draw(st.booleans()):
+            flags.append(flag)
+    if draw(st.booleans()):
+        flags += ["--interval-empty", draw(st.sampled_from(["reject", "swap"]))]
+    if draw(st.booleans()):
+        flags += ["--config", draw(st.sampled_from(
+            ["FA=1", "FA=0,FB=1", "FA=1,FB=0,FC=1,FD=0", "MIN", "max", "FA=2", "", "x"]
+        ))]
+    if draw(st.booleans()):
+        flags += ["--feature-limit", str(draw(st.integers(-1, 30)))]
+    return flags
+
+
+@settings(max_examples=150)
+@given(_inputs(), _flags())
+def test_fuzzed_command_lines_end_in_a_documented_exit_code(tmp_path_factory, texts, flags):
+    where = tmp_path_factory.mktemp("fuzz")
+    program, binds = where / "p.mdl", where / "b.mb"
+    program.write_text(texts[0], encoding="utf-8")
+    binds.write_text(texts[1], encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["run", "-p", str(program), "-b", str(binds), *flags])
+    assert code in (0, 1, 2, 3)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from multiworld import lang, modal_eval
+from multiworld import lang, lifting, modal, modal_eval
 from multiworld.errors import (
     BudgetExceeded,
     InvariantViolation,
@@ -10,10 +10,10 @@ from multiworld.errors import (
     ModalityMismatch,
     UndeclaredFeature,
 )
-from multiworld.labels import Tag
+from multiworld.labels import FeatureAlgebra, Tag
 from multiworld.lang import parse
 from multiworld.lifting import LiftStats
-from multiworld.modal import validate
+from multiworld.modal import ModalValue, validate
 from multiworld.modal_eval import ModalEnv, eval_modal, eval_shallow_blackbox
 from multiworld.oracle import (
     assert_equiv,
@@ -310,3 +310,44 @@ def test_check_invariants_catches_an_unrestricted_read(monkeypatch, binds_text, 
     monkeypatch.setattr(modal_eval, "restrict", lambda alg, obj, ctx: obj)
     with pytest.raises(InvariantViolation, match=message):
         eval_modal(program, env)
+
+
+def test_deep_calls_shallow_apply_by_its_lifting_name():
+    # a tracer that wraps lifting.shallow_apply replaces this reference too
+    assert modal_eval.shallow_apply is lifting.shallow_apply
+
+
+def _wide_bindings():
+    """Probability and feature bindings whose product crosses 400 and 1024
+    surviving tuples."""
+    weights = ", ".join(f"{i} @ {1 / 20!r}" for i in range(20))
+    probability = parse_bindings(
+        f"modality probability;\nbind x = {{ {weights} }};\nbind y = {{ {weights} }};"
+    )
+    alg = FeatureAlgebra([f"F{i}" for i in range(10)])
+
+    def spread(part):  # value i on the configurations p with part(p) == i
+        return ModalValue(
+            tuple((i, sum(1 << p for p in range(1024) if part(p) == i)) for i in range(32)),
+            "feature",
+        )
+
+    return probability, (alg, {"x": spread(lambda p: p & 31), "y": spread(lambda p: p >> 5)})
+
+
+@pytest.mark.parametrize("evaluate", [eval_modal, eval_shallow_blackbox])
+def test_evaluators_merge_tuples_as_they_go(monkeypatch, evaluate):
+    for alg, binds in _wide_bindings():
+        env = ModalEnv(alg, binds)
+        seen = []
+        merge = modal.merge_value_pairs
+        monkeypatch.setattr(
+            modal, "merge_value_pairs", lambda a, pairs: seen.append(len(pairs)) or merge(a, pairs)
+        )
+        result = evaluate(parse("x * y"), env)
+        # never more than MERGE_EVERY tuples unmerged
+        assert len(seen) > 1 and max(seen) <= modal.MERGE_EVERY + len(result.values)
+        monkeypatch.undo()
+        monkeypatch.setattr(modal, "MERGE_EVERY", 1 << 11)  # one merge, at the end
+        assert evaluate(parse("x * y"), env) == result
+        monkeypatch.undo()

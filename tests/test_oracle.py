@@ -12,7 +12,7 @@ from multiworld.labels import (
 from multiworld.lang import parse
 from multiworld.modal import ModalResult, ModalValue, validate
 from multiworld.modal_eval import ModalEnv, eval_modal
-from multiworld import oracle
+from multiworld import modal, oracle
 from multiworld.oracle import (
     assert_equiv,
     brute_force_eval,
@@ -91,15 +91,17 @@ def test_oracle_merges_worlds_as_it_goes(monkeypatch):
     )
     for program, (alg, binds) in ((DIV, feature), ("x * y - x", probability)):
         seen = []
-        merge = oracle.merge_value_pairs
-        monkeypatch.setattr(
-            oracle, "merge_value_pairs", lambda a, pairs: seen.append(len(pairs)) or merge(a, pairs)
-        )
+        merge = modal.merge_value_pairs
+        for module in (modal, oracle):
+            monkeypatch.setattr(
+                module, "merge_value_pairs",
+                lambda a, pairs: seen.append(len(pairs)) or merge(a, pairs),
+            )
         result = brute_force_eval(parse(program), binds, alg)
         # 1024 and 400 worlds; never more than MERGE_EVERY of them unmerged
-        assert len(seen) > 1 and max(seen) <= oracle.MERGE_EVERY + len(result.values)
-        monkeypatch.setattr(oracle, "merge_value_pairs", merge)
-        monkeypatch.setattr(oracle, "MERGE_EVERY", 1 << 11)  # one merge, at the end
+        assert len(seen) > 1 and max(seen) <= modal.MERGE_EVERY + len(result.values)
+        monkeypatch.undo()
+        monkeypatch.setattr(modal, "MERGE_EVERY", 1 << 11)  # one merge, at the end
         assert brute_force_eval(parse(program), binds, alg) == result
         monkeypatch.undo()
 
