@@ -461,14 +461,14 @@ class ProbabilityAlgebra(Algebra):
     deep evaluation would count a world's mass once per restriction.
     Instead every sub-evaluation runs in a mass-1 frame (``enter`` gives
     ``None``), and its pairs are scaled once, by the frame's weight, where
-    it returns (``leave``): at a branch, the weight is the guard's; after
-    a binding or an operand, the mass of the values evaluated so far
-    (``narrow``; ``NOWHERE`` when it is at most ``empty_eps``).  A bound
-    variable holds its values rescaled to mass 1 (``bind``).  Each
-    reference to a variable is therefore an independent draw -- ``x + x``
-    convolves, it does not double -- so the brute-force oracle, which
-    draws every binding once, agrees only on programs that reference each
-    modal variable at most once.
+    it returns (``leave``, which drops the pairs whose scaled weight is
+    empty): at a branch, the weight is the guard's; after a binding or an
+    operand, the mass of the values evaluated so far (``narrow``;
+    ``NOWHERE`` at most ``empty_eps``).  A bound variable holds its values
+    rescaled to mass 1 (``bind``).  Each reference to a variable is
+    therefore an independent draw -- ``x + x`` convolves, it does not
+    double -- so the brute-force oracle, which draws every binding once,
+    agrees only on programs that reference each modal variable at most once.
     """
 
     kind = "probability"
@@ -506,7 +506,7 @@ class ProbabilityAlgebra(Algebra):
     def leave(self, pairs, frame):
         if frame is None:
             return pairs
-        return [(x, w * frame) for x, w in pairs]
+        return [(x, w * frame) for x, w in pairs if not self.is_empty(w * frame)]
 
     def bind(self, values) -> tuple:
         scale = 1.0 / sum(w for _, w in values)

@@ -9,11 +9,9 @@ so equal outputs from different tuples share one pair; outputs are merged
 as they come (``modal.collect_outcomes``), so a wide cross product never
 holds every tuple's label at once.
 
-``restrict`` narrows a value to a path condition; the deep evaluator
-reads every variable and constant through it.  Results that cover
-disjoint parts of the worlds are united by concatenating their pairs and
-normalizing (``modal.normalize_result``), which is what the deep evaluator
-does at every node.
+``restrict`` narrows a value to a path condition and keeps normalized
+pairs normalized, so the deep evaluator reads every variable and constant
+through it unmerged; it merges only where it unites two or more parts.
 """
 
 from __future__ import annotations

@@ -70,6 +70,8 @@ def merge_pairs(alg, pairs, item_key) -> tuple:
     Under ``alg.merge_per_label`` the key is (item, label): interval
     ``(5, MIN)`` and ``(5, MAX)`` stay distinct.
     """
+    if len(pairs) < 2:  # nothing to unite: only an empty label goes
+        return tuple(pair for pair in pairs if not alg.is_empty(pair[1]))
     per_tag = alg.merge_per_label
     grouped: dict = {}
     for item, label in pairs:

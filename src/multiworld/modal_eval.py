@@ -17,9 +17,9 @@ algebra's frame operations (``labels.Algebra``).  Feature and interval
 frames are labels, and variables and constants are read through
 ``lifting.restrict``; probability runs every sub-evaluation in a mass-1
 frame and scales where it returns (``labels.ProbabilityAlgebra``).  Every
-node ends in one merge of its pairs (``_finish``), which is the union of
-its parts and, under ``check_invariants``, where the algebra's
-``problems`` checks that the node's labels partition its path condition.
+node returns normalized pairs: normalized parts pass through, and only a
+union of two or more non-empty parts is merged.  Under ``check_invariants``
+``_finish`` checks that each node's labels partition its path condition.
 
 ``eval_shallow_blackbox`` is the contrast case: it crosses the bindings of
 the whole program up front and runs the plain evaluator once per surviving
@@ -47,6 +47,7 @@ from .modal import (
     ModalResult,
     ModalValue,
     collect_outcomes,
+    make_const,
     merge_error_pairs,
     merge_value_pairs,
     normalize_result,
@@ -56,7 +57,7 @@ from .modal import (
 
 @dataclass
 class ModalEnv:
-    """Evaluation context: algebra, bindings, and the run's policies."""
+    """Evaluation context: algebra, normalized bindings, the run's policies."""
 
     alg: object
     bindings: dict
@@ -78,10 +79,18 @@ class _DeepEval:
         self.alg = env.alg
         self.stats = stats
         self.fundefs = {fd.name: fd for fd in program.fundefs}
+        self.consts: dict = {}
 
-    def _finish(self, values, errors, ctx):
-        values = merge_value_pairs(self.alg, values)
-        errors = merge_error_pairs(self.alg, errors)
+    def _union(self, merge, parts):
+        """The union of normalized parts: a merge only if two or more are non-empty."""
+        parts = [part for part in parts if part]
+        if len(parts) > 1:
+            return merge(self.alg, [pair for part in parts for pair in part])
+        return parts[0] if parts else ()
+
+    def _finish(self, values, error_parts, ctx):
+        """A node's normalized values, and the union of its error parts."""
+        errors = self._union(merge_error_pairs, error_parts) if error_parts else ()
         if self.env.check_invariants:
             labels_ = [label for _, label in values] + [label for _, label in errors]
             problems = self.alg.problems(labels_, within=ctx)
@@ -94,52 +103,53 @@ class _DeepEval:
     def eval(self, expr, scope, ctx):
         """Returns (value_pairs, error_pairs) jointly covering ``ctx``."""
         if isinstance(expr, (lang.IntLit, lang.BoolLit)):
-            pairs = [(expr.value, label) for label in self.alg.top_labels()]
-            return self._finish(restrict(self.alg, pairs, ctx), [], ctx)
-        if isinstance(expr, lang.Var):
+            key = (type(expr.value), expr.value)  # 1 and True stay apart
+            if key not in self.consts:  # a merge sorts interval (MIN, MAX) to (MAX, MIN)
+                self.consts[key] = merge_value_pairs(self.alg, make_const(self.alg, expr.value).pairs)
+            pairs = self.consts[key]
+        elif isinstance(expr, lang.Var):
             try:
                 pairs = scope[expr.name]
             except KeyError:
                 raise MissingBinding(f"no value bound for {expr.name!r}") from None
-            return self._finish(restrict(self.alg, pairs, ctx), [], ctx)
-        if isinstance(expr, lang.Feature):
+        elif isinstance(expr, lang.Feature):
             v = self.alg.var(expr.name)
             pairs = ((False, self.alg.complement(v)), (True, v))
-            return self._finish(restrict(self.alg, pairs, ctx), [], ctx)
-        if isinstance(expr, lang.Not):
+        elif isinstance(expr, lang.Not):
             av, ae = self.eval(expr.arg, scope, ctx)
-            res = self._apply(_PRIMITIVES["!"], [av])
-            return self._finish(res.values, [*ae, *res.errors], ctx)
-        if isinstance(expr, lang.BinOp):
+            return self._apply(_PRIMITIVES["!"], [av], [ae], ctx)
+        elif isinstance(expr, lang.BinOp):
             if expr.op == "&&":
                 # a && b  ==  if a then bool(b) else false; dually for ||
                 return self._branch(expr.lhs, expr.rhs, False, scope, ctx, want_bool=True)
             if expr.op == "||":
                 return self._branch(expr.lhs, True, expr.rhs, scope, ctx, want_bool=True)
             return self._binop(expr, scope, ctx)
-        if isinstance(expr, lang.If):
+        elif isinstance(expr, lang.If):
             return self._branch(expr.guard, expr.then, expr.orelse, scope, ctx)
-        if isinstance(expr, lang.Let):
-            return self._let(expr, scope, ctx)
-        if isinstance(expr, lang.Call):
-            return self._call(expr, scope, ctx)
-        raise TypeError(f"not an expression: {expr!r}")
+        elif isinstance(expr, lang.Let):
+            return self._bind(dict(scope), (expr.name,), (expr.bound,), expr.body, scope, ctx)
+        elif isinstance(expr, lang.Call):
+            fd = self.fundefs[expr.fn]
+            return self._bind({}, fd.params, expr.args, fd.body, scope, ctx, expr.fn)
+        else:
+            raise TypeError(f"not an expression: {expr!r}")
+        return self._finish(restrict(self.alg, pairs, ctx), (), ctx)
 
-    def _apply(self, prim, arg_pair_lists):
+    def _apply(self, prim, arg_pair_lists, error_parts, ctx):
+        """A primitive's node: ``shallow_apply``'s values, after the operands' errors."""
         args = [ModalValue(tuple(pairs), self.alg.kind) for pairs in arg_pair_lists]
-        return shallow_apply(
-            self.alg, prim, args, self.stats, interval_empty=self.env.interval_empty
-        )
+        res = shallow_apply(self.alg, prim, args, self.stats, interval_empty=self.env.interval_empty)
+        return self._finish(res.values, (*error_parts, res.errors), ctx)
 
     def _binop(self, expr, scope, ctx):
         alg = self.alg
         lv, le = self.eval(expr.lhs, scope, ctx)
         frame = alg.narrow(ctx, lv, le)
         if frame is NOWHERE:
-            return self._finish([], le, ctx)
+            return self._finish((), (le,), ctx)
         rv, re_ = self.eval(expr.rhs, scope, alg.enter(frame))
-        res = self._apply(_PRIMITIVES[expr.op], [lv, rv])
-        return self._finish(res.values, [*le, *alg.leave(re_, frame), *res.errors], ctx)
+        return self._apply(_PRIMITIVES[expr.op], [lv, rv], [le, alg.leave(re_, frame)], ctx)
 
     def _branch(self, guard, then, orelse, scope, ctx, want_bool=False):
         """Evaluate each arm only under the guard labels that select it.
@@ -152,52 +162,42 @@ class _DeepEval:
         alg = self.alg
         gv, ge = self.eval(guard, scope, ctx)
         values: list = []
-        errors: list = list(ge)
+        errors: list = [ge]
         for val, label in gv:
             if not isinstance(val, bool):
-                errors.append((TYPE_MISMATCH, label))
+                errors.append([(TYPE_MISMATCH, label)])
                 continue
             arm = then if val else orelse
             if isinstance(arm, bool):
-                values.append((arm, label))
+                values.append([(arm, label)])
                 continue
             av, ae = self.eval(arm, scope, alg.enter(label))
             if want_bool:
-                ae = [*ae, *((TYPE_MISMATCH, l) for v, l in av if not isinstance(v, bool))]
+                errors.extend(alg.leave([(TYPE_MISMATCH, l)], label)
+                              for v, l in av if not isinstance(v, bool))
                 av = [(v, l) for v, l in av if isinstance(v, bool)]
-            values.extend(alg.leave(av, label))
-            errors.extend(alg.leave(ae, label))
-        return self._finish(values, errors, ctx)
+            values.append(alg.leave(av, label))
+            errors.append(alg.leave(ae, label))
+        return self._finish(self._union(merge_value_pairs, values), errors, ctx)
 
-    def _let(self, expr, scope, ctx):
+    def _bind(self, inner, names, args, body, scope, ctx, fn=None):
+        """A ``let``, or a call of ``fn``, which counts as applied only once
+        its body runs, as in the plain evaluator."""
         alg = self.alg
-        bv, be = self.eval(expr.bound, scope, ctx)
-        frame = alg.narrow(ctx, bv, be)
-        if frame is NOWHERE:
-            return self._finish([], be, ctx)
-        inner = {**scope, expr.name: alg.bind(bv)}
-        xv, xe = self.eval(expr.body, inner, alg.enter(frame))
-        return self._finish(alg.leave(xv, frame), [*be, *alg.leave(xe, frame)], ctx)
-
-    def _call(self, expr, scope, ctx):
-        # the call counts as applied only once its body runs, matching the
-        # plain evaluator (argument errors abort before the call happens)
-        alg = self.alg
-        fd = self.fundefs[expr.fn]
         frame = ctx
         errors: list = []
-        arg_pairs = []
-        for arg in expr.args:
+        for name, arg in zip(names, args):
             av, ae = self.eval(arg, scope, alg.enter(frame))
-            errors.extend(alg.leave(ae, frame))
+            errors.append(alg.leave(ae, frame))
             frame = alg.narrow(frame, av, ae)
             if frame is NOWHERE:
-                return self._finish([], errors, ctx)
-            arg_pairs.append(alg.bind(av))
-        inner = dict(zip(fd.params, arg_pairs))
-        self.stats.applications[expr.fn] += 1
-        xv, xe = self.eval(fd.body, inner, alg.enter(frame))
-        return self._finish(alg.leave(xv, frame), [*errors, *alg.leave(xe, frame)], ctx)
+                return self._finish((), errors, ctx)
+            inner[name] = alg.bind(av)
+        if fn is not None:
+            self.stats.applications[fn] += 1
+        xv, xe = self.eval(body, inner, alg.enter(frame))
+        errors.append(alg.leave(xe, frame))
+        return self._finish(alg.leave(xv, frame), errors, ctx)
 
     # -- entry point ---------------------------------------------------------
 

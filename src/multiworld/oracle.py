@@ -191,7 +191,7 @@ def random_bindings(rng, kind: str, *, max_features: int = 4, max_vars: int = 4)
         for i in range(rng.randint(1, max_vars)):
             lo = rng.randint(-8, 8)
             hi = rng.randint(lo, 8)
-            bindings[f"x{i}"] = ModalValue(((lo, Tag.MIN), (hi, Tag.MAX)), alg.kind)
+            bindings[f"x{i}"] = normalize(alg, ModalValue(((lo, Tag.MIN), (hi, Tag.MAX)), alg.kind))
         return alg, bindings
     alg = ProbabilityAlgebra()
     bindings = {}

@@ -14,11 +14,15 @@ emptiness checks the run made -- or the type and message of what it raised.
 Regenerate (only when a change of output is intended):
 
     PYTHONPATH=src python3 tests/test_deep_golden.py
+
+which prints how many records changed in each field, so a re-record that
+should touch only counters shows at a glance whether it did.
 """
 
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -93,6 +97,18 @@ def test_deep_eval_matches_golden(kind):
 
 
 if __name__ == "__main__":
+    previous = _recorded() if GOLDEN.exists() else {}
+    changed = Counter()
+    written = 0
     with GOLDEN.open("w", encoding="utf-8") as handle:
         for key in runs():
-            handle.write(json.dumps(record(*key), sort_keys=True, separators=(",", ":")) + "\n")
+            line = json.dumps(record(*key), sort_keys=True, separators=(",", ":"))
+            handle.write(line + "\n")
+            written += 1
+            new, old = json.loads(line), previous.get(key, {})
+            changed.update(f for f in new.keys() | old.keys() if new.get(f) != old.get(f))
+    print(f"{written} records written to {GOLDEN.name}")
+    for field, count in sorted(changed.items()):
+        print(f"  {field}: {count} changed")
+    if not changed:
+        print("  no record changed")

@@ -351,3 +351,83 @@ def test_evaluators_merge_tuples_as_they_go(monkeypatch, evaluate):
         monkeypatch.setattr(modal, "MERGE_EVERY", 1 << 11)  # one merge, at the end
         assert evaluate(parse("x * y"), env) == result
         monkeypatch.undo()
+
+
+# --- merging: normalized parts pass through, only unions merge ---------------------
+
+MERGE_BINDINGS = [
+    "modality feature(FA);\nbind x = { 1 @ FA, 4 @ !FA };\nbind y = { 2 @ true };",
+    "modality interval;\nbind x = [1 .. 4];\nbind y = [2 .. 3];",
+    "modality probability;\nbind x = { 1 @ 0.5, 4 @ 0.5 };\nbind y = { 2 @ 0.3, 3 @ 0.7 };",
+]
+
+
+@pytest.mark.parametrize("binds_text", MERGE_BINDINGS)
+@pytest.mark.parametrize("text, value_merges", [
+    ("x + y", 0),
+    ("if x < y then x else y", 1),
+])
+def test_deep_merges_only_unions(monkeypatch, binds_text, text, value_merges):
+    # merges inside shallow_apply go through modal's own references, so
+    # the spies on modal_eval's count only the deep evaluator's merges;
+    # each program applies one operator through shallow_apply
+    program, alg, binds, env = setup(text, binds_text)
+    expected = eval_modal(program, env)
+    merged = []
+    applied = []
+    for name in ("merge_value_pairs", "merge_error_pairs"):
+        original = getattr(modal_eval, name)
+        monkeypatch.setattr(
+            modal_eval, name,
+            lambda a, pairs, name=name, original=original: merged.append(name) or original(a, pairs),
+        )
+    shallow = modal_eval.shallow_apply
+    monkeypatch.setattr(
+        modal_eval, "shallow_apply", lambda *a, **kw: applied.append(1) or shallow(*a, **kw)
+    )
+    assert eval_modal(program, env) == expected
+    assert merged == ["merge_value_pairs"] * value_merges
+    assert applied == [1]
+
+
+@pytest.mark.parametrize("kind", ["feature", "interval", "probability"])
+def test_every_deep_node_returns_normalized_pairs(monkeypatch, kind):
+    # a node that passes its parts through unmerged must already hold what
+    # a merge of them would give
+    finish = modal_eval._DeepEval._finish
+
+    def checked(self, *args):
+        values, errors = finish(self, *args)
+        assert tuple(values) == modal.merge_value_pairs(self.alg, values)
+        assert tuple(errors) == modal.merge_error_pairs(self.alg, errors)
+        return values, errors
+
+    monkeypatch.setattr(modal_eval._DeepEval, "_finish", checked)
+    for seed in range(40):
+        rng = random.Random(seed)
+        alg, binds = random_bindings(rng, kind)
+        program = random_program(rng, alg, binds, linear=seed % 2 == 0)
+        for policy in ("reject", "swap"):
+            eval_modal(program, ModalEnv(alg, binds, interval_empty=policy))
+
+
+TINY_WEIGHTS = """modality probability;
+bind x = { 0 @ 0.9999999, 1 @ 0.0000001 };
+bind y = { 5 @ 0.0000001, 6 @ 0.9999999 };
+"""
+
+
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("text", [
+    "(let a = 1 / x in y) + 0",
+    "fun f(a, b) = b; f(1 / x, y) + 0",
+])
+def test_probability_frame_drops_empty_weights(text, check):
+    # y returns into a frame of weight 1e-7: its 5 @ 1e-7 scales to 1e-14,
+    # below empty_eps, and must not reach the + as a tuple to prune
+    program, alg, binds, env = setup(text, TINY_WEIGHTS, check_invariants=check)
+    stats = LiftStats()
+    result = eval_modal(program, env, stats)
+    assert result.values == ((6, 0.9999999 * 0.0000001),)
+    assert result.errors == (("DivByZero", 0.9999999),)
+    assert (stats.tuples, stats.pruned) == (3, 0)
