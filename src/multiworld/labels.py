@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -130,7 +131,8 @@ def _fold_text(op: str, texts) -> str:
 _BITSET_FEATURE_CAP = 25
 
 # above this many features, display falls back from a minimal DNF, whose
-# prime implicant table takes 4^k bits, to the cubes of a Shannon split
+# primes can number about 3^k / k, to the cubes of a Shannon split; moving
+# the cap changes the text of labels between the old and the new cap
 _DNF_FEATURE_CAP = 12
 
 
@@ -381,29 +383,34 @@ class FeatureAlgebra(Algebra):
             if not dont_care >> i & 1
         ])
 
-    def _prime_cubes(self, label: int) -> list:
-        """Every prime implicant as (bits, dont_care), computed over the
-        truth table.  ``table[dc]`` has bit ``p`` set iff the cube that
-        fixes the features outside ``dc`` to their values in ``p`` (whose
-        ``dc`` bits are 0) lies inside the label."""
-        k = len(self.features)
-        table = [label]
-        for dc in range(1, 1 << k):
-            low = dc & -dc
-            half = table[dc ^ low]
-            table.append(half & (half >> low) & ~self._mask(low.bit_length() - 1))
-        primes = []
-        for dc, cubes in enumerate(table):
-            absorbed = 0
-            for i in range(k):
-                if not dc >> i & 1:
-                    wider = table[dc | 1 << i]
-                    absorbed |= wider | wider << (1 << i)
-            primes.extend((bits, dc) for bits in _members(cubes & ~absorbed))
-        return primes
+    def _prime_cubes(self, label: int) -> set:
+        """Every prime implicant as (bits, dont_care), the ``dont_care``
+        bits of ``bits`` 0.  Split a table on its top feature into halves
+        ``f0`` (false) and ``f1`` (true): a prime of ``f`` is a prime of
+        ``f0 & f1`` with the feature free, or a prime of ``f0`` (``f1``)
+        that is not one of ``f0 & f1``, with the feature false (true).
+        Subtables recur across branches, so each is solved once a call."""
+        memo = {}
+
+        def primes(f: int, m: int) -> set:  # f: a table over features[:m]
+            half = 1 << m >> 1
+            if f == (1 << (1 << m)) - 1:
+                return {(0, (1 << m) - 1)}
+            if f & (f - 1) == 0:  # no configuration or one
+                return {(f.bit_length() - 1, 0)} if f else set()
+            if (f, m) not in memo:
+                f0, f1 = f & ((1 << half) - 1), f >> half
+                both = primes(f0 & f1, m - 1)
+                memo[f, m] = ({(bits, dc | half) for bits, dc in both} | (primes(f0, m - 1) - both)
+                              | {(bits | half, dc) for bits, dc in primes(f1, m - 1) - both})
+            return memo[f, m]
+
+        return primes(label, len(self.features))
 
     def _minimal_cover(self, label: int) -> list:
-        """Texts of the products of a minimal-ish cover of the label."""
+        """Texts of the products of a minimal-ish cover of the label: the
+        essential primes, then greedily the first prime in (size, text)
+        order that covers the most minterms still uncovered."""
         width = len(self.features)
         primes = self._prime_cubes(label)
         text = {p: self._cube_text(*p) for p in primes}
@@ -413,7 +420,6 @@ class FeatureAlgebra(Algebra):
             for i in _members(dc):
                 cover |= cover << (1 << i)
             cover_of[bits, dc] = cover
-        order = sorted(primes, key=lambda p: (width - p[1].bit_count(), text[p]))
         once = twice = 0
         for cover in cover_of.values():
             twice |= once & cover
@@ -423,12 +429,19 @@ class FeatureAlgebra(Algebra):
         uncovered = label
         for p in chosen:
             uncovered &= ~cover_of[p]
+        # counts only fall, so a popped entry whose count is still its key
+        # is the first prime in order with the most uncovered minterms
+        order = sorted(primes, key=lambda p: (width - p[1].bit_count(), text[p]))
+        heap = [(-(cover_of[p] & uncovered).bit_count(), rank, p) for rank, p in enumerate(order)]
+        heapq.heapify(heap)
         while uncovered:
-            # the first prime in order that covers the most uncovered minterms
-            order = [p for p in order if cover_of[p] & uncovered]
-            best = max(order, key=lambda p: (cover_of[p] & uncovered).bit_count())
-            chosen.add(best)
-            uncovered &= ~cover_of[best]
+            key, rank, p = heapq.heappop(heap)
+            count = (cover_of[p] & uncovered).bit_count()
+            if count == -key:
+                chosen.add(p)
+                uncovered &= ~cover_of[p]
+            elif count:
+                heapq.heappush(heap, (-count, rank, p))
         return [text[p] for p in chosen]
 
     def _shannon_cubes(self, label: int) -> list:

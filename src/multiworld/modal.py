@@ -55,8 +55,9 @@ class ModalResult:
 
 
 def make_const(alg, v: Value) -> ModalValue:
-    """The modal value that is ``v`` in every world."""
-    return ModalValue(tuple((v, label) for label in alg.top_labels()), alg.kind)
+    """The modal value that is ``v`` in every world, in normal form."""
+    labels = sorted(alg.top_labels(), key=alg.canonical_text)
+    return ModalValue(tuple((v, label) for label in labels), alg.kind)
 
 
 # --------------------------------------------------------------------------

@@ -104,7 +104,7 @@ class _DeepEval:
         """Returns (value_pairs, error_pairs) jointly covering ``ctx``."""
         if isinstance(expr, (lang.IntLit, lang.BoolLit)):
             key = (type(expr.value), expr.value)  # 1 and True stay apart
-            if key not in self.consts:  # a merge sorts interval (MIN, MAX) to (MAX, MIN)
+            if key not in self.consts:  # already normal; the merge keeps its counted emptiness checks
                 self.consts[key] = merge_value_pairs(self.alg, make_const(self.alg, expr.value).pairs)
             pairs = self.consts[key]
         elif isinstance(expr, lang.Var):

@@ -47,3 +47,30 @@ def world_set(alg, expr) -> int:
         if satisfies(expr, config):
             out |= 1 << p
     return out
+
+
+def inside(label: int, bits: int, dont_care: int) -> bool:
+    """Whether every configuration of the cube lies in the label: the cube
+    fixes the features outside ``dont_care`` to their bits in ``bits``."""
+    free = dont_care
+    while True:
+        if not label >> (bits | free) & 1:
+            return False
+        if not free:
+            return True
+        free = (free - 1) & dont_care
+
+
+def prime_cubes(label: int, k: int) -> set:
+    """Every prime implicant of a label over ``k`` features as (bits,
+    dont_care), by definition: a cube is prime iff it lies inside the label
+    and no cube with one literal dropped does."""
+    out = set()
+    for dont_care in range(1 << k):
+        for bits in range(1 << k):
+            if bits & dont_care or not inside(label, bits, dont_care):
+                continue
+            fixed = [1 << i for i in range(k) if not dont_care >> i & 1]
+            if not any(inside(label, bits & ~f, dont_care | f) for f in fixed):
+                out.add((bits, dont_care))
+    return out

@@ -5,21 +5,72 @@ on each shipped example, ``sat_calls`` included; ``<example>.deep-checked.out``
 is that of ``--mode deep --stats --check-invariants``.  ``golden/display_labels.json``
 holds seeded feature labels (world sets as hex bitmasks, bit ``p`` set iff
 configuration ``p`` is in the set, bit ``i`` of ``p`` being ``features[i]``)
-with their display text, over 1-6 features and a few at 10.
+with their display text: first ``RECORDED`` entries over 1-6 features and a
+few at 10, then ``generated_labels()`` -- the result labels of the
+nested-let family and seeded random truth tables over 7-12 features.
+
+Re-record the generated entries (only when a change of output is intended):
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+which leaves the first ``RECORDED`` entries as they are and prints how many
+texts changed.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from multiworld import lang
+from multiworld.bindings import parse_bindings
 from multiworld.cli import display_label
 from multiworld.labels import FeatureAlgebra
+from multiworld.modal_eval import ModalEnv, eval_modal
 from test_cli import run_example
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXAMPLES = ("sharing", "feature_div", "prob_sum", "interval_abs")
 MODES = ("deep", "shallow", "oracle", "check")
+DISPLAY = GOLDEN / "display_labels.json"
+RECORDED = 209  # entries not made by generated_labels()
+# nested-let sweeps: (features k, program sizes n)
+NESTED = ((6, range(2, 13)), (10, range(2, 5)))
+DENSITIES = (0.05, 0.5, 0.95)
+
+
+def nested_let_labels(k: int, n: int):
+    """The result labels of the ROADMAP scaling program of size ``n``,
+    level ``i`` testing feature ``i % k``."""
+    features = [f"F{i}" for i in range(k)]
+    alg, binds = parse_bindings(
+        f"modality feature({', '.join(features)}); bind x = {{ 1 @ F0, 2 @ !F0 }};"
+    )
+    lines = ["let v0 = x in"]
+    for i in range(1, n):
+        lines.append(f'let v{i} = if feature("F{i % k}") then v{i - 1} + {i} else v{i - 1} * 2 in')
+    lines.append(f"v{n - 1}")
+    result = eval_modal(lang.parse("\n".join(lines)), ModalEnv(alg, binds))
+    return alg, [label for _, label in result.values + result.errors]
+
+
+def generated_labels() -> list:
+    """(algebra, label) of every generated entry, each label once."""
+    out, seen = [], set()
+    for k, sizes in NESTED:
+        for n in sizes:
+            alg, labels = nested_let_labels(k, n)
+            for label in labels:
+                if (k, label) not in seen:
+                    seen.add((k, label))
+                    out.append((alg, label))
+    for k in range(7, 13):
+        alg = FeatureAlgebra([f"F{i}" for i in range(k)])
+        for density in DENSITIES:
+            rng = random.Random(f"display/{k}/{density}")
+            out.append((alg, sum(1 << p for p in range(1 << k) if rng.random() < density)))
+    return out
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -38,9 +89,27 @@ def test_checked_deep_output_matches_golden(name):
 
 
 def test_display_text_matches_golden():
-    entries = json.loads((GOLDEN / "display_labels.json").read_text())
-    assert len(entries) > 200
+    entries = json.loads(DISPLAY.read_text())
+    assert len(entries) > RECORDED
     for entry in entries:
         alg = FeatureAlgebra(entry["features"])
         label = int(entry["bits"], 16)
         assert display_label(alg)(label) == entry["text"], entry
+
+
+def test_generated_display_entries_are_current():
+    entries = json.loads(DISPLAY.read_text())[RECORDED:]
+    labels = [(entry["features"], entry["bits"]) for entry in entries]
+    assert labels == [(list(alg.features), hex(label)) for alg, label in generated_labels()]
+
+
+if __name__ == "__main__":
+    kept = json.loads(DISPLAY.read_text())
+    previous = {(tuple(e["features"]), e["bits"]): e["text"] for e in kept[RECORDED:]}
+    fresh = [
+        {"features": list(alg.features), "bits": hex(label), "text": display_label(alg)(label)}
+        for alg, label in generated_labels()
+    ]
+    DISPLAY.write_text(json.dumps(kept[:RECORDED] + fresh, indent=0) + "\n")
+    changed = sum(previous.get((tuple(e["features"]), e["bits"])) != e["text"] for e in fresh)
+    print(f"{len(fresh)} generated entries written to {DISPLAY.name}, {changed} texts changed or new")

@@ -27,7 +27,7 @@ from multiworld.labels import (
     feature_text,
     or_all,
 )
-from reference import build, satisfies, world_set
+from reference import build, prime_cubes, satisfies, world_set
 
 NAMES = ("FA", "FB", "FC", "FD", "FE", "FF")
 
@@ -276,6 +276,18 @@ def test_wide_labels_print_as_shannon_cubes():
     assert alg.canonical_text(alg.complement(alg.top)) == "false"
 
 
+def decode_cubes(alg, text) -> list:
+    """The world set of each product of a displayed sum of products."""
+    cubes = []
+    for cube_text in text.split(" | "):
+        cube = alg.top
+        for lit in cube_text.replace("(", "").replace(")", "").split(" & "):
+            var = alg.var(lit.lstrip("!"))
+            cube = alg.meet(cube, alg.complement(var) if lit.startswith("!") else var)
+        cubes.append(cube)
+    return cubes
+
+
 def test_wide_label_display_is_fast_and_exact():
     alg = FeatureAlgebra([f"F{i:02d}" for i in range(20)])
     rng = random.Random(3)
@@ -285,14 +297,32 @@ def test_wide_label_display_is_fast_and_exact():
     # 1.1-1.5 s when every split step masked the whole 2^20-bit table
     assert time.perf_counter() - start < 0.25
     decoded = 0
-    for cube_text in text.split(" | "):
-        cube = alg.top
-        for lit in cube_text.replace("(", "").replace(")", "").split(" & "):
-            var = alg.var(lit.lstrip("!"))
-            cube = alg.meet(cube, alg.complement(var) if lit.startswith("!") else var)
+    for cube in decode_cubes(alg, text):
         assert alg.is_empty(alg.meet(decoded, cube))  # the cubes are disjoint
         decoded = alg.join(decoded, cube)
     assert decoded == label
+
+
+def test_prime_cubes_match_their_definition():
+    rng = random.Random(8)
+    for _ in range(60):
+        k = rng.randint(1, 7)
+        alg = FeatureAlgebra([f"F{i}" for i in range(k)])
+        density = rng.choice((0.1, 0.5, 0.9, rng.random()))
+        label = sum(1 << p for p in range(1 << k) if rng.random() < density)
+        assert alg._prime_cubes(label) == prime_cubes(label, k), (k, hex(label))
+
+
+def test_half_dense_minimal_dnf_display_is_fast_and_exact():
+    alg = FeatureAlgebra([f"F{i:02d}" for i in range(12)])
+    rng = random.Random(1)
+    label = sum(1 << p for p in range(1 << 12) if rng.random() < 0.5)
+    start = time.perf_counter()
+    text = alg.canonical_text(label)
+    # 0.8-2.9 s when the primes came from all 2^k truth-table entries and
+    # each greedy pick rescanned every prime
+    assert time.perf_counter() - start < 1.0
+    assert functools.reduce(alg.join, decode_cubes(alg, text)) == label
 
 
 # --- probability algebra ----------------------------------------------------

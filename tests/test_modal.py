@@ -49,7 +49,8 @@ def test_make_const_probability():
 
 def test_make_const_interval():
     mv = make_const(INTV, 5)
-    assert mv.pairs == ((5, Tag.MIN), (5, Tag.MAX))
+    assert mv.pairs == ((5, Tag.MAX), (5, Tag.MIN))  # normal form
+    assert normalize(INTV, mv) == mv
     assert validate(INTV, mv).ok
 
 
