@@ -10,13 +10,7 @@ the worlds have in common.
 
 from .bindings import load_bindings, parse_bindings
 from .errors import EvalError, ModalError
-from .labels import (
-    FeatureAlgebra,
-    IntervalAlgebra,
-    ProbabilityAlgebra,
-    Tag,
-    algebra_for,
-)
+from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
 from .lang import Program, eval_plain, parse, render_program
 from .lifting import LiftStats, PrimitiveFn, restrict, shallow_apply
 from .modal import (
@@ -53,7 +47,6 @@ __all__ = [
     "ProbabilityAlgebra",
     "Program",
     "Tag",
-    "algebra_for",
     "assert_equiv",
     "brute_force_eval",
     "enumerate_worlds",

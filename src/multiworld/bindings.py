@@ -23,7 +23,7 @@ import re
 
 from .errors import BindingsError, BudgetExceeded
 from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
-from .lang import INT64_MAX, INT64_MIN
+from .lang import INT64_MAX, INT64_MIN, _line_col
 from .modal import ModalValue, normalize
 
 # One match per token: the whitespace and comments before it, then one
@@ -43,10 +43,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _line(text: str, offset: int) -> int:
-    return text.count("\n", 0, offset) + 1
-
-
 def _tokenize(text: str) -> tuple:
     """Parallel lists of token kinds, texts and start offsets, ending in an
     ``eof`` token.  A punctuation mark's kind is the mark itself."""
@@ -57,7 +53,7 @@ def _tokenize(text: str) -> tuple:
         if group == "punct":
             kind = word
         elif group == "other":
-            raise BindingsError(f"unexpected character {word!r}", _line(text, m.start(group)), None)
+            raise BindingsError(f"unexpected character {word!r}", *_line_col(text, m.start(group)))
         kinds.append(kind)
         texts.append(word)
         starts.append(m.start(group))
@@ -74,7 +70,7 @@ class _Reader:
     def fail(self, message: str):
         pos = self.pos
         found = self.texts[pos] or self.kinds[pos]
-        raise BindingsError(f"{message} (found {found!r})", _line(self.text, self.starts[pos]), None)
+        raise BindingsError(f"{message} (found {found!r})", *_line_col(self.text, self.starts[pos]))
 
     def at(self, kind, text=None) -> bool:
         pos = self.pos

@@ -13,60 +13,26 @@ Output is deterministic: value pairs one per line as ``value @ label`` in
 normalized order, then ``error:KIND @ label`` lines.  Feature labels are
 world sets, displayed as a minimal sum of products (as disjoint cubes
 above 12 features).  Exit codes: 0 success (labeled per-world errors are
-answers, not failures), 1 usage or parse problems, 2 invariant violations
-(bindings that are not disjoint and total are rejected on every run),
-3 exceeded budgets (including inputs nested too deeply to parse or
-evaluate).
+answers, not failures); otherwise the ``exit_code`` of the error that ended
+the run: 1 usage or parse problems (and unreadable or undecodable files),
+2 invariant violations (bindings that are not disjoint and total are
+rejected on every run), 3 exceeded budgets (including inputs nested too
+deeply to parse or evaluate).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import lang
 from .bindings import load_bindings
-from .errors import (
-    BudgetExceeded,
-    CyclicCallError,
-    EmptyModalValue,
-    EvalError,
-    IntervalJoinMismatch,
-    InvariantViolation,
-    MissingBinding,
-    MissingConfig,
-    ModalityMismatch,
-    ParseError,
-    ProbabilityOverflow,
-    ProjectionUnsupported,
-    ScopeError,
-    TooManyFeatures,
-    UndeclaredFeature,
-)
+from .errors import EvalError, InvariantViolation, ModalError, ParseError, ProjectionUnsupported
 from .lifting import LiftStats
 from .modal import project, render_result, validate, value_text
 from .modal_eval import ModalEnv, eval_modal, eval_shallow_blackbox
 from .oracle import assert_equiv, brute_force_eval
-
-_USAGE_ERRORS = (
-    ParseError,
-    ScopeError,
-    CyclicCallError,
-    MissingBinding,
-    MissingConfig,
-    UndeclaredFeature,
-    ModalityMismatch,
-    ProjectionUnsupported,
-    OSError,
-)
-_INVARIANT_ERRORS = (
-    InvariantViolation,
-    EmptyModalValue,
-    ProbabilityOverflow,
-    IntervalJoinMismatch,
-)
-_BUDGET_ERRORS = (TooManyFeatures, BudgetExceeded)
 
 
 @dataclass
@@ -205,26 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        cfg = RunConfig(
-            program=ns.program,
-            bindings=ns.bindings,
-            mode=ns.mode,
-            config=ns.config,
-            stats=ns.stats,
-            check_invariants=ns.check_invariants,
-            interval_empty=ns.interval_empty,
-            feature_limit=ns.feature_limit,
-        )
+        cfg = RunConfig(**{f.name: getattr(ns, f.name) for f in fields(RunConfig)})
         code, out, err = run(cfg)
-    except _BUDGET_ERRORS as ex:
+    except (ModalError, OSError, UnicodeDecodeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
-        return 3
-    except _INVARIANT_ERRORS as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except _USAGE_ERRORS as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
+        return getattr(ex, "exit_code", 1)
     for line in out:
         print(line)
     for line in err:

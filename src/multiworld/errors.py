@@ -3,11 +3,17 @@
 Two flavors matter: host-level failures (bad input files, missing bindings,
 budget blowups) abort a run, while per-world runtime failures (``EvalError``)
 are caught by the lifting machinery and turned into labeled error pairs.
+
+Each class's ``exit_code`` is the code ``modal run`` exits with when the
+error aborts a run: 1 for usage and parse problems, 2 for invariant
+violations, 3 for exceeded budgets.
 """
 
 
 class ModalError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class ParseError(ModalError):
@@ -58,26 +64,38 @@ class ArityMismatch(ModalError):
 class EmptyModalValue(ModalError):
     """Normalization dropped every pair of a modal value."""
 
+    exit_code = 2
+
 
 class ProbabilityOverflow(ModalError):
     """Joining probability labels exceeded 1.0 beyond tolerance."""
+
+    exit_code = 2
 
 
 class IntervalJoinMismatch(ModalError):
     """Tried to join the MIN and MAX endpoint tags."""
 
+    exit_code = 2
+
 
 class TooManyFeatures(ModalError):
     """More features declared than the configured limit allows."""
+
+    exit_code = 3
 
 
 class BudgetExceeded(ModalError):
     """World enumeration would exceed the configured budget, or input is
     nested deeper than the parsers or evaluators can follow."""
 
+    exit_code = 3
+
 
 class InvariantViolation(ModalError):
     """An intermediate or final modal value failed validation."""
+
+    exit_code = 2
 
 
 class ProjectionUnsupported(ModalError):

@@ -634,13 +634,3 @@ class IntervalAlgebra(Algebra):
     def canonical_text(self, label: Tag) -> str:
         return label.value
 
-
-def algebra_for(kind: str, features=(), feature_limit: int = 24):
-    """Construct the algebra named by a modality kind string."""
-    if kind == "feature":
-        return FeatureAlgebra(features, feature_limit=feature_limit)
-    if kind == "probability":
-        return ProbabilityAlgebra()
-    if kind == "interval":
-        return IntervalAlgebra()
-    raise ValueError(f"unknown modality {kind!r}")

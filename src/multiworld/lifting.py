@@ -9,9 +9,10 @@ so equal outputs from different tuples share one pair; outputs are merged
 as they come (``modal.collect_outcomes``), so a wide cross product never
 holds every tuple's label at once.
 
-``restrict`` narrows a value to a path condition and keeps normalized
-pairs normalized, so the deep evaluator reads every variable and constant
-through it unmerged; it merges only where it unites two or more parts.
+``restrict`` narrows (item, label) pairs to a path condition and keeps
+normalized pairs normalized, so the deep evaluator reads every variable and
+constant through it unmerged; it merges only where it unites two or more
+parts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import ArityMismatch, ModalityMismatch
-from .modal import ModalResult, ModalValue, collect_outcomes, normalize_result
+from .modal import ModalResult, collect_outcomes, normalize_result
 
 
 @dataclass(frozen=True)
@@ -91,30 +92,20 @@ def shallow_apply(alg, f: PrimitiveFn, args, stats: LiftStats | None = None,
     )
 
 
-def _within(alg, pairs, context) -> tuple:
+def restrict(alg, pairs, context) -> tuple:
+    """Meet every label of ``pairs`` with ``context``; drop pairs that
+    empty out.
+
+    ``pairs`` is a sequence of (item, label) pairs, as the deep evaluator
+    holds them.  The result is partial: it is total relative to ``context``,
+    not to the full world set.  ``context=None`` means no restriction.
+    Pairs keep their order, so a normalized input stays normalized.
+    """
+    if context is None:
+        return pairs
     out = []
     for item, label in pairs:
         met = alg.meet(label, context)
         if not alg.is_empty(met):
             out.append((item, met))
     return tuple(out)
-
-
-def restrict(alg, obj, context):
-    """Meet every label with ``context``; drop pairs that empty out.
-
-    ``obj`` is a ModalValue, a ModalResult, or a bare sequence of
-    (item, label) pairs, as the deep evaluator holds them.  The result is
-    partial: it is total relative to ``context``, not to the full world
-    set.  ``context=None`` means no restriction.  Pairs keep their order,
-    so a normalized input stays normalized.
-    """
-    if context is None:
-        return obj
-    if isinstance(obj, ModalResult):
-        return ModalResult(
-            _within(alg, obj.values, context), _within(alg, obj.errors, context), obj.modality
-        )
-    if isinstance(obj, ModalValue):
-        return ModalValue(_within(alg, obj.pairs, context), obj.modality)
-    return _within(alg, obj, context)

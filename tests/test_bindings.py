@@ -94,11 +94,11 @@ def test_feature_limit_flows_through():
     "text, message",
     [
         ("modality interval;\n// c\nbind x = [1 ..\n\n x];",
-         "expected 'int' (found 'x') (line 5, col None)"),
-        ("modality probability; bind // c", "expected 'id' (found 'eof') (line 1, col None)"),
-        ("modality feature(FA);\n\nbind x = { 1 @ FA $ };", "unexpected character '$' (line 3, col None)"),
+         "expected 'int' (found 'x') (line 5, col 2)"),
+        ("modality probability; bind // c", "expected 'id' (found 'eof') (line 1, col 32)"),
+        ("modality feature(FA);\n\nbind x = { 1 @ FA $ };", "unexpected character '$' (line 3, col 19)"),
         ("modality interval;\nbind x = [1 .. " + "9" * 5000 + "];",
-         "integer out of 64-bit range (found ']') (line 2, col None)"),
+         "integer out of 64-bit range (found ']') (line 2, col 5016)"),
     ],
     ids=["multi-line", "after-comment", "stray-character", "huge-integer"],
 )

@@ -5,9 +5,12 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from multiworld import cli
 from multiworld.cli import main
+from multiworld.errors import ModalError
 from multiworld.lang import render_program
 from multiworld.oracle import random_bindings, random_program
 from test_bindings import BINDINGS_TOKENS
@@ -157,6 +160,58 @@ def test_usage_exit_codes():
     assert code == 1
 
 
+# Every package error's exit code; a new error class must be added here.
+EXIT_CODES = {
+    "ParseError": 1,
+    "BindingsError": 1,
+    "ScopeError": 1,
+    "CyclicCallError": 1,
+    "MissingBinding": 1,
+    "MissingConfig": 1,
+    "UndeclaredFeature": 1,
+    "ModalityMismatch": 1,
+    "ArityMismatch": 1,
+    "ProjectionUnsupported": 1,
+    "EvalError": 1,
+    "EmptyModalValue": 2,
+    "ProbabilityOverflow": 2,
+    "IntervalJoinMismatch": 2,
+    "InvariantViolation": 2,
+    "TooManyFeatures": 3,
+    "BudgetExceeded": 3,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_ends_a_run_with_its_exit_code(monkeypatch, capsys):
+    classes = {cls.__name__: cls for cls in _subclasses(ModalError)}
+    assert classes.keys() == EXIT_CODES.keys()
+    for name, cls in classes.items():
+        def raise_it(cfg, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "run", raise_it)
+        assert main(["run", "-p", "p.mdl", "-b", "b.mb"]) == EXIT_CODES[name], name
+        assert capsys.readouterr() == ("", "error: boom\n"), name
+
+
+@pytest.mark.parametrize("undecodable", ["program", "bindings"])
+def test_undecodable_input_files_exit_1(tmp_path, capsys, undecodable):
+    files = {"program": tmp_path / "p.mdl", "bindings": tmp_path / "b.mb"}
+    files["program"].write_text("x")
+    files["bindings"].write_text("modality interval;\nbind x = [1 .. 2];")
+    files[undecodable].write_bytes(b"x \xff")
+    assert main(["run", "-p", str(files["program"]), "-b", str(files["bindings"])]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.mdl"
     bad.write_text("1 +")
@@ -287,8 +342,9 @@ def _bindings_text(alg, binds) -> str:
 
 @st.composite
 def _inputs(draw):
-    """(program text, bindings text): rendered random programs over random
-    bindings of at most 4 features, mutated or not, or token soup."""
+    """(program bytes, bindings bytes): rendered random programs over random
+    bindings of at most 4 features, mutated or not, or token soup, encoded
+    as UTF-8; some draws insert a byte that makes the file undecodable."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     alg, binds = random_bindings(rng, draw(st.sampled_from(["feature", "interval", "probability"])))
     texts = [
@@ -304,7 +360,13 @@ def _inputs(draw):
             texts[i] = texts[i][:at] + draw(st.sampled_from(soups[i])) + texts[i][at + cut:]
         elif how == "soup":
             texts[i] = " ".join(draw(st.lists(st.sampled_from(soups[i]), max_size=30)))
-    return texts
+    files = [text.encode("utf-8") for text in texts]
+    for i in range(2):
+        if draw(st.integers(0, 5)) == 0:
+            at = draw(st.integers(0, len(files[i])))
+            bad = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"]))
+            files[i] = files[i][:at] + bad + files[i][at:]
+    return files
 
 
 @st.composite
@@ -326,11 +388,11 @@ def _flags(draw):
 
 @settings(max_examples=150)
 @given(_inputs(), _flags())
-def test_fuzzed_command_lines_end_in_a_documented_exit_code(tmp_path_factory, texts, flags):
+def test_fuzzed_command_lines_end_in_a_documented_exit_code(tmp_path_factory, files, flags):
     where = tmp_path_factory.mktemp("fuzz")
     program, binds = where / "p.mdl", where / "b.mb"
-    program.write_text(texts[0], encoding="utf-8")
-    binds.write_text(texts[1], encoding="utf-8")
+    program.write_bytes(files[0])
+    binds.write_bytes(files[1])
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(["run", "-p", str(program), "-b", str(binds), *flags])
     assert code in (0, 1, 2, 3)

@@ -166,38 +166,31 @@ def test_projection_homomorphism_random():
 # --- restrict -----------------------------------------------------------------
 
 def test_restrict_feature():
-    x = ModalValue(((-7, FA), (3, NOT(FA))), "feature")
-    out = restrict(FEAT, x, FB)
-    for v, label in out.pairs:
-        want = AND(FA, FB) if v == -7 else AND(NOT(FA), FB)
-        assert label == want
+    out = restrict(FEAT, ((-7, FA), (3, NOT(FA))), FB)
+    assert out == ((-7, AND(FA, FB)), (3, AND(NOT(FA), FB)))
 
 
 def test_restrict_probability_multiplies():
-    x = ModalValue(((7, 0.2), (9, 0.8)), "probability")
-    out = restrict(PROB, x, 0.5)
-    assert dict(out.pairs)[7] == pytest.approx(0.1, abs=1e-12)
-    assert dict(out.pairs)[9] == pytest.approx(0.4, abs=1e-12)
+    out = dict(restrict(PROB, ((7, 0.2), (9, 0.8)), 0.5))
+    assert out[7] == pytest.approx(0.1, abs=1e-12)
+    assert out[9] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_restrict_by_top_is_identity():
-    x = ModalValue(((-7, FA), (3, NOT(FA))), "feature")
-    out = restrict(FEAT, x, TOP)
-    assert assert_equiv(FEAT, out, x) == (True, None)
-    assert restrict(FEAT, x, None) is x
+    pairs = ((-7, FA), (3, NOT(FA)))
+    assert restrict(FEAT, pairs, TOP) == pairs
+    assert restrict(FEAT, pairs, None) is pairs
 
 
 def test_restrict_can_empty_out():
-    x = ModalValue(((1, FA),), "feature")
-    out = restrict(FEAT, x, NOT(FA))
-    assert out.pairs == ()
+    assert restrict(FEAT, ((1, FA),), NOT(FA)) == ()
 
 
-def test_restrict_keeps_order_of_results_and_bare_pairs():
-    x = ModalValue(((-7, FA), (1, AND(NOT(FA), FB)), (3, AND(NOT(FA), NOT(FB)))), "feature")
-    assert restrict(FEAT, x.pairs, NOT(FA)) == x.pairs[1:]
-    r = restrict(FEAT, ModalResult(x.pairs[1:], (("DivByZero", FA),), "feature"), FA)
-    assert r == ModalResult((), (("DivByZero", FA),), "feature")
+def test_restrict_keeps_pair_order():
+    pairs = ((-7, FA), (1, AND(NOT(FA), FB)), (3, AND(NOT(FA), NOT(FB))))
+    assert restrict(FEAT, pairs, NOT(FA)) == pairs[1:]
+    errors = (("DivByZero", FA), ("Overflow", NOT(FA)))
+    assert restrict(FEAT, errors, FA) == errors[:1]
 
 
 # --- union: results over disjoint worlds, concatenated and normalized -------------
@@ -212,7 +205,8 @@ def union(alg, a, b):
 
 def test_split_then_union_is_identity():
     x = ModalValue(((-7, FA), (3, NOT(FA))), "feature")
-    rejoined = union(FEAT, restrict(FEAT, x, FB), restrict(FEAT, x, NOT(FB)))
+    a, b = (ModalValue(restrict(FEAT, x.pairs, c), "feature") for c in (FB, NOT(FB)))
+    rejoined = union(FEAT, a, b)
     assert assert_equiv(FEAT, rejoined, x) == (True, None)
 
 
