@@ -18,7 +18,6 @@ from .modal import (
     ModalValue,
     make_const,
     normalize,
-    normalize_result,
     project,
     render_result,
     validate,
@@ -56,7 +55,6 @@ __all__ = [
     "load_bindings",
     "make_const",
     "normalize",
-    "normalize_result",
     "parse",
     "parse_bindings",
     "project",

@@ -23,7 +23,7 @@ import re
 
 from .errors import BindingsError, BudgetExceeded
 from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
-from .lang import INT64_MAX, INT64_MIN, _line_col
+from .lang import INT64_MAX, INT64_MIN, _line_col, read_source
 from .modal import ModalValue, normalize
 
 # One match per token: the whitespace and comments before it, then one
@@ -227,5 +227,4 @@ def parse_bindings(text: str, feature_limit: int = 24):
 
 
 def load_bindings(path: str, feature_limit: int = 24):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_bindings(handle.read(), feature_limit=feature_limit)
+    return parse_bindings(read_source(path), feature_limit=feature_limit)

@@ -14,10 +14,10 @@ normalized order, then ``error:KIND @ label`` lines.  Feature labels are
 world sets, displayed as a minimal sum of products (as disjoint cubes
 above 12 features).  Exit codes: 0 success (labeled per-world errors are
 answers, not failures); otherwise the ``exit_code`` of the error that ended
-the run: 1 usage or parse problems (and unreadable or undecodable files),
-2 invariant violations (bindings that are not disjoint and total are
-rejected on every run), 3 exceeded budgets (including inputs nested too
-deeply to parse or evaluate).
+the run: 1 usage or parse problems (and unreadable files, or files that
+are not UTF-8, whose error names the file), 2 invariant violations
+(bindings that are not disjoint and total are rejected on every run), 3
+exceeded budgets (including inputs nested too deeply to parse or evaluate).
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ def run(cfg: RunConfig):
     """Execute one run; returns (exit_code, stdout lines, stderr lines)."""
     out: list = []
     err: list = []
-    with open(cfg.program, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    program = lang.parse(text)
+    if cfg.feature_limit < 0:
+        raise ParseError(f"--feature-limit must be 0 or more, got {cfg.feature_limit}")
+    program = lang.parse(lang.read_source(cfg.program))
     alg, bindings = load_bindings(cfg.bindings, feature_limit=cfg.feature_limit)
 
     # Every run rejects bindings that are not disjoint, total and well
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
         ns = build_parser().parse_args(argv)
         cfg = RunConfig(**{f.name: getattr(ns, f.name) for f in fields(RunConfig)})
         code, out, err = run(cfg)
-    except (ModalError, OSError, UnicodeDecodeError) as ex:
+    except (ModalError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return getattr(ex, "exit_code", 1)
     for line in out:

@@ -336,6 +336,17 @@ def parse(text: str) -> Program:
     return program
 
 
+def read_source(path: str) -> str:
+    """The text of a program or bindings file.  A file that is not UTF-8
+    raises ``ParseError`` naming the file and its first bad byte."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as ex:  # read() decodes the whole file at once
+        bad = f"byte 0x{ex.object[ex.start]:02x} at offset {ex.start}"
+        raise ParseError(f"{path}: not valid UTF-8 ({bad})") from None
+
+
 # --------------------------------------------------------------------------
 # Load checks
 # --------------------------------------------------------------------------

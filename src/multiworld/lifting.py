@@ -4,10 +4,11 @@ The cross product of the argument pair-sets is enumerated lexicographically
 by argument position.  Each tuple's labels are met together; tuples whose
 combined label denotes no world are pruned, every surviving tuple gets one
 real application of the function, and per-world failures become labeled
-error pairs instead of aborting the whole call.  The result is normalized,
-so equal outputs from different tuples share one pair; outputs are merged
-as they come (``modal.collect_outcomes``), so a wide cross product never
-holds every tuple's label at once.
+error pairs instead of aborting the whole call.  Each output is merged once,
+as it arrives (``modal.collect_outcomes``): equal outputs from different
+tuples share one pair, the result is normalized with no second merge, and
+a wide cross product holds one pair per distinct output, never every
+tuple's label.
 
 ``restrict`` narrows (item, label) pairs to a path condition and keeps
 normalized pairs normalized, so the deep evaluator reads every variable and
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import ArityMismatch, ModalityMismatch
-from .modal import ModalResult, collect_outcomes, normalize_result
+from .modal import ModalResult, _swap_inverted, collect_outcomes
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,7 @@ def shallow_apply(alg, f: PrimitiveFn, args, stats: LiftStats | None = None,
             yield label, f.fn, [v for v, _ in combo]
 
     values, errors = collect_outcomes(alg, runs())
-    return normalize_result(
-        alg, ModalResult(tuple(values), tuple(errors), alg.kind), interval_empty=interval_empty
-    )
+    return ModalResult(_swap_inverted(alg, values, errors, interval_empty), errors, alg.kind)
 
 
 def restrict(alg, pairs, context) -> tuple:

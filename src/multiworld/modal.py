@@ -10,8 +10,10 @@ Normalization is the sharing mechanism of the whole package: pairs carrying
 the same value are merged by joining their labels, so results stay compact
 no matter how many worlds produced them.  An algebra with
 ``merge_per_label`` (interval) keeps pairs with different labels apart: a
-range is exactly two pairs.  Every per-modality rule here is a call into
-the algebra (see ``labels.Algebra``).
+range is exactly two pairs.  Outcomes of runs merge once, as they arrive
+(``collect_outcomes``), into normal form, and no caller merges them again.
+Every per-modality rule here is a call into the algebra (see
+``labels.Algebra``).
 """
 
 from __future__ import annotations
@@ -64,6 +66,26 @@ def make_const(alg, v: Value) -> ModalValue:
 # Normalization
 # --------------------------------------------------------------------------
 
+def _join_into(alg, grouped: dict, key, item, label) -> None:
+    """Join a non-empty ``label`` into ``grouped``'s entry for ``key``, the
+    item's key, or under ``alg.merge_per_label`` for (key, label)."""
+    if alg.is_empty(label):
+        return
+    if alg.merge_per_label:
+        key = (key, label)
+    entry = grouped.get(key)
+    grouped[key] = (item, label) if entry is None else (entry[0], alg.join(entry[1], label))
+
+
+def _sorted_pairs(alg, grouped: dict) -> tuple:
+    """The entries of ``grouped`` by key, label text breaking ties."""
+    if alg.merge_per_label:
+        keys = sorted(grouped, key=lambda key: (key[0], alg.canonical_text(key[1])))
+    else:
+        keys = sorted(grouped)
+    return tuple(grouped[key] for key in keys)
+
+
 def merge_pairs(alg, pairs, item_key) -> tuple:
     """Drop empty-label pairs, merge pairs with equal items by joining
     their labels in encounter order, and sort.
@@ -73,27 +95,10 @@ def merge_pairs(alg, pairs, item_key) -> tuple:
     """
     if len(pairs) < 2:  # nothing to unite: only an empty label goes
         return tuple(pair for pair in pairs if not alg.is_empty(pair[1]))
-    per_tag = alg.merge_per_label
     grouped: dict = {}
     for item, label in pairs:
-        if alg.is_empty(label):
-            continue
-        key = item_key(item)
-        if per_tag:
-            key = (key, label)
-        if key in grouped:
-            prev_item, prev_label = grouped[key]
-            grouped[key] = (prev_item, alg.join(prev_label, label))
-        else:
-            grouped[key] = (item, label)
-    out = list(grouped.values())
-    if per_tag:
-        out.sort(key=lambda p: (item_key(p[0]), alg.canonical_text(p[1])))
-    else:
-        # items are unique after merging, so a tiebreak on label text would
-        # never decide
-        out.sort(key=lambda p: item_key(p[0]))
-    return tuple(out)
+        _join_into(alg, grouped, item_key(item), item, label)
+    return _sorted_pairs(alg, grouped)
 
 
 def merge_value_pairs(alg, pairs) -> tuple:
@@ -104,35 +109,25 @@ def merge_error_pairs(alg, pairs) -> tuple:
     return merge_pairs(alg, pairs, lambda kind: kind)
 
 
-# pairs are merged once this many are unmerged: a feature label takes
-# 2^k bits, so 2^20 unmerged minterms would take 128 GiB
-MERGE_EVERY = 256
-
-
 def collect_outcomes(alg, runs) -> tuple:
-    """The (value pairs, error pairs) of ``(label, fn, args)`` runs: what
-    ``fn(*args)`` returns, or the kind of the ``EvalError`` it raises, at
-    ``label``.
+    """The merged (value pairs, error pairs) of ``(label, fn, args)`` runs:
+    what ``fn(*args)`` returns, or the kind of the ``EvalError`` it raises,
+    at ``label``.
 
-    The pairs are merged whenever ``MERGE_EVERY`` of them are unmerged.  A
-    merge keeps each item's encounter-order join, so merging the lists
-    once more gives what one merge of every outcome would.
+    Each outcome is merged once, as it arrives, so only one pair per
+    distinct outcome is ever held; the pairs are what ``merge_value_pairs``
+    and ``merge_error_pairs`` of every outcome give.
     """
-    values: list = []
-    errors: list = []
-    held, merge_at = 0, MERGE_EVERY
+    values: dict = {}
+    errors: dict = {}
     for label, fn, args in runs:
         try:
-            values.append((fn(*args), label))
+            value = fn(*args)
         except EvalError as ex:
-            errors.append((ex.kind, label))
-        held += 1
-        if held >= merge_at:
-            values = list(merge_value_pairs(alg, values))
-            errors = list(merge_error_pairs(alg, errors))
-            held = len(values) + len(errors)
-            merge_at = held + MERGE_EVERY
-    return values, errors
+            _join_into(alg, errors, ex.kind, ex.kind, label)
+        else:
+            _join_into(alg, values, value_key(value), value, label)
+    return _sorted_pairs(alg, values), _sorted_pairs(alg, errors)
 
 
 def _inverted(alg, value_pairs, error_pairs):
@@ -143,10 +138,10 @@ def _inverted(alg, value_pairs, error_pairs):
     return None
 
 
-def _swap_inverted(alg, value_pairs, error_pairs) -> tuple:
-    """Interval ``swap`` repair: if the MAX value sits below the MIN value,
-    exchange the two values (the tags stay where they are)."""
-    ends = _inverted(alg, value_pairs, error_pairs)
+def _swap_inverted(alg, value_pairs, error_pairs, interval_empty) -> tuple:
+    """The ``swap`` policy's repair: if the MAX value sits below the MIN
+    value, exchange the two values (the tags stay where they are)."""
+    ends = interval_empty == "swap" and _inverted(alg, value_pairs, error_pairs)
     if ends:
         return ((ends[1], Tag.MIN), (ends[0], Tag.MAX))
     return value_pairs
@@ -154,20 +149,10 @@ def _swap_inverted(alg, value_pairs, error_pairs) -> tuple:
 
 def normalize(alg, mv: ModalValue, *, interval_empty: str = "reject") -> ModalValue:
     """Canonical form; the projection at every world is unchanged."""
-    pairs = merge_value_pairs(alg, mv.pairs)
-    if interval_empty == "swap":
-        pairs = _swap_inverted(alg, pairs, ())
+    pairs = _swap_inverted(alg, merge_value_pairs(alg, mv.pairs), (), interval_empty)
     if not pairs:
         raise EmptyModalValue("normalization dropped every pair")
     return ModalValue(pairs, mv.modality)
-
-
-def normalize_result(alg, mr: ModalResult, *, interval_empty: str = "reject") -> ModalResult:
-    values = merge_value_pairs(alg, mr.values)
-    errors = merge_error_pairs(alg, mr.errors)
-    if interval_empty == "swap":
-        values = _swap_inverted(alg, values, errors)
-    return ModalResult(values, errors, mr.modality)
 
 
 # --------------------------------------------------------------------------

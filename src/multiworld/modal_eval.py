@@ -18,12 +18,14 @@ frames are labels, and variables and constants are read through
 ``lifting.restrict``; probability runs every sub-evaluation in a mass-1
 frame and scales where it returns (``labels.ProbabilityAlgebra``).  Every
 node returns normalized pairs: normalized parts pass through, and only a
-union of two or more non-empty parts is merged.  Under ``check_invariants``
-``_finish`` checks that each node's labels partition its path condition.
+union of two or more non-empty parts is merged, so the answer is never
+merged again.  Under ``check_invariants`` ``_finish`` checks that each
+node's labels partition its path condition.
 
 ``eval_shallow_blackbox`` is the contrast case: it crosses the bindings of
 the whole program up front and runs the plain evaluator once per surviving
-tuple, duplicating whatever work the program shares internally.
+tuple, duplicating whatever work the program shares internally.  Its
+outcomes merge once, as they arrive (``modal.collect_outcomes``).
 """
 
 from __future__ import annotations
@@ -46,11 +48,11 @@ from .lifting import LiftStats, PrimitiveFn, restrict, shallow_apply
 from .modal import (
     ModalResult,
     ModalValue,
+    _swap_inverted,
     collect_outcomes,
     make_const,
     merge_error_pairs,
     merge_value_pairs,
-    normalize_result,
     validate,
 )
 
@@ -104,8 +106,8 @@ class _DeepEval:
         """Returns (value_pairs, error_pairs) jointly covering ``ctx``."""
         if isinstance(expr, (lang.IntLit, lang.BoolLit)):
             key = (type(expr.value), expr.value)  # 1 and True stay apart
-            if key not in self.consts:  # already normal; the merge keeps its counted emptiness checks
-                self.consts[key] = merge_value_pairs(self.alg, make_const(self.alg, expr.value).pairs)
+            if key not in self.consts:  # already normal form
+                self.consts[key] = make_const(self.alg, expr.value).pairs
             pairs = self.consts[key]
         elif isinstance(expr, lang.Var):
             try:
@@ -308,12 +310,10 @@ def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
 
 
 def _finish_result(env: ModalEnv, values, errors) -> ModalResult:
-    """The normalized result of a run, validated under ``check_invariants``."""
-    result = normalize_result(
-        env.alg,
-        ModalResult(tuple(values), tuple(errors), env.alg.kind),
-        interval_empty=env.interval_empty,
-    )
+    """The result of a run from its normalized pairs, with the ``swap``
+    policy applied, validated under ``check_invariants``."""
+    values = _swap_inverted(env.alg, tuple(values), errors, env.interval_empty)
+    result = ModalResult(values, tuple(errors), env.alg.kind)
     if env.check_invariants:
         report = validate(env.alg, result, interval_empty=env.interval_empty)
         if not report:

@@ -24,8 +24,6 @@ from .modal import (
     ModalValue,
     collect_outcomes,
     make_const,
-    merge_error_pairs,
-    merge_value_pairs,
     normalize,
     project,
     value_key,
@@ -90,9 +88,7 @@ def brute_force_eval(program: lang.Program, bindings, alg, stats=None) -> ModalR
         (label, lang.eval_plain, (program, env, config, stats))
         for env, config, label in enumerate_worlds(alg, bindings)
     ))
-    return ModalResult(
-        merge_value_pairs(alg, values), merge_error_pairs(alg, errors), alg.kind
-    )
+    return ModalResult(values, errors, alg.kind)
 
 
 # --------------------------------------------------------------------------

@@ -138,6 +138,14 @@ def test_budget_exit_code():
     assert "limit" in err
 
 
+@pytest.mark.parametrize("name", ["sharing", "prob_sum", "interval_abs"])
+def test_negative_feature_limit_is_a_usage_error(name):
+    code, out, err = run_example(name, "--feature-limit", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --feature-limit must be 0 or more, got -1\n"
+
+
 def test_feature_limit_cannot_lift_the_label_size_cap(tmp_path):
     names = [f"F{i:02d}" for i in range(40)]
     binds = tmp_path / "wide.mb"
@@ -209,7 +217,7 @@ def test_undecodable_input_files_exit_1(tmp_path, capsys, undecodable):
     assert main(["run", "-p", str(files["program"]), "-b", str(files["bindings"])]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    assert err == f"error: {files[undecodable]}: not valid UTF-8 (byte 0xff at offset 2)\n"
 
 
 def test_parse_error_exit_code(tmp_path):

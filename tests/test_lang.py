@@ -24,6 +24,7 @@ from multiworld.lang import (
     Var,
     eval_plain,
     parse,
+    read_source,
     render_program,
 )
 from multiworld.lifting import LiftStats
@@ -266,3 +267,11 @@ def test_call_arguments_evaluate_before_entry():
     with pytest.raises(EvalError):
         eval_plain(p, {}, stats=stats)
     assert stats.applications["f"] == 0
+
+
+def test_read_source_names_a_bad_byte_by_its_file_offset(tmp_path):
+    path = tmp_path / "p.mdl"
+    path.write_bytes(b"1 +\r\n" * 4000 + b"\x80")  # past the first 8 KB
+    with pytest.raises(ParseError) as info:
+        read_source(str(path))
+    assert str(info.value) == f"{path}: not valid UTF-8 (byte 0x80 at offset 20000)"

@@ -15,7 +15,8 @@ from multiworld.modal import (
     ModalResult,
     ModalValue,
     make_const,
-    normalize_result,
+    merge_error_pairs,
+    merge_value_pairs,
     project,
     validate,
 )
@@ -200,7 +201,9 @@ def union(alg, a, b):
         return (obj.values, obj.errors) if isinstance(obj, ModalResult) else (obj.pairs, ())
 
     (av, ae), (bv, be) = parts(a), parts(b)
-    return normalize_result(alg, ModalResult(av + bv, ae + be, alg.kind))
+    return ModalResult(
+        merge_value_pairs(alg, av + bv), merge_error_pairs(alg, ae + be), alg.kind
+    )
 
 
 def test_split_then_union_is_identity():

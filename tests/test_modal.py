@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,9 +13,10 @@ from multiworld.labels import (
 from multiworld.modal import (
     ModalResult,
     ModalValue,
+    collect_outcomes,
     make_const,
+    merge_value_pairs,
     normalize,
-    normalize_result,
     project,
     render_result,
     render_value,
@@ -126,6 +129,23 @@ def test_normalize_preserves_probability_mass(weights):
     mv = ModalValue(pairs, "probability")
     normal = normalize(PROB, mv)
     assert sum(w for _, w in normal.pairs) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_collect_outcomes_holds_one_pair_per_distinct_outcome():
+    # 65,536 one-configuration runs at 16 features, 3 distinct values; a
+    # label takes 8 KB, so holding even 64 runs unmerged would pass 0.5 MB
+    alg = FeatureAlgebra([f"F{i}" for i in range(16)])
+    runs = ((1 << p, int.__mod__, (p, 3)) for p in range(1 << 16))
+    tracemalloc.start()
+    try:
+        values, errors = collect_outcomes(alg, runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
+    assert [v for v, _ in values] == [0, 1, 2] and errors == ()
+    assert [bin(label).count("1") for _, label in values] == [21846, 21845, 21845]
+    assert values[0][1] | values[1][1] | values[2][1] == alg.top
 
 
 # --- validate -----------------------------------------------------------------
@@ -248,5 +268,5 @@ def test_render_interval_forms():
 
 
 def test_render_bools_and_errors():
-    result = normalize_result(FEAT, ModalResult(((True, FA), (False, NOT(FA))), (), "feature"))
+    result = ModalResult(merge_value_pairs(FEAT, ((True, FA), (False, NOT(FA)))), (), "feature")
     assert render_result(FEAT, result) == ["false @ !FA", "true @ FA"]

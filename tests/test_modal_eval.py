@@ -336,21 +336,18 @@ def _wide_bindings():
 
 
 @pytest.mark.parametrize("evaluate", [eval_modal, eval_shallow_blackbox])
-def test_evaluators_merge_tuples_as_they_go(monkeypatch, evaluate):
+def test_evaluators_merge_tuples_as_they_go(evaluate):
     for alg, binds in _wide_bindings():
-        env = ModalEnv(alg, binds)
-        seen = []
-        merge = modal.merge_value_pairs
-        monkeypatch.setattr(
-            modal, "merge_value_pairs", lambda a, pairs: seen.append(len(pairs)) or merge(a, pairs)
-        )
-        result = evaluate(parse("x * y"), env)
-        # never more than MERGE_EVERY tuples unmerged
-        assert len(seen) > 1 and max(seen) <= modal.MERGE_EVERY + len(result.values)
-        monkeypatch.undo()
-        monkeypatch.setattr(modal, "MERGE_EVERY", 1 << 11)  # one merge, at the end
-        assert evaluate(parse("x * y"), env) == result
-        monkeypatch.undo()
+        outcomes = [
+            (vx * vy, alg.meet(lx, ly))
+            for vx, lx in binds["x"].pairs
+            for vy, ly in binds["y"].pairs
+        ]
+        result = evaluate(parse("x * y"), ModalEnv(alg, binds))
+        # each tuple merged as it arrives is one merge of them all, to the
+        # last bit of every weight
+        assert result.values == modal.merge_value_pairs(alg, outcomes)
+        assert result.errors == ()
 
 
 # --- merging: normalized parts pass through, only unions merge ---------------------

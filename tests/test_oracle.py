@@ -2,17 +2,22 @@ import random
 
 import pytest
 
-from multiworld.errors import BudgetExceeded
+from multiworld.errors import BudgetExceeded, EvalError
 from multiworld.labels import (
     FeatureAlgebra,
     IntervalAlgebra,
     ProbabilityAlgebra,
     Tag,
 )
-from multiworld.lang import parse
-from multiworld.modal import ModalResult, ModalValue, validate
+from multiworld.lang import eval_plain, parse
+from multiworld.modal import (
+    ModalResult,
+    ModalValue,
+    merge_error_pairs,
+    merge_value_pairs,
+    validate,
+)
 from multiworld.modal_eval import ModalEnv, eval_modal
-from multiworld import modal, oracle
 from multiworld.oracle import (
     assert_equiv,
     brute_force_eval,
@@ -79,7 +84,7 @@ def test_joint_budget():
         enumerate_worlds(alg, binds)
 
 
-def test_oracle_merges_worlds_as_it_goes(monkeypatch):
+def test_oracle_merges_worlds_as_it_goes():
     names = ["FA", "FB"] + [f"F{i}" for i in range(8)]
     feature = parse_bindings(
         f"modality feature({', '.join(names)});\n"
@@ -89,21 +94,21 @@ def test_oracle_merges_worlds_as_it_goes(monkeypatch):
     probability = parse_bindings(
         f"modality probability;\nbind x = {{ {weights} }};\nbind y = {{ {weights} }};"
     )
-    for program, (alg, binds) in ((DIV, feature), ("x * y - x", probability)):
-        seen = []
-        merge = modal.merge_value_pairs
-        for module in (modal, oracle):
-            monkeypatch.setattr(
-                module, "merge_value_pairs",
-                lambda a, pairs: seen.append(len(pairs)) or merge(a, pairs),
-            )
-        result = brute_force_eval(parse(program), binds, alg)
-        # 1024 and 400 worlds; never more than MERGE_EVERY of them unmerged
-        assert len(seen) > 1 and max(seen) <= modal.MERGE_EVERY + len(result.values)
-        monkeypatch.undo()
-        monkeypatch.setattr(modal, "MERGE_EVERY", 1 << 11)  # one merge, at the end
-        assert brute_force_eval(parse(program), binds, alg) == result
-        monkeypatch.undo()
+    cases = ((DIV, feature, True), ("x * y - x", probability, False))
+    for text, (alg, binds), divides_by_zero in cases:
+        program = parse(text)
+        values, errors = [], []
+        for env, config, label in enumerate_worlds(alg, binds):  # 1024 and 400 worlds
+            try:
+                values.append((eval_plain(program, env, config), label))
+            except EvalError as ex:
+                errors.append((ex.kind, label))
+        result = brute_force_eval(program, binds, alg)
+        # each world merged as it arrives is one merge of them all, to the
+        # last bit of every weight
+        assert result.values == merge_value_pairs(alg, values)
+        assert result.errors == merge_error_pairs(alg, errors)
+        assert bool(errors) == divides_by_zero
 
 
 def test_brute_force_div_program():
