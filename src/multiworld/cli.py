@@ -57,6 +57,7 @@ def display_label(alg):
 # --------------------------------------------------------------------------
 
 def _run_plain(program, alg, bindings, cfg, stats):
+    alg.check_features(program.analysis.features)
     if alg.worlds() is None:
         # weights name no world: only constant bindings have one plain run
         if any(len(mv.pairs) != 1 for mv in bindings.values()):

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from .errors import (
     IntervalJoinMismatch,
     MissingConfig,
+    ModalityMismatch,
     ProbabilityOverflow,
     ProjectionUnsupported,
     TooManyFeatures,
@@ -170,6 +171,8 @@ class Algebra:
     * ``merge_per_label`` -- pairs merge on (item, label) instead of item.
     * ``features`` -- the declared feature names (none but for features);
       ``sat_calls`` -- the emptiness checks made (only features count).
+    * ``check_features(names)`` -- reject a program that tests ``names``
+      unless every one is a declared feature.
 
     Deep evaluation threads a *frame* through the program; these four
     operations are all it knows of it.  Here a frame is a path condition:
@@ -189,6 +192,10 @@ class Algebra:
 
     def endpoints(self, values, errors=()):
         return None
+
+    def check_features(self, names) -> None:
+        if names:
+            raise ModalityMismatch(f"the program tests features but the modality is {self.kind!r}")
 
     def narrow(self, ctx, values, errors):
         if not errors:
@@ -266,6 +273,11 @@ class FeatureAlgebra(Algebra):
             known = ", ".join(self.features) or "none"
             raise UndeclaredFeature(f"feature {name!r} not declared (declared: {known})")
         return self._mask(self._index[name])
+
+    def check_features(self, names) -> None:
+        undeclared = names.difference(self._index)
+        if undeclared:
+            raise UndeclaredFeature(f"program tests undeclared feature(s): {sorted(undeclared)}")
 
     def top_labels(self) -> tuple:
         return (self.top,)

@@ -25,16 +25,19 @@ script; other digit characters (``²``) are not numerals.
 
 The front end makes one pass of each kind: one compiled regular
 expression splits the text into tokens, a precedence-climbing parser
-reads a chain of operators at one level as a loop, and the load checks
-(scopes, arities, call cycles) walk the tree with an explicit stack.
+reads a chain of operators at one level as a loop, and one walk with an
+explicit stack makes the load checks (scopes, arities, call cycles) and
+records what the evaluators read of the program (``Program.analysis``).
 Error positions are 1-based line and column.  Nesting deeper than the
 parser's recursion allows raises ``BudgetExceeded``.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DIV_BY_ZERO,
@@ -138,6 +141,19 @@ class FunDef:
 class Program:
     fundefs: tuple
     main: Expr
+
+    @functools.cached_property
+    def analysis(self) -> Analysis:
+        """The program's facts, found by one load-checking walk on first use."""
+        return _analyse(self)
+
+
+class Analysis(NamedTuple):
+    """What every evaluator needs to know of a program."""
+
+    fundefs: dict  # name -> FunDef
+    features: frozenset  # the features tested in any body
+    inputs: tuple  # main's free variables, in first-use order
 
 
 # --------------------------------------------------------------------------
@@ -332,7 +348,7 @@ def parse(text: str) -> Program:
         program = _Parser(text).program()
     except RecursionError:
         raise BudgetExceeded("program nested too deeply to parse") from None
-    load_check(program)
+    program.analysis  # the load checks raise here
     return program
 
 
@@ -351,52 +367,10 @@ def read_source(path: str) -> str:
 # Load checks
 # --------------------------------------------------------------------------
 
-def _scoped_nodes(root: Expr, bound: frozenset = frozenset()):
-    """Every node of ``root`` in pre-order (left to right), each with the
-    names bound where it occurs.  Iterative, so nesting depth costs no
-    stack."""
-    stack = [(root, bound)]
-    while stack:
-        expr, bound = stack.pop()
-        yield expr, bound
-        cls = type(expr)
-        if cls is BinOp:
-            stack += ((expr.rhs, bound), (expr.lhs, bound))
-        elif cls is If:
-            stack += ((expr.orelse, bound), (expr.then, bound), (expr.guard, bound))
-        elif cls is Let:
-            stack += ((expr.body, bound | {expr.name}), (expr.bound, bound))
-        elif cls is Not:
-            stack.append((expr.arg, bound))
-        elif cls is Call:
-            stack += ((arg, bound) for arg in reversed(expr.args))
-
-
-def _check_body(body: Expr, params, fundefs: dict) -> set:
-    """Check the scopes and arities in one body; return the names of the
-    functions it calls.  ``params`` is None for main, whose free variables
-    are left to the bindings."""
-    callees = set()
-    for expr, bound in _scoped_nodes(body, frozenset(params or ())):
-        cls = type(expr)
-        if cls is Var:
-            if params is not None and expr.name not in bound:
-                raise ScopeError(f"unbound variable {expr.name!r}")
-        elif cls is Call:
-            callee = fundefs.get(expr.fn)
-            if callee is None:
-                raise ScopeError(f"call to undefined function {expr.fn!r}")
-            if len(expr.args) != len(callee.params):
-                raise ScopeError(
-                    f"{expr.fn!r} takes {len(callee.params)} argument(s), got {len(expr.args)}"
-                )
-            callees.add(expr.fn)
-    return callees
-
-
-def load_check(program: Program):
+def _analyse(program: Program) -> Analysis:
     """Reject duplicate names, unbound variables in function bodies, calls
-    to undefined functions or with the wrong arity, and call cycles."""
+    to undefined functions or with the wrong arity, and call cycles; gather
+    the ``Analysis`` facts in the same walk."""
     fundefs: dict = {}
     for fd in program.fundefs:
         if fd.name in fundefs:
@@ -405,13 +379,49 @@ def load_check(program: Program):
             raise ScopeError(f"duplicate parameter in {fd.name!r}")
         fundefs[fd.name] = fd
 
-    edges = {fd.name: sorted(_check_body(fd.body, fd.params, fundefs)) for fd in program.fundefs}
-    _check_body(program.main, None, fundefs)
+    features: set = set()
+    inputs: dict = {}  # ordered, without repeats
+    edges: dict = {}
+    # main's params are None: its free variables are left to the bindings
+    bodies = [(fd.name, fd.params, fd.body) for fd in program.fundefs]
+    for fn, params, body in bodies + [(None, None, program.main)]:
+        callees = set()
+        # every node in pre-order (left to right), with the names bound where
+        # it occurs; an explicit stack, so nesting depth costs no recursion
+        stack = [(body, frozenset(params or ()))]
+        while stack:
+            expr, bound = stack.pop()
+            cls = type(expr)
+            if cls is BinOp:
+                stack += ((expr.rhs, bound), (expr.lhs, bound))
+            elif cls is If:
+                stack += ((expr.orelse, bound), (expr.then, bound), (expr.guard, bound))
+            elif cls is Let:
+                stack += ((expr.body, bound | {expr.name}), (expr.bound, bound))
+            elif cls is Not:
+                stack.append((expr.arg, bound))
+            elif cls is Var and expr.name not in bound:
+                if params is not None:
+                    raise ScopeError(f"unbound variable {expr.name!r}")
+                inputs[expr.name] = None
+            elif cls is Call:
+                callee = fundefs.get(expr.fn)
+                if callee is None:
+                    raise ScopeError(f"call to undefined function {expr.fn!r}")
+                if len(expr.args) != len(callee.params):
+                    raise ScopeError(
+                        f"{expr.fn!r} takes {len(callee.params)} argument(s), got {len(expr.args)}"
+                    )
+                callees.add(expr.fn)
+                stack += ((arg, bound) for arg in reversed(expr.args))
+            elif cls is Feature:
+                features.add(expr.name)
+        edges[fn] = sorted(callees)
 
     # cycle detection over the call graph (recursion is out of scope): a
     # depth-first search whose trail is the chain of active calls
     done: set = set()
-    for root in edges:
+    for root in fundefs:
         if root in done:
             continue
         trail, pending = [root], [iter(edges[root])]
@@ -426,20 +436,7 @@ def load_check(program: Program):
             elif callee not in done:
                 trail.append(callee)
                 pending.append(iter(edges[callee]))
-
-
-def free_vars(expr: Expr) -> list:
-    """Free variables in first-use order (pre-order walk)."""
-    out: dict = {}
-    for e, bound in _scoped_nodes(expr):
-        if type(e) is Var and e.name not in bound:
-            out[e.name] = None
-    return list(out)
-
-
-def used_features(program: Program) -> set:
-    roots = [fd.body for fd in program.fundefs] + [program.main]
-    return {e.name for root in roots for e, _ in _scoped_nodes(root) if type(e) is Feature}
+    return Analysis(fundefs, frozenset(features), tuple(inputs))
 
 
 # --------------------------------------------------------------------------
@@ -541,7 +538,7 @@ def eval_plain(program: Program, env, config=None, stats=None):
     ``stats``, when given, counts function and operator applications.  A
     program nested deeper than the interpreter's stack is a budget overrun.
     """
-    fundefs = {fd.name: fd for fd in program.fundefs}
+    fundefs = program.analysis.fundefs
 
     def ev(e, scope):
         if isinstance(e, IntLit):

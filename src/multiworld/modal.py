@@ -67,10 +67,8 @@ def make_const(alg, v: Value) -> ModalValue:
 # --------------------------------------------------------------------------
 
 def _join_into(alg, grouped: dict, key, item, label) -> None:
-    """Join a non-empty ``label`` into ``grouped``'s entry for ``key``, the
-    item's key, or under ``alg.merge_per_label`` for (key, label)."""
-    if alg.is_empty(label):
-        return
+    """Join ``label`` into ``grouped``'s entry for ``key``, the item's key,
+    or under ``alg.merge_per_label`` for (key, label)."""
     if alg.merge_per_label:
         key = (key, label)
     entry = grouped.get(key)
@@ -87,14 +85,15 @@ def _sorted_pairs(alg, grouped: dict) -> tuple:
 
 
 def merge_pairs(alg, pairs, item_key) -> tuple:
-    """Drop empty-label pairs, merge pairs with equal items by joining
-    their labels in encounter order, and sort.
+    """Merge pairs with equal items by joining their labels in encounter
+    order, and sort.  Every label must be non-empty: each is tested where
+    it is made.
 
     Under ``alg.merge_per_label`` the key is (item, label): interval
     ``(5, MIN)`` and ``(5, MAX)`` stay distinct.
     """
-    if len(pairs) < 2:  # nothing to unite: only an empty label goes
-        return tuple(pair for pair in pairs if not alg.is_empty(pair[1]))
+    if len(pairs) < 2:  # nothing to unite
+        return tuple(pairs)
     grouped: dict = {}
     for item, label in pairs:
         _join_into(alg, grouped, item_key(item), item, label)
@@ -112,7 +111,7 @@ def merge_error_pairs(alg, pairs) -> tuple:
 def collect_outcomes(alg, runs) -> tuple:
     """The merged (value pairs, error pairs) of ``(label, fn, args)`` runs:
     what ``fn(*args)`` returns, or the kind of the ``EvalError`` it raises,
-    at ``label``.
+    at ``label``, which must be non-empty.
 
     Each outcome is merged once, as it arrives, so only one pair per
     distinct outcome is ever held; the pairs are what ``merge_value_pairs``
@@ -148,8 +147,10 @@ def _swap_inverted(alg, value_pairs, error_pairs, interval_empty) -> tuple:
 
 
 def normalize(alg, mv: ModalValue, *, interval_empty: str = "reject") -> ModalValue:
-    """Canonical form; the projection at every world is unchanged."""
-    pairs = _swap_inverted(alg, merge_value_pairs(alg, mv.pairs), (), interval_empty)
+    """Canonical form; the projection at every world is unchanged.  Pairs
+    may come from outside (bindings), so empty-label ones are dropped here."""
+    pairs = [pair for pair in mv.pairs if not alg.is_empty(pair[1])]
+    pairs = _swap_inverted(alg, merge_value_pairs(alg, pairs), (), interval_empty)
     if not pairs:
         raise EmptyModalValue("normalization dropped every pair")
     return ModalValue(pairs, mv.modality)

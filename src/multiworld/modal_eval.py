@@ -40,8 +40,6 @@ from .errors import (
     BudgetExceeded,
     InvariantViolation,
     MissingBinding,
-    ModalityMismatch,
-    UndeclaredFeature,
 )
 from .labels import NOWHERE
 from .lifting import LiftStats, PrimitiveFn, restrict, shallow_apply
@@ -80,7 +78,7 @@ class _DeepEval:
         self.env = env
         self.alg = env.alg
         self.stats = stats
-        self.fundefs = {fd.name: fd for fd in program.fundefs}
+        self.fundefs = program.analysis.fundefs
         self.consts: dict = {}
 
     def _union(self, merge, parts):
@@ -204,27 +202,10 @@ class _DeepEval:
     # -- entry point ---------------------------------------------------------
 
     def run(self) -> ModalResult:
-        _preflight(self.program, self.alg)
+        self.alg.check_features(self.program.analysis.features)
         scope = {name: mv.pairs for name, mv in self.env.bindings.items()}
         values, errors = self.eval(self.program.main, scope, None)
         return _finish_result(self.env, values, errors)
-
-
-def _preflight(program: lang.Program, alg) -> set:
-    """The features the program tests, all declared by a feature modality."""
-    names = lang.used_features(program)
-    if not names:
-        return names
-    if alg.kind != "feature":
-        raise ModalityMismatch(
-            f"the program tests features but the modality is {alg.kind!r}"
-        )
-    undeclared = names - set(alg.features)
-    if undeclared:
-        raise UndeclaredFeature(
-            f"program tests undeclared feature(s): {sorted(undeclared)}"
-        )
-    return names
 
 
 def eval_modal(program: lang.Program, env: ModalEnv, stats: LiftStats | None = None) -> ModalResult:
@@ -274,13 +255,14 @@ def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
     alg = env.alg
     if stats is None:
         stats = LiftStats()
-    used = _preflight(program, alg)
+    facts = program.analysis
+    alg.check_features(facts.features)
 
-    names = lang.free_vars(program.main)
+    names = facts.inputs
     for name in names:
         if name not in env.bindings:
             raise MissingBinding(f"no value bound for {name!r}")
-    feature_list = tuple(n for n in alg.features if n in used)
+    feature_list = tuple(n for n in alg.features if n in facts.features)
 
     if names:
         space = (

@@ -2,10 +2,10 @@
 
 This is the independent route the lifted evaluators are checked against.
 It never touches the lifting machinery: each world is materialized as a
-concrete environment (projection of every binding), the plain evaluator
-runs once per world, and the per-world outcomes are aggregated back into a
-modal result labeled by minterms (features), endpoint tags (interval), or
-summed weights (probability).
+concrete environment (projection of every binding ``main`` reads), the
+plain evaluator runs once per world, and the per-world outcomes are
+aggregated back into a modal result labeled by minterms (features),
+endpoint tags (interval), or summed weights (probability).
 
 Also here: a seeded generator of small well-scoped programs and bindings,
 used by the equivalence and invariant sweeps.
@@ -44,17 +44,19 @@ def _named_worlds(alg):
 
 
 def _joint_draws(bindings):
-    """Each joint draw of independent bindings as (env, None, weight)."""
+    """Each joint draw of independent bindings as (env, None, weight),
+    leaving out draws whose weight is empty."""
     names = list(bindings)
     size = 1
     for name in names:
         size *= len(bindings[name].pairs)
         if size > JOINT_BUDGET:
             raise BudgetExceeded(f"joint support exceeds {JOINT_BUDGET} entries")
-    return (
+    draws = (
         (dict(zip(names, [v for v, _ in combo])), None, math.prod([w for _, w in combo], start=1.0))
         for combo in product(*[bindings[n].pairs for n in names])
     )
+    return (draw for draw in draws if draw[2] >= ProbabilityAlgebra.empty_eps)
 
 
 def enumerate_worlds(alg, bindings):
@@ -83,10 +85,14 @@ def enumerate_worlds(alg, bindings):
 
 
 def brute_force_eval(program: lang.Program, bindings, alg, stats=None) -> ModalResult:
-    """Per-world plain runs, aggregated into a modal result."""
+    """Per-world plain runs, aggregated into a modal result.  The worlds
+    cross only the bindings that ``main`` reads."""
+    facts = program.analysis
+    alg.check_features(facts.features)
+    inputs = {name: bindings[name] for name in facts.inputs if name in bindings}
     values, errors = collect_outcomes(alg, (
         (label, lang.eval_plain, (program, env, config, stats))
-        for env, config, label in enumerate_worlds(alg, bindings)
+        for env, config, label in enumerate_worlds(alg, inputs)
     ))
     return ModalResult(values, errors, alg.kind)
 
@@ -299,6 +305,4 @@ class _ProgramGen:
 def random_program(rng, alg, bindings, *, linear: bool = False, max_depth: int = 6) -> lang.Program:
     """A random well-scoped, non-recursive program over the given bindings."""
     gen = _ProgramGen(rng, alg, list(bindings), linear=linear, max_depth=max_depth)
-    program = gen.gen_program()
-    lang.load_check(program)
-    return program
+    return gen.gen_program()

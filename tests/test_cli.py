@@ -220,6 +220,44 @@ def test_undecodable_input_files_exit_1(tmp_path, capsys, undecodable):
     assert err == f"error: {files[undecodable]}: not valid UTF-8 (byte 0xff at offset 2)\n"
 
 
+def _run_files(tmp_path, program, bindings, *flags):
+    (tmp_path / "p.mdl").write_text(program)
+    (tmp_path / "b.mb").write_text(bindings)
+    return main(["run", "-p", str(tmp_path / "p.mdl"), "-b", str(tmp_path / "b.mb"), *flags])
+
+
+# (bindings, --config of a plain run, the error line of every mode)
+FEATURE_MISUSE = (
+    ("modality feature(FA);\nbind x = { 1 @ FA, 2 @ !FA };", "FA=1",
+     "error: program tests undeclared feature(s): ['FZ']"),
+    ("modality probability;\nbind x = { 1 @ 1.0 };", None,
+     "error: the program tests features but the modality is 'probability'"),
+    ("modality interval;\nbind x = [1 .. 2];", "MIN",
+     "error: the program tests features but the modality is 'interval'"),
+)
+
+
+@pytest.mark.parametrize("mode", ("plain", "shallow", "deep", "oracle", "check"))
+@pytest.mark.parametrize("bindings, config, line", FEATURE_MISUSE,
+                         ids=("undeclared", "probability", "interval"))
+def test_every_mode_rejects_feature_tests_the_modality_cannot_decide(
+    tmp_path, capsys, mode, bindings, config, line
+):
+    flags = ["--config", config] if mode == "plain" and config else []
+    code = _run_files(tmp_path, 'if feature("FZ") then x else 0', bindings, "--mode", mode, *flags)
+    assert (code, *capsys.readouterr()) == (1, "", line + "\n")
+
+
+def test_oracle_crosses_only_the_bindings_main_reads(tmp_path, capsys):
+    # all 14 bindings have 2 * 3^13 joint draws, over the oracle's budget
+    unused = "".join(f"bind u{i} = {{ 1 @ 0.2, 2 @ 0.3, 3 @ 0.5 }};\n" for i in range(13))
+    bindings = "modality probability;\nbind x = { 1 @ 0.5, 2 @ 0.5 };\n" + unused
+    answer = "2 @ 0.500000000\n3 @ 0.500000000\n"
+    for mode, out in (("deep", answer), ("oracle", answer), ("check", answer + "check: deep == oracle\n")):
+        code = _run_files(tmp_path, "x + 1", bindings, "--mode", mode)
+        assert (code, *capsys.readouterr()) == (0, out, ""), mode
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.mdl"
     bad.write_text("1 +")

@@ -134,6 +134,18 @@ def test_scope_and_cycle_errors():
         parse("fun f(x) = g(x); fun g(x) = f(x); f(1)")
 
 
+def test_analysis_records_functions_features_and_inputs():
+    program = parse(
+        'fun f(a) = if feature("FB") then a else 0;\n'
+        'let t = y in if feature("FA") then f(x) + t else let w = y in w + z'
+    )
+    facts = program.analysis
+    assert facts.fundefs == {"f": program.fundefs[0]}
+    assert facts.features == {"FA", "FB"}
+    assert facts.inputs == ("y", "x", "z")
+    assert program.analysis is facts
+
+
 def test_reserved_words_not_identifiers():
     with pytest.raises(ParseError):
         parse("let let = 1 in 2")

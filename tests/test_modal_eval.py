@@ -5,9 +5,11 @@ import pytest
 from multiworld import lang, lifting, modal, modal_eval
 from multiworld.errors import (
     BudgetExceeded,
+    CyclicCallError,
     InvariantViolation,
     MissingBinding,
     ModalityMismatch,
+    ScopeError,
     UndeclaredFeature,
 )
 from multiworld.labels import FeatureAlgebra, Tag
@@ -205,6 +207,51 @@ def test_undeclared_feature_rejected():
     program, alg, binds, env = setup('feature("FC")', "modality feature(FA);")
     with pytest.raises(UndeclaredFeature):
         eval_modal(program, env)
+
+
+def test_each_program_is_analysed_once(monkeypatch):
+    analysed = []
+    analyse = lang._analyse
+    monkeypatch.setattr(lang, "_analyse", lambda program: analysed.append(program) or analyse(program))
+    program, alg, binds, env = setup(DIV, DIV_BINDS)
+    eval_modal(program, env)
+    eval_shallow_blackbox(program, env)
+    brute_force_eval(program, binds, alg)
+    lang.eval_plain(program, {"x": 6, "y": 3}, {"FA": True, "FB": False})
+    assert analysed == [program]
+
+
+def _call(fn, *args):
+    return lang.Call(fn, tuple(args))
+
+
+# programs no parser made, with what parse says of their text
+HAND_BUILT = (
+    (lang.Program((), _call("g", lang.IntLit(1))),
+     ScopeError, "call to undefined function 'g'"),
+    (lang.Program((lang.FunDef("f", ("a",), lang.Var("b")),), _call("f", lang.Var("x"))),
+     ScopeError, "unbound variable 'b'"),
+    (lang.Program((lang.FunDef("f", ("a",), _call("g", lang.Var("a"))),
+                   lang.FunDef("g", ("a",), _call("f", lang.Var("a")))), _call("f", lang.Var("x"))),
+     CyclicCallError, "call cycle: f -> g -> f"),
+)
+
+
+@pytest.mark.parametrize("program, error, message", HAND_BUILT)
+def test_hand_built_programs_are_load_checked_on_first_use(program, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        parse(lang.render_program(program))
+    alg, binds = parse_bindings("modality feature(FA);\nbind x = { 1 @ FA, 2 @ !FA };")
+    env = ModalEnv(alg, binds)
+    runs = (
+        lambda: eval_modal(program, env),
+        lambda: eval_shallow_blackbox(program, env),
+        lambda: brute_force_eval(program, binds, alg),
+        lambda: lang.eval_plain(program, {"x": 1}, {"FA": True}),
+    )
+    for run in runs:
+        with pytest.raises(error, match=f"^{message}$"):
+            run()
 
 
 def test_missing_binding():
