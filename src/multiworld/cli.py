@@ -104,19 +104,22 @@ def run(cfg: RunConfig):
         interval_empty=cfg.interval_empty,
     )
 
+    def render(result):
+        return render_result(alg, result, interval_empty=cfg.interval_empty)
+
     exit_code = 0
     if cfg.mode == "plain":
         out.extend(_run_plain(program, alg, bindings, cfg, stats))
     elif cfg.mode == "shallow":
-        out.extend(render_result(alg, eval_shallow_blackbox(program, env, stats)))
+        out.extend(render(eval_shallow_blackbox(program, env, stats)))
     elif cfg.mode == "deep":
-        out.extend(render_result(alg, eval_modal(program, env, stats)))
+        out.extend(render(eval_modal(program, env, stats)))
     elif cfg.mode == "oracle":
-        out.extend(render_result(alg, brute_force_eval(program, bindings, alg, stats)))
+        out.extend(render(brute_force_eval(program, bindings, alg, stats)))
     elif cfg.mode == "check":
         deep = eval_modal(program, env, stats)
         oracle = brute_force_eval(program, bindings, alg)
-        out.extend(render_result(alg, deep))
+        out.extend(render(deep))
         for label, result in (("deep", deep), ("oracle", oracle)):
             report = validate(alg, result, interval_empty=cfg.interval_empty)
             if not report:

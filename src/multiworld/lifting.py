@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import ArityMismatch, ModalityMismatch
-from .modal import ModalResult, _swap_inverted, collect_outcomes
+from .modal import ModalResult, collect_outcomes
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ class LiftStats:
         return sum(self.applications.values())
 
 
-def shallow_apply(alg, f: PrimitiveFn, args, stats: LiftStats | None = None,
-                  *, interval_empty: str = "reject") -> ModalResult:
+def shallow_apply(alg, f: PrimitiveFn, args, stats: LiftStats | None = None) -> ModalResult:
     """Apply ``f`` across the pruned cross product of modal arguments."""
     if len(args) != f.arity:
         raise ArityMismatch(f"{f.name} takes {f.arity} argument(s), got {len(args)}")
@@ -87,8 +86,7 @@ def shallow_apply(alg, f: PrimitiveFn, args, stats: LiftStats | None = None,
             stats.applications[f.name] += 1
             yield label, f.fn, [v for v, _ in combo]
 
-    values, errors = collect_outcomes(alg, runs())
-    return ModalResult(_swap_inverted(alg, values, errors, interval_empty), errors, alg.kind)
+    return ModalResult(*collect_outcomes(alg, runs()), alg.kind)
 
 
 def restrict(alg, pairs, context) -> tuple:

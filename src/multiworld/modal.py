@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyModalValue, EvalError, InvariantViolation
-from .labels import Tag
 
 Value = int | bool
 
@@ -137,20 +136,10 @@ def _inverted(alg, value_pairs, error_pairs):
     return None
 
 
-def _swap_inverted(alg, value_pairs, error_pairs, interval_empty) -> tuple:
-    """The ``swap`` policy's repair: if the MAX value sits below the MIN
-    value, exchange the two values (the tags stay where they are)."""
-    ends = interval_empty == "swap" and _inverted(alg, value_pairs, error_pairs)
-    if ends:
-        return ((ends[1], Tag.MIN), (ends[0], Tag.MAX))
-    return value_pairs
-
-
-def normalize(alg, mv: ModalValue, *, interval_empty: str = "reject") -> ModalValue:
+def normalize(alg, mv: ModalValue) -> ModalValue:
     """Canonical form; the projection at every world is unchanged.  Pairs
     may come from outside (bindings), so empty-label ones are dropped here."""
-    pairs = [pair for pair in mv.pairs if not alg.is_empty(pair[1])]
-    pairs = _swap_inverted(alg, merge_value_pairs(alg, pairs), (), interval_empty)
+    pairs = merge_value_pairs(alg, [pair for pair in mv.pairs if not alg.is_empty(pair[1])])
     if not pairs:
         raise EmptyModalValue("normalization dropped every pair")
     return ModalValue(pairs, mv.modality)
@@ -185,8 +174,8 @@ def validate(alg, obj, *, interval_empty: str = "reject") -> ValidationReport:
 
     For a ModalResult the checks run over value labels and error labels
     jointly.  Interval values with the MAX value below the MIN value are
-    rejected unless the ``swap`` policy is active (in which case
-    normalization would already have repaired them).
+    rejected unless the ``swap`` policy is active, which accepts them as
+    they are.
     """
     if isinstance(obj, ModalResult):
         value_pairs, error_pairs = obj.values, obj.errors
@@ -235,14 +224,19 @@ def project(alg, mv: ModalValue, world) -> Value:
 # Rendering
 # --------------------------------------------------------------------------
 
-def render_result(alg, result: ModalResult, label_text=None) -> list:
+def render_result(alg, result: ModalResult, label_text=None, *,
+                  interval_empty: str = "reject") -> list:
     """One line per pair: ``value @ label`` then ``error:KIND @ label``.
 
-    A complete interval value renders as ``[min .. max]`` instead.
+    A complete interval value renders as ``[min .. max]`` instead; under
+    the ``swap`` policy an inverted range prints its two values in order.
+    Either way the result itself holds each endpoint's own value.
     """
     fmt = label_text or alg.canonical_text
     ends = alg.endpoints(result.values, result.errors)
     if ends:
+        if interval_empty == "swap":
+            ends = sorted(ends, key=value_key)
         return [f"[{value_text(ends[0])} .. {value_text(ends[1])}]"]
     lines = [f"{value_text(v)} @ {fmt(label)}" for v, label in result.values]
     lines.extend(f"error:{kind} @ {fmt(label)}" for kind, label in result.errors)

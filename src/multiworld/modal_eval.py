@@ -46,7 +46,6 @@ from .lifting import LiftStats, PrimitiveFn, restrict, shallow_apply
 from .modal import (
     ModalResult,
     ModalValue,
-    _swap_inverted,
     collect_outcomes,
     make_const,
     merge_error_pairs,
@@ -57,7 +56,11 @@ from .modal import (
 
 @dataclass
 class ModalEnv:
-    """Evaluation context: algebra, normalized bindings, the run's policies."""
+    """Evaluation context: algebra, normalized bindings, the run's policies.
+
+    The range policy changes no value: it only decides whether
+    ``check_invariants`` rejects an inverted final range.
+    """
 
     alg: object
     bindings: dict
@@ -70,6 +73,12 @@ _PRIMITIVES = {
     for op, name in lang.OP_NAMES.items()
 }
 _PRIMITIVES["!"] = PrimitiveFn("not", 1, lang.apply_not)
+
+
+def _feature_pairs(alg, name) -> tuple:
+    """``feature(name)`` as a modal boolean: false off the feature, true on it."""
+    v = alg.var(name)
+    return ((False, alg.complement(v)), (True, v))
 
 
 class _DeepEval:
@@ -113,8 +122,7 @@ class _DeepEval:
             except KeyError:
                 raise MissingBinding(f"no value bound for {expr.name!r}") from None
         elif isinstance(expr, lang.Feature):
-            v = self.alg.var(expr.name)
-            pairs = ((False, self.alg.complement(v)), (True, v))
+            pairs = _feature_pairs(self.alg, expr.name)
         elif isinstance(expr, lang.Not):
             av, ae = self.eval(expr.arg, scope, ctx)
             return self._apply(_PRIMITIVES["!"], [av], [ae], ctx)
@@ -139,7 +147,7 @@ class _DeepEval:
     def _apply(self, prim, arg_pair_lists, error_parts, ctx):
         """A primitive's node: ``shallow_apply``'s values, after the operands' errors."""
         args = [ModalValue(tuple(pairs), self.alg.kind) for pairs in arg_pair_lists]
-        res = shallow_apply(self.alg, prim, args, self.stats, interval_empty=self.env.interval_empty)
+        res = shallow_apply(self.alg, prim, args, self.stats)
         return self._finish(res.values, (*error_parts, res.errors), ctx)
 
     def _binop(self, expr, scope, ctx):
@@ -203,7 +211,9 @@ class _DeepEval:
 
     def run(self) -> ModalResult:
         self.alg.check_features(self.program.analysis.features)
-        scope = {name: mv.pairs for name, mv in self.env.bindings.items()}
+        bindings = self.env.bindings
+        scope = {name: bindings[name].pairs for name in self.program.analysis.inputs
+                 if name in bindings}
         values, errors = self.eval(self.program.main, scope, None)
         return _finish_result(self.env, values, errors)
 
@@ -220,37 +230,15 @@ def eval_modal(program: lang.Program, env: ModalEnv, stats: LiftStats | None = N
 # Shallow black-box lifting of a whole program
 # --------------------------------------------------------------------------
 
-def _split_by_features(alg, label, feature_list):
-    """Split a tuple label until it entails a truth value for every feature
-    the program tests; yields (sub-label, configuration) leaves."""
-    leaves = [(label, {})]
-    for name in feature_list:
-        v = alg.var(name)
-        nxt = []
-        for lab, cfg in leaves:
-            with_false = alg.meet(lab, alg.complement(v))
-            with_true = alg.meet(lab, v)
-            false_ok = not alg.is_empty(with_false)
-            true_ok = not alg.is_empty(with_true)
-            if false_ok and true_ok:
-                nxt.append((with_false, {**cfg, name: False}))
-                nxt.append((with_true, {**cfg, name: True}))
-            elif true_ok:
-                nxt.append((lab, {**cfg, name: True}))
-            else:
-                nxt.append((lab, {**cfg, name: False}))
-        leaves = nxt
-    return leaves
-
-
 def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
                           stats: LiftStats | None = None) -> ModalResult:
     """Cross the program's modal bindings and run it plainly per tuple.
 
-    Arguments are the free variables of ``main`` in first-use order.  For
-    the feature modality, a surviving tuple whose label does not fix some
-    tested feature is split per truth value first, so the plain evaluator
-    always sees a concrete configuration.
+    Arguments are the bound free variables of ``main`` in first-use order,
+    as in the oracle; a run that reads an unbound one fails there.  For the
+    feature modality, each surviving tuple's label is split by every tested
+    feature's modal boolean first, so the plain evaluator always sees a
+    concrete configuration.
     """
     alg = env.alg
     if stats is None:
@@ -258,11 +246,8 @@ def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
     facts = program.analysis
     alg.check_features(facts.features)
 
-    names = facts.inputs
-    for name in names:
-        if name not in env.bindings:
-            raise MissingBinding(f"no value bound for {name!r}")
-    feature_list = tuple(n for n in alg.features if n in facts.features)
+    names = [n for n in facts.inputs if n in env.bindings]
+    splits = [(n, _feature_pairs(alg, n)) for n in alg.features if n in facts.features]
 
     if names:
         space = (
@@ -278,10 +263,10 @@ def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
                 stats.tuples += 1
                 stats.pruned += 1
                 continue
-            if feature_list:
-                leaves = _split_by_features(alg, label, feature_list)
-            else:
-                leaves = [(label, None)]
+            leaves = [(label, {} if splits else None)]
+            for name, pairs in splits:  # one leaf per way to fix the tested features
+                leaves = [(sub, {**config, name: truth}) for part, config in leaves
+                          for truth, sub in restrict(alg, pairs, part)]
             for leaf_label, config in leaves:
                 stats.tuples += 1
                 stats.applied += 1
@@ -292,10 +277,9 @@ def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
 
 
 def _finish_result(env: ModalEnv, values, errors) -> ModalResult:
-    """The result of a run from its normalized pairs, with the ``swap``
-    policy applied, validated under ``check_invariants``."""
-    values = _swap_inverted(env.alg, tuple(values), errors, env.interval_empty)
-    result = ModalResult(values, tuple(errors), env.alg.kind)
+    """The result of a run from its normalized pairs, validated under
+    ``check_invariants``."""
+    result = ModalResult(tuple(values), tuple(errors), env.alg.kind)
     if env.check_invariants:
         report = validate(env.alg, result, interval_empty=env.interval_empty)
         if not report:

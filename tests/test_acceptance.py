@@ -183,9 +183,9 @@ def test_c06_oracle_equivalence_probability(probability_corpus):
 def test_c07_invariant_preservation():
     """With invariant checking on, every intermediate modal value passes
     disjointness and totality; probability masses stay within 1e-9 of 1;
-    interval values keep exactly one MIN and one MAX.  Inverted interval
-    ranges are repaired by the swap policy so arithmetic like 0 - x keeps
-    both endpoints (the default policy instead reports them to validate)."""
+    interval values keep exactly one MIN and one MAX.  The swap policy
+    accepts the inverted ranges of arithmetic like 0 - x, which the default
+    policy reports through validate."""
     violations = 0
     for name in ("sharing", "feature_div", "prob_sum", "interval_abs"):
         program, alg, binds = load_example(name)

@@ -266,16 +266,31 @@ def test_parse_error_exit_code(tmp_path):
     assert "error:" in err
 
 
-def test_swap_policy_flag(tmp_path):
-    prog = tmp_path / "neg.mdl"
-    prog.write_text("0 - x")
-    binds = tmp_path / "neg.mb"
-    binds.write_text("modality interval;\nbind x = [4 .. 9];")
-    code, out, _ = run_cli("run", "-p", str(prog), "-b", str(binds), "--interval-empty", "swap")
-    assert code == 0
-    assert out == "[-9 .. -4]\n"
-    code, out, _ = run_cli("run", "-p", str(prog), "-b", str(binds))
-    assert out == "[-4 .. -9]\n"  # per-endpoint truth, flagged only by validation
+# (program, its line under --interval-empty swap, and under reject)
+RANGE_PROGRAMS = (("0 - x", "[-9 .. -4]", "[-4 .. -9]"), ("(0 - x) + x", "[0 .. 0]", "[0 .. 0]"))
+
+
+@pytest.mark.parametrize("mode", ("deep", "shallow", "oracle", "check"))
+@pytest.mark.parametrize("program, swapped, rejected", RANGE_PROGRAMS, ids=("neg", "cancel"))
+def test_swap_policy_flag(tmp_path, capsys, mode, program, swapped, rejected):
+    # every mode holds each endpoint's own value; swap only prints it in order
+    bindings = "modality interval;\nbind x = [4 .. 9];"
+    tail = "check: deep == oracle\n" if mode == "check" else ""
+    code = _run_files(tmp_path, program, bindings, "--mode", mode, "--interval-empty", "swap")
+    assert (code, *capsys.readouterr()) == (0, swapped + "\n" + tail, "")
+    _run_files(tmp_path, program, bindings, "--mode", mode)
+    assert capsys.readouterr().out.startswith(rejected + "\n")  # flagged only by validation
+
+
+@pytest.mark.parametrize("mode", ("plain", "shallow", "deep", "oracle", "check"))
+def test_unbound_inputs_fail_only_where_they_are_read(tmp_path, capsys, mode):
+    bindings = "modality feature(FA);\nbind y = { 1 @ FA, 2 @ !FA };"
+    flags = ["--mode", mode] + (["--config", "FA=1"] if mode == "plain" else [])
+    answer = {"plain": "1\n", "check": "1 @ true\ncheck: deep == oracle\n"}.get(mode, "1 @ true\n")
+    code = _run_files(tmp_path, "if true then 1 else x", bindings, *flags)
+    assert (code, *capsys.readouterr()) == (0, answer, "")
+    code = _run_files(tmp_path, "x + 1", bindings, *flags)
+    assert (code, *capsys.readouterr()) == (1, "", "error: no value bound for 'x'\n")
 
 
 def test_stats_include_sat_calls():

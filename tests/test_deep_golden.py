@@ -5,7 +5,8 @@ program (``oracle.random_bindings`` + ``oracle.random_program``): 100 seeds
 per modality, even seeds linear, odd seeds not.  The non-linear
 probability programs are the independent-draw cases the oracle cannot
 check.  Every program runs with ``check_invariants`` off and on, interval
-programs also under both ``interval_empty`` policies.
+programs also under both ``interval_empty`` policies, which give the same
+record unless a checked ``reject`` run refuses an inverted range.
 
 A record holds the result's values and errors with ``repr`` labels (exact
 floats), the ``LiftStats`` counters, the sorted applications and the
@@ -85,6 +86,17 @@ def _recorded() -> dict:
 
 def test_golden_covers_every_run():
     assert sorted(_recorded()) == sorted(runs())
+
+
+def test_range_policy_changes_no_value():
+    # a swap record is its reject twin, unless the checked reject run
+    # refused an inverted answer
+    recorded = _recorded()
+    for (kind, seed, check, policy), swapped in recorded.items():
+        if policy == "swap":
+            rejected = recorded[kind, seed, check, "reject"]
+            if not rejected.get("raised", "").startswith("InvariantViolation"):
+                assert {**swapped, "policy": "reject"} == rejected, (seed, check)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -31,7 +31,7 @@ from multiworld.modal_eval import ModalEnv, eval_modal
 from test_cli import run_example
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-EXAMPLES = ("sharing", "feature_div", "prob_sum", "interval_abs")
+EXAMPLES = ("sharing", "feature_div", "prob_sum", "interval_abs", "interval_cancel")
 MODES = ("deep", "shallow", "oracle", "check")
 DISPLAY = GOLDEN / "display_labels.json"
 RECORDED = 209  # entries not made by generated_labels()

@@ -167,12 +167,16 @@ def test_validate_rejects_inverted_interval_by_default():
     assert any("empty range" in p for p in report.problems)
 
 
-def test_swap_policy_repairs_inverted_interval():
-    mv = ModalValue(((9, Tag.MIN), (4, Tag.MAX)), "interval")
-    repaired = normalize(INTV, mv, interval_empty="swap")
-    assert repaired.pairs == ((4, Tag.MIN), (9, Tag.MAX))
-    assert validate(INTV, repaired).ok
-    assert validate(INTV, mv, interval_empty="swap").ok
+def test_swap_policy_accepts_and_prints_inverted_interval():
+    # the values stay each endpoint's own; swap changes only validation and display
+    result = ModalResult(((9, Tag.MIN), (4, Tag.MAX)), (), "interval")
+    assert validate(INTV, result, interval_empty="swap").ok
+    assert render_result(INTV, result, interval_empty="swap") == ["[4 .. 9]"]
+    assert render_result(INTV, result) == ["[9 .. 4]"]
+    # value_key order: every int sits below every bool
+    mixed = ModalResult(((True, Tag.MIN), (3, Tag.MAX)), (), "interval")
+    assert render_result(INTV, mixed, interval_empty="swap") == ["[3 .. true]"]
+    assert not validate(INTV, mixed)
 
 
 def test_validate_rejects_overlap():

@@ -295,12 +295,14 @@ def test_blackbox_equals_deep_for_labeled_modalities():
         kind = "feature" if seed % 2 == 0 else "interval"
         alg, binds = random_bindings(rng, kind)
         program = random_program(rng, alg, binds)
-        env = ModalEnv(alg, binds)
-        deep = eval_modal(program, env)
-        bb = eval_shallow_blackbox(program, env)
-        ok, diff = assert_equiv(alg, deep, bb)
-        assert ok, (seed, kind, diff)
-        assert validate(alg, deep).ok or deep.errors or True
+        oracle = brute_force_eval(program, binds, alg)
+        # the range policy changes no value: deep under swap is the oracle too
+        for policy in ("reject", "swap") if kind == "interval" else ("reject",):
+            env = ModalEnv(alg, binds, interval_empty=policy)
+            deep = eval_modal(program, env)
+            for other in (eval_shallow_blackbox(program, env), oracle):
+                ok, diff = assert_equiv(alg, deep, other)
+                assert ok, (seed, kind, policy, diff)
 
 
 def test_deep_result_always_validates():
