@@ -1,7 +1,8 @@
 """Deep lifting: a lifted interpreter over modal environments.
 
 Instead of crossing whole-program inputs, evaluation recurses down the call
-tree and applies ``shallow_apply`` at each primitive, so cross products are
+tree and applies ``lifting.apply_pairs`` to the operands' pair lists at
+each primitive (plainly, if each holds one pair), so cross products are
 computed at the leaves and shared sub-results (let bindings, constant
 arguments) are evaluated once no matter how many worlds flow through them.
 
@@ -42,10 +43,10 @@ from .errors import (
     MissingBinding,
 )
 from .labels import NOWHERE
-from .lifting import LiftStats, PrimitiveFn, restrict, shallow_apply
+from .lifting import LiftStats, PrimitiveFn, apply_pairs, restrict
+from .lifting import shallow_apply  # noqa: F401 -- not called; perfbench's tracer test reads it
 from .modal import (
     ModalResult,
-    ModalValue,
     collect_outcomes,
     make_const,
     merge_error_pairs,
@@ -145,10 +146,9 @@ class _DeepEval:
         return self._finish(restrict(self.alg, pairs, ctx), (), ctx)
 
     def _apply(self, prim, arg_pair_lists, error_parts, ctx):
-        """A primitive's node: ``shallow_apply``'s values, after the operands' errors."""
-        args = [ModalValue(tuple(pairs), self.alg.kind) for pairs in arg_pair_lists]
-        res = shallow_apply(self.alg, prim, args, self.stats)
-        return self._finish(res.values, (*error_parts, res.errors), ctx)
+        """A primitive's node: ``apply_pairs``' values, after the operands' errors."""
+        values, errors = apply_pairs(self.alg, prim, arg_pair_lists, self.stats)
+        return self._finish(values, (*error_parts, errors), ctx)
 
     def _binop(self, expr, scope, ctx):
         alg = self.alg

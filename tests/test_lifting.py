@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from multiworld import lifting, modal_eval
 from multiworld.errors import ArityMismatch, EvalError, ModalityMismatch
 from multiworld.labels import (
     FeatureAlgebra,
@@ -10,10 +12,11 @@ from multiworld.labels import (
     Tag,
 )
 from multiworld.lang import apply_op
-from multiworld.lifting import LiftStats, PrimitiveFn, restrict, shallow_apply
+from multiworld.lifting import LiftStats, PrimitiveFn, apply_pairs, restrict, shallow_apply
 from multiworld.modal import (
     ModalResult,
     ModalValue,
+    collect_outcomes,
     make_const,
     merge_error_pairs,
     merge_value_pairs,
@@ -162,6 +165,57 @@ def test_projection_homomorphism_random():
                 expected = ("error", ex.kind)
             assert outcome_at(FEAT, result, cfg) == expected
         assert validate(FEAT, result).ok
+
+
+# --- the one-pair shortcut ------------------------------------------------------
+
+PRIMS = list(modal_eval._PRIMITIVES.values())  # what deep evaluation applies
+# non-empty labels whose meets can be empty: disjoint feature sets, MIN
+# against MAX, weights whose product falls below the empty threshold
+SINGLE_LABELS = {
+    FEAT: st.integers(1, TOP),
+    INTV: st.sampled_from([Tag.MIN, Tag.MAX]),
+    PROB: st.sampled_from([1.0, 0.5, 0.25, 1e-7, 2e-6]),
+}
+
+
+def crossed(alg, f, pair_lists, stats):
+    """The cross product through ``collect_outcomes``, with no shortcut."""
+    return collect_outcomes(alg, lifting._runs(alg, f, pair_lists, stats))
+
+
+def outcome(run, alg, prim, pair_lists):
+    """The pairs, counters and emptiness checks of one application."""
+    stats, before = LiftStats(), alg.sat_calls
+    pairs = run(alg, prim, pair_lists, stats)
+    return pairs, stats, alg.sat_calls - before
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), alg=st.sampled_from(list(SINGLE_LABELS)), prim=st.sampled_from(PRIMS))
+def test_single_pair_shortcut_matches_cross_product(data, alg, prim):
+    value = st.integers(-3, 3) | st.booleans()
+    pair_lists = [((data.draw(value), data.draw(SINGLE_LABELS[alg])),) for _ in range(prim.arity)]
+    assert outcome(apply_pairs, alg, prim, pair_lists) == outcome(crossed, alg, prim, pair_lists)
+
+
+@pytest.mark.parametrize("alg, left, right", [
+    (FEAT, FA, NOT(FA)),
+    (INTV, Tag.MIN, Tag.MAX),
+    (PROB, 0.5, 1e-12),
+])
+def test_single_pair_shortcut_prunes_and_fails_like_the_cross_product(
+        monkeypatch, alg, left, right):
+    # 9 / 0 in no world, 9 / 0 in some, 9 / 3 in some
+    cases = [[((9, left),), ((d, label),)] for d, label in ((0, right), (0, left), (3, left))]
+    expected = [outcome(crossed, alg, DIV, pair_lists) for pair_lists in cases]
+    monkeypatch.setattr(lifting, "_runs", None)  # the shortcut crosses nothing
+    got = [outcome(apply_pairs, alg, DIV, pair_lists) for pair_lists in cases]
+    assert got == expected
+    (pruned, pruned_stats, _), (failed, _, _), (applied, _, _) = got
+    assert pruned == ((), ()) and pruned_stats.pruned == 1
+    assert failed[0] == () and failed[1][0][0] == "DivByZero"
+    assert applied[0][0][0] == 3 and applied[1] == ()
 
 
 # --- restrict -----------------------------------------------------------------

@@ -361,9 +361,9 @@ def test_check_invariants_catches_an_unrestricted_read(monkeypatch, binds_text, 
         eval_modal(program, env)
 
 
-def test_deep_calls_shallow_apply_by_its_lifting_name():
-    # a tracer that wraps lifting.shallow_apply replaces this reference too
-    assert modal_eval.shallow_apply is lifting.shallow_apply
+def test_deep_calls_apply_pairs_by_its_lifting_name():
+    # a tracer that wraps lifting.apply_pairs replaces this reference too
+    assert modal_eval.apply_pairs is lifting.apply_pairs
 
 
 def _wide_bindings():
@@ -414,9 +414,9 @@ MERGE_BINDINGS = [
     ("if x < y then x else y", 1),
 ])
 def test_deep_merges_only_unions(monkeypatch, binds_text, text, value_merges):
-    # merges inside shallow_apply go through modal's own references, so
+    # merges inside apply_pairs go through modal's own references, so
     # the spies on modal_eval's count only the deep evaluator's merges;
-    # each program applies one operator through shallow_apply
+    # each program applies one operator through apply_pairs
     program, alg, binds, env = setup(text, binds_text)
     expected = eval_modal(program, env)
     merged = []
@@ -427,9 +427,9 @@ def test_deep_merges_only_unions(monkeypatch, binds_text, text, value_merges):
             modal_eval, name,
             lambda a, pairs, name=name, original=original: merged.append(name) or original(a, pairs),
         )
-    shallow = modal_eval.shallow_apply
+    apply = modal_eval.apply_pairs
     monkeypatch.setattr(
-        modal_eval, "shallow_apply", lambda *a, **kw: applied.append(1) or shallow(*a, **kw)
+        modal_eval, "apply_pairs", lambda *a, **kw: applied.append(1) or apply(*a, **kw)
     )
     assert eval_modal(program, env) == expected
     assert merged == ["merge_value_pairs"] * value_merges
