@@ -135,12 +135,11 @@ def run(cfg: RunConfig):
         raise ParseError(f"unknown mode {cfg.mode!r}")
 
     if cfg.stats:
-        stats.sat_calls = alg.sat_calls - uncounted
         for name in sorted(stats.applications):
             out.append(f"applications.{name}={stats.applications[name]}")
         out.append(f"tuples={stats.tuples}")
         out.append(f"pruned={stats.pruned}")
-        out.append(f"sat_calls={stats.sat_calls}")
+        out.append(f"sat_calls={alg.sat_calls - uncounted}")
     return exit_code, out, err
 
 

@@ -29,7 +29,8 @@ reads a chain of operators at one level as a loop, and one walk with an
 explicit stack makes the load checks (scopes, arities, call cycles) and
 records what the evaluators read of the program (``Program.analysis``).
 Error positions are 1-based line and column.  Nesting deeper than the
-parser's recursion allows raises ``BudgetExceeded``.
+parser's, the renderer's or the evaluator's recursion allows raises
+``BudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -469,11 +470,14 @@ def render_expr(e: Expr) -> str:
 
 
 def render_program(p: Program) -> str:
-    lines = [
-        f"fun {fd.name}({', '.join(fd.params)}) = {render_expr(fd.body)};"
-        for fd in p.fundefs
-    ]
-    lines.append(render_expr(p.main))
+    try:
+        lines = [
+            f"fun {fd.name}({', '.join(fd.params)}) = {render_expr(fd.body)};"
+            for fd in p.fundefs
+        ]
+        lines.append(render_expr(p.main))
+    except RecursionError:
+        raise BudgetExceeded("program nested too deeply to render") from None
     return "\n".join(lines)
 
 

@@ -1,16 +1,19 @@
 """Shallow lifting: apply an ordinary function across modal arguments.
 
-``apply_pairs`` takes one (value, label) pair list per argument and
-enumerates their cross product lexicographically by argument position.
-Each tuple's labels are met together; tuples whose combined label denotes no
-world are pruned, every surviving tuple gets one real application of the
-function, and per-world failures become labeled error pairs instead of
-aborting the whole call.  Each output is merged once, as it arrives
+``cross`` is the one pruned cross product of the package: it enumerates
+the product of one (item, label) pair list per operand lexicographically
+by operand position, meets each tuple's labels together, prunes the tuples
+whose combined label denotes no world, and yields the (label, items) of
+the rest.  Both lifted modes run over it: ``apply_pairs`` gives every
+surviving tuple one real application of a primitive, and black-box lifting
+(``modal_eval.eval_shallow_blackbox``) one plain run of the whole program.
+Per-world failures become labeled error pairs instead of aborting the
+whole call.  Each output is merged once, as it arrives
 (``modal.collect_outcomes``): equal outputs from different tuples share one
 pair, the result is normalized with no second merge, and a wide cross
 product holds one pair per distinct output, never every tuple's label.
 When every list holds one pair, as in most deep applications, that tuple
-is applied plainly, with no product or merge.  ``shallow_apply`` wraps
+is applied plainly, with no merge.  ``shallow_apply`` wraps
 ``apply_pairs`` for ``ModalValue`` arguments.
 
 ``restrict`` narrows (item, label) pairs to a path condition and keeps
@@ -50,22 +53,22 @@ class LiftStats:
     cross-product tuples that reached a real application, while
     ``applications`` also tallies named function calls made outside the
     cross-product machinery (user functions during deep evaluation, every
-    operator during plain runs).  ``sat_calls`` is copied from the
-    algebra's count of emptiness checks.
+    operator during plain runs).  The algebra counts emptiness checks
+    itself (``sat_calls``).
     """
 
     applications: Counter = field(default_factory=Counter)
     tuples: int = 0
     pruned: int = 0
     applied: int = 0
-    sat_calls: int = 0
 
     def total_applications(self) -> int:
         return sum(self.applications.values())
 
 
-def _runs(alg, f: PrimitiveFn, pair_lists, stats: LiftStats):
-    """The ``collect_outcomes`` runs of ``f`` over the pruned cross product."""
+def cross(alg, pair_lists, stats: LiftStats):
+    """The (label, items) of every tuple of the cross product of
+    ``pair_lists`` whose met label is non-empty, counted in ``stats``."""
     for combo in product(*pair_lists):
         label = combo[0][1]
         for _, l in combo[1:]:
@@ -75,26 +78,28 @@ def _runs(alg, f: PrimitiveFn, pair_lists, stats: LiftStats):
             stats.pruned += 1
             continue
         stats.applied += 1
+        yield label, [item for item, _ in combo]
+
+
+def _runs(alg, f: PrimitiveFn, pair_lists, stats: LiftStats):
+    """The ``collect_outcomes`` runs of ``f`` over the pruned cross product."""
+    for label, args in cross(alg, pair_lists, stats):
         stats.applications[f.name] += 1
-        yield label, f.fn, [v for v, _ in combo]
+        yield label, f.fn, args
 
 
 def apply_pairs(alg, f: PrimitiveFn, pair_lists, stats: LiftStats) -> tuple:
     """The merged (value pairs, error pairs) of ``f`` over the pruned cross product."""
-    if all(len(pairs) == 1 for pairs in pair_lists):  # one tuple, met and tested once
-        label = pair_lists[0][0][1]
-        for pairs in pair_lists[1:]:
-            label = alg.meet(label, pairs[0][1])
-        stats.tuples += 1
-        if alg.is_empty(label):
-            stats.pruned += 1
-            return (), ()
-        stats.applied += 1
-        stats.applications[f.name] += 1
-        try:
-            return ((f.fn(*[pairs[0][0] for pairs in pair_lists]), label),), ()
-        except EvalError as ex:
-            return (), ((ex.kind, label),)
+    if all(len(pairs) == 1 for pairs in pair_lists):  # one tuple: nothing to merge
+        # the loop runs ``cross`` to its end: closing a suspended generator costs more
+        outcome = (), ()
+        for label, args in cross(alg, pair_lists, stats):
+            stats.applications[f.name] += 1
+            try:
+                outcome = ((f.fn(*args), label),), ()
+            except EvalError as ex:
+                outcome = (), ((ex.kind, label),)
+        return outcome
     return collect_outcomes(alg, _runs(alg, f, pair_lists, stats))
 
 

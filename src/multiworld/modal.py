@@ -10,7 +10,8 @@ Normalization is the sharing mechanism of the whole package: pairs carrying
 the same value are merged by joining their labels, so results stay compact
 no matter how many worlds produced them.  An algebra with
 ``merge_per_label`` (interval) keeps pairs with different labels apart: a
-range is exactly two pairs.  Outcomes of runs merge once, as they arrive
+range is exactly two pairs.  Error pairs merge by the same rule, keyed on
+their kind.  Outcomes of runs merge once, as they arrive
 (``collect_outcomes``), into normal form, and no caller merges them again.
 Every per-modality rule here is a call into the algebra (see
 ``labels.Algebra``).
@@ -26,7 +27,8 @@ Value = int | bool
 
 
 def value_key(v: Value):
-    """Sort/merge key: ints first, then bools.
+    """Sort/merge key: ints first, then bools; an error kind is keyed
+    ``(0, kind)``, so error pairs sort by kind.
 
     bool is an int subtype in Python, so the bool test must come first or
     ``1`` and ``True`` would collapse into one variant.
@@ -65,9 +67,10 @@ def make_const(alg, v: Value) -> ModalValue:
 # Normalization
 # --------------------------------------------------------------------------
 
-def _join_into(alg, grouped: dict, key, item, label) -> None:
-    """Join ``label`` into ``grouped``'s entry for ``key``, the item's key,
-    or under ``alg.merge_per_label`` for (key, label)."""
+def _join_into(alg, grouped: dict, item, label) -> None:
+    """Join ``label`` into ``grouped``'s entry for the item's key, or under
+    ``alg.merge_per_label`` for (key, label)."""
+    key = value_key(item)
     if alg.merge_per_label:
         key = (key, label)
     entry = grouped.get(key)
@@ -83,10 +86,10 @@ def _sorted_pairs(alg, grouped: dict) -> tuple:
     return tuple(grouped[key] for key in keys)
 
 
-def merge_pairs(alg, pairs, item_key) -> tuple:
-    """Merge pairs with equal items by joining their labels in encounter
-    order, and sort.  Every label must be non-empty: each is tested where
-    it is made.
+def merge_value_pairs(alg, pairs) -> tuple:
+    """Merge pairs with equal items (values, or error kinds) by joining
+    their labels in encounter order, and sort.  Every label must be
+    non-empty: each is tested where it is made.
 
     Under ``alg.merge_per_label`` the key is (item, label): interval
     ``(5, MIN)`` and ``(5, MAX)`` stay distinct.
@@ -95,16 +98,8 @@ def merge_pairs(alg, pairs, item_key) -> tuple:
         return tuple(pairs)
     grouped: dict = {}
     for item, label in pairs:
-        _join_into(alg, grouped, item_key(item), item, label)
+        _join_into(alg, grouped, item, label)
     return _sorted_pairs(alg, grouped)
-
-
-def merge_value_pairs(alg, pairs) -> tuple:
-    return merge_pairs(alg, pairs, value_key)
-
-
-def merge_error_pairs(alg, pairs) -> tuple:
-    return merge_pairs(alg, pairs, lambda kind: kind)
 
 
 def collect_outcomes(alg, runs) -> tuple:
@@ -114,7 +109,7 @@ def collect_outcomes(alg, runs) -> tuple:
 
     Each outcome is merged once, as it arrives, so only one pair per
     distinct outcome is ever held; the pairs are what ``merge_value_pairs``
-    and ``merge_error_pairs`` of every outcome give.
+    gives for the value outcomes and for the error outcomes.
     """
     values: dict = {}
     errors: dict = {}
@@ -122,9 +117,9 @@ def collect_outcomes(alg, runs) -> tuple:
         try:
             value = fn(*args)
         except EvalError as ex:
-            _join_into(alg, errors, ex.kind, ex.kind, label)
+            _join_into(alg, errors, ex.kind, label)
         else:
-            _join_into(alg, values, value_key(value), value, label)
+            _join_into(alg, values, value, label)
     return _sorted_pairs(alg, values), _sorted_pairs(alg, errors)
 
 

@@ -20,20 +20,22 @@ frames are labels, and variables and constants are read through
 frame and scales where it returns (``labels.ProbabilityAlgebra``).  Every
 node returns normalized pairs: normalized parts pass through, and only a
 union of two or more non-empty parts is merged, so the answer is never
-merged again.  Under ``check_invariants`` ``_finish`` checks that each
-node's labels partition its path condition.
+merged again.  Under ``check_invariants`` the evaluator is
+``_CheckedDeepEval``, whose ``eval`` checks that each node's labels
+partition its path condition.
 
-``eval_shallow_blackbox`` is the contrast case: it crosses the bindings of
-the whole program up front and runs the plain evaluator once per surviving
-tuple, duplicating whatever work the program shares internally.  Its
-outcomes merge once, as they arrive (``modal.collect_outcomes``).
+``eval_shallow_blackbox`` is the contrast case: shallow lifting of the
+whole program.  It crosses ``main``'s bound inputs and the truth values of
+its tested features up front (``lifting.cross``) and runs the plain
+evaluator once per surviving tuple, duplicating whatever work the program
+shares internally.  Its outcomes merge once, as they arrive
+(``modal.collect_outcomes``).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import product
 
 from . import lang
 from .errors import (
@@ -43,16 +45,9 @@ from .errors import (
     MissingBinding,
 )
 from .labels import NOWHERE
-from .lifting import LiftStats, PrimitiveFn, apply_pairs, restrict
+from .lifting import LiftStats, PrimitiveFn, apply_pairs, cross, restrict
 from .lifting import shallow_apply  # noqa: F401 -- not called; perfbench's tracer test reads it
-from .modal import (
-    ModalResult,
-    collect_outcomes,
-    make_const,
-    merge_error_pairs,
-    merge_value_pairs,
-    validate,
-)
+from .modal import ModalResult, collect_outcomes, make_const, merge_value_pairs, validate
 
 
 @dataclass
@@ -91,22 +86,12 @@ class _DeepEval:
         self.fundefs = program.analysis.fundefs
         self.consts: dict = {}
 
-    def _union(self, merge, parts):
+    def _union(self, parts):
         """The union of normalized parts: a merge only if two or more are non-empty."""
         parts = [part for part in parts if part]
         if len(parts) > 1:
-            return merge(self.alg, [pair for part in parts for pair in part])
+            return merge_value_pairs(self.alg, [pair for part in parts for pair in part])
         return parts[0] if parts else ()
-
-    def _finish(self, values, error_parts, ctx):
-        """A node's normalized values, and the union of its error parts."""
-        errors = self._union(merge_error_pairs, error_parts) if error_parts else ()
-        if self.env.check_invariants:
-            labels_ = [label for _, label in values] + [label for _, label in errors]
-            problems = self.alg.problems(labels_, within=ctx)
-            if problems:
-                raise InvariantViolation("intermediate value: " + "; ".join(problems))
-        return values, errors
 
     # -- expression dispatch -------------------------------------------------
 
@@ -126,7 +111,7 @@ class _DeepEval:
             pairs = _feature_pairs(self.alg, expr.name)
         elif isinstance(expr, lang.Not):
             av, ae = self.eval(expr.arg, scope, ctx)
-            return self._apply(_PRIMITIVES["!"], [av], [ae], ctx)
+            return self._apply(_PRIMITIVES["!"], [av], [ae])
         elif isinstance(expr, lang.BinOp):
             if expr.op == "&&":
                 # a && b  ==  if a then bool(b) else false; dually for ||
@@ -143,21 +128,21 @@ class _DeepEval:
             return self._bind({}, fd.params, expr.args, fd.body, scope, ctx, expr.fn)
         else:
             raise TypeError(f"not an expression: {expr!r}")
-        return self._finish(restrict(self.alg, pairs, ctx), (), ctx)
+        return restrict(self.alg, pairs, ctx), ()
 
-    def _apply(self, prim, arg_pair_lists, error_parts, ctx):
+    def _apply(self, prim, arg_pair_lists, error_parts):
         """A primitive's node: ``apply_pairs``' values, after the operands' errors."""
         values, errors = apply_pairs(self.alg, prim, arg_pair_lists, self.stats)
-        return self._finish(values, (*error_parts, errors), ctx)
+        return values, self._union((*error_parts, errors))
 
     def _binop(self, expr, scope, ctx):
         alg = self.alg
         lv, le = self.eval(expr.lhs, scope, ctx)
         frame = alg.narrow(ctx, lv, le)
         if frame is NOWHERE:
-            return self._finish((), (le,), ctx)
+            return (), le
         rv, re_ = self.eval(expr.rhs, scope, alg.enter(frame))
-        return self._apply(_PRIMITIVES[expr.op], [lv, rv], [le, alg.leave(re_, frame)], ctx)
+        return self._apply(_PRIMITIVES[expr.op], [lv, rv], [le, alg.leave(re_, frame)])
 
     def _branch(self, guard, then, orelse, scope, ctx, want_bool=False):
         """Evaluate each arm only under the guard labels that select it.
@@ -186,7 +171,7 @@ class _DeepEval:
                 av = [(v, l) for v, l in av if isinstance(v, bool)]
             values.append(alg.leave(av, label))
             errors.append(alg.leave(ae, label))
-        return self._finish(self._union(merge_value_pairs, values), errors, ctx)
+        return self._union(values), self._union(errors)
 
     def _bind(self, inner, names, args, body, scope, ctx, fn=None):
         """A ``let``, or a call of ``fn``, which counts as applied only once
@@ -199,13 +184,13 @@ class _DeepEval:
             errors.append(alg.leave(ae, frame))
             frame = alg.narrow(frame, av, ae)
             if frame is NOWHERE:
-                return self._finish((), errors, ctx)
+                return (), self._union(errors)
             inner[name] = alg.bind(av)
         if fn is not None:
             self.stats.applications[fn] += 1
         xv, xe = self.eval(body, inner, alg.enter(frame))
         errors.append(alg.leave(xe, frame))
-        return self._finish(alg.leave(xv, frame), errors, ctx)
+        return alg.leave(xv, frame), self._union(errors)
 
     # -- entry point ---------------------------------------------------------
 
@@ -218,10 +203,24 @@ class _DeepEval:
         return _finish_result(self.env, values, errors)
 
 
+class _CheckedDeepEval(_DeepEval):
+    """The deep evaluator that checks that each node's labels partition
+    its path condition (``check_invariants``)."""
+
+    def eval(self, expr, scope, ctx):
+        values, errors = super().eval(expr, scope, ctx)
+        labels_ = [label for _, label in values] + [label for _, label in errors]
+        problems = self.alg.problems(labels_, within=ctx)
+        if problems:
+            raise InvariantViolation("intermediate value: " + "; ".join(problems))
+        return values, errors
+
+
 def eval_modal(program: lang.Program, env: ModalEnv, stats: LiftStats | None = None) -> ModalResult:
     """Deep-lifted evaluation of a program over modal bindings."""
+    evaluator = _CheckedDeepEval if env.check_invariants else _DeepEval
     try:
-        return _DeepEval(program, env, stats if stats is not None else LiftStats()).run()
+        return evaluator(program, env, stats if stats is not None else LiftStats()).run()
     except RecursionError:
         raise BudgetExceeded("program nested too deeply to evaluate") from None
 
@@ -232,13 +231,13 @@ def eval_modal(program: lang.Program, env: ModalEnv, stats: LiftStats | None = N
 
 def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
                           stats: LiftStats | None = None) -> ModalResult:
-    """Cross the program's modal bindings and run it plainly per tuple.
+    """Cross the program's modal inputs and run it plainly per tuple.
 
-    Arguments are the bound free variables of ``main`` in first-use order,
-    as in the oracle; a run that reads an unbound one fails there.  For the
-    feature modality, each surviving tuple's label is split by every tested
-    feature's modal boolean first, so the plain evaluator always sees a
-    concrete configuration.
+    The operands are the bound free variables of ``main`` in first-use
+    order, as in the oracle (a run that reads an unbound one fails there),
+    then, for the feature modality, every tested feature's modal boolean in
+    declared order, so the plain evaluator always sees a concrete
+    configuration.  A program with no operand runs once per top label.
     """
     alg = env.alg
     if stats is None:
@@ -247,31 +246,15 @@ def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
     alg.check_features(facts.features)
 
     names = [n for n in facts.inputs if n in env.bindings]
-    splits = [(n, _feature_pairs(alg, n)) for n in alg.features if n in facts.features]
-
-    if names:
-        space = (
-            ([v for v, _ in combo], functools.reduce(alg.meet, [l for _, l in combo]))
-            for combo in product(*[env.bindings[n].pairs for n in names])
-        )
-    else:
-        space = (([], label) for label in alg.top_labels())
+    tested = [n for n in alg.features if n in facts.features]
+    operands = [env.bindings[n].pairs for n in names] + [_feature_pairs(alg, n) for n in tested]
+    if not operands:
+        operands = [[(None, label) for label in alg.top_labels()]]
 
     def runs():
-        for tuple_values, label in space:
-            if alg.is_empty(label):
-                stats.tuples += 1
-                stats.pruned += 1
-                continue
-            leaves = [(label, {} if splits else None)]
-            for name, pairs in splits:  # one leaf per way to fix the tested features
-                leaves = [(sub, {**config, name: truth}) for part, config in leaves
-                          for truth, sub in restrict(alg, pairs, part)]
-            for leaf_label, config in leaves:
-                stats.tuples += 1
-                stats.applied += 1
-                plain_env = dict(zip(names, tuple_values))
-                yield leaf_label, lang.eval_plain, (program, plain_env, config, stats)
+        for label, values in cross(alg, operands, stats):
+            config = dict(zip(tested, values[len(names):])) if tested else None
+            yield label, lang.eval_plain, (program, dict(zip(names, values)), config, stats)
 
     return _finish_result(env, *collect_outcomes(alg, runs()))
 

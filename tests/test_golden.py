@@ -14,11 +14,18 @@ Re-record the generated entries (only when a change of output is intended):
     PYTHONPATH=src python3 tests/test_golden.py
 
 which leaves the first ``RECORDED`` entries as they are and prints how many
-texts changed.
+texts changed.  Re-record the CLI outputs, from the same runs the tests
+make, with
+
+    PYTHONPATH=src python3 tests/test_golden.py --cli
+
+which prints ``<file>: <old> -> <new>`` for every line that changed.
 """
 
 import json
 import random
+import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -73,19 +80,31 @@ def generated_labels() -> list:
     return out
 
 
+def cli_golden(name, mode):
+    """The golden file of ``<name>.<mode>.out`` and the ``run_example``
+    arguments that make it; mode ``deep-checked`` adds ``--check-invariants``."""
+    if mode == "deep-checked":
+        args = (name, "--mode", "deep", "--stats", "--check-invariants")
+    else:
+        args = (name, "--mode", mode, "--stats")
+    return GOLDEN / "cli" / f"{name}.{mode}.out", args
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_cli_output_matches_golden(name, mode):
-    code, out, err = run_example(name, "--mode", mode, "--stats")
+    path, args = cli_golden(name, mode)
+    code, out, err = run_example(*args)
     assert code == 0, err
-    assert out == (GOLDEN / "cli" / f"{name}.{mode}.out").read_text()
+    assert out == path.read_text()
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_checked_deep_output_matches_golden(name):
-    code, out, err = run_example(name, "--mode", "deep", "--stats", "--check-invariants")
+    path, args = cli_golden(name, "deep-checked")
+    code, out, err = run_example(*args)
     assert code == 0, err
-    assert out == (GOLDEN / "cli" / f"{name}.deep-checked.out").read_text()
+    assert out == path.read_text()
 
 
 def test_display_text_matches_golden():
@@ -103,7 +122,20 @@ def test_generated_display_entries_are_current():
     assert labels == [(list(alg.features), hex(label)) for alg, label in generated_labels()]
 
 
-if __name__ == "__main__":
+def record_cli():
+    for name in EXAMPLES:
+        for mode in (*MODES, "deep-checked"):
+            path, args = cli_golden(name, mode)
+            code, out, err = run_example(*args)
+            assert code == 0, err
+            old = path.read_text().splitlines()
+            for before, after in zip_longest(old, out.splitlines(), fillvalue=""):
+                if before != after:
+                    print(f"{path.name}: {before} -> {after}")
+            path.write_text(out)
+
+
+def record_display():
     kept = json.loads(DISPLAY.read_text())
     previous = {(tuple(e["features"]), e["bits"]): e["text"] for e in kept[RECORDED:]}
     fresh = [
@@ -113,3 +145,10 @@ if __name__ == "__main__":
     DISPLAY.write_text(json.dumps(kept[:RECORDED] + fresh, indent=0) + "\n")
     changed = sum(previous.get((tuple(e["features"]), e["bits"])) != e["text"] for e in fresh)
     print(f"{len(fresh)} generated entries written to {DISPLAY.name}, {changed} texts changed or new")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--cli"]:
+        record_cli()
+    else:
+        record_display()

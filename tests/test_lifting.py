@@ -18,7 +18,6 @@ from multiworld.modal import (
     ModalValue,
     collect_outcomes,
     make_const,
-    merge_error_pairs,
     merge_value_pairs,
     project,
     validate,
@@ -256,7 +255,7 @@ def union(alg, a, b):
 
     (av, ae), (bv, be) = parts(a), parts(b)
     return ModalResult(
-        merge_value_pairs(alg, av + bv), merge_error_pairs(alg, ae + be), alg.kind
+        merge_value_pairs(alg, av + bv), merge_value_pairs(alg, ae + be), alg.kind
     )
 
 

@@ -262,13 +262,19 @@ def test_missing_binding():
 
 # --- black-box lifting ------------------------------------------------------------
 
-def test_blackbox_crosses_and_prunes():
-    program, alg, binds, env = setup(SHARING, SHARING_BINDS)
+@pytest.mark.parametrize("program_text, binds_text, tuples, pruned, applied", [
+    (SHARING, SHARING_BINDS, 8, 4, 4),
+    # the tested feature is crossed with x: x's FA pair meets !FA too
+    ('if feature("FA") then x else 0', "modality feature(FA);\nbind x = { 1 @ FA, 2 @ !FA };",
+     4, 2, 2),
+], ids=["sharing", "tested-feature"])
+def test_blackbox_crosses_and_prunes(program_text, binds_text, tuples, pruned, applied):
+    program, alg, binds, env = setup(program_text, binds_text)
     stats = LiftStats()
     eval_shallow_blackbox(program, env, stats)
-    assert stats.tuples == 8
-    assert stats.pruned == 4
-    assert stats.applied == 4
+    assert stats.tuples == tuples
+    assert stats.pruned == pruned
+    assert stats.applied == applied
 
 
 def test_blackbox_constant_env_single_run():
@@ -331,17 +337,19 @@ DEEP_CHAIN = " + ".join(["x"] * 3000)
 
 
 @pytest.mark.parametrize(
-    "entry", ["eval_modal", "eval_shallow_blackbox", "eval_plain", "brute_force_eval"]
+    "entry",
+    ["eval_modal", "eval_shallow_blackbox", "eval_plain", "brute_force_eval", "render_program"],
 )
 def test_deep_nesting_is_a_budget_error(entry):
     program, alg, binds, env = setup(DEEP_CHAIN, SHARING_BINDS)
-    run = {
-        "eval_modal": lambda: eval_modal(program, env),
-        "eval_shallow_blackbox": lambda: eval_shallow_blackbox(program, env),
-        "eval_plain": lambda: lang.eval_plain(program, {"x": 1}),
-        "brute_force_eval": lambda: brute_force_eval(program, binds, alg),
+    run, verb = {
+        "eval_modal": (lambda: eval_modal(program, env), "evaluate"),
+        "eval_shallow_blackbox": (lambda: eval_shallow_blackbox(program, env), "evaluate"),
+        "eval_plain": (lambda: lang.eval_plain(program, {"x": 1}), "evaluate"),
+        "brute_force_eval": (lambda: brute_force_eval(program, binds, alg), "evaluate"),
+        "render_program": (lambda: lang.render_program(program), "render"),
     }[entry]
-    with pytest.raises(BudgetExceeded, match="program nested too deeply to evaluate"):
+    with pytest.raises(BudgetExceeded, match=f"program nested too deeply to {verb}"):
         run()
 
 
@@ -364,6 +372,8 @@ def test_check_invariants_catches_an_unrestricted_read(monkeypatch, binds_text, 
 def test_deep_calls_apply_pairs_by_its_lifting_name():
     # a tracer that wraps lifting.apply_pairs replaces this reference too
     assert modal_eval.apply_pairs is lifting.apply_pairs
+    # black-box lifting crosses through the same kernel
+    assert modal_eval.cross is lifting.cross
 
 
 def _wide_bindings():
@@ -415,18 +425,17 @@ MERGE_BINDINGS = [
 ])
 def test_deep_merges_only_unions(monkeypatch, binds_text, text, value_merges):
     # merges inside apply_pairs go through modal's own references, so
-    # the spies on modal_eval's count only the deep evaluator's merges;
+    # the spy on modal_eval's counts only the deep evaluator's merges;
     # each program applies one operator through apply_pairs
     program, alg, binds, env = setup(text, binds_text)
     expected = eval_modal(program, env)
     merged = []
     applied = []
-    for name in ("merge_value_pairs", "merge_error_pairs"):
-        original = getattr(modal_eval, name)
-        monkeypatch.setattr(
-            modal_eval, name,
-            lambda a, pairs, name=name, original=original: merged.append(name) or original(a, pairs),
-        )
+    original = modal_eval.merge_value_pairs
+    monkeypatch.setattr(
+        modal_eval, "merge_value_pairs",
+        lambda a, pairs: merged.append("merge_value_pairs") or original(a, pairs),
+    )
     apply = modal_eval.apply_pairs
     monkeypatch.setattr(
         modal_eval, "apply_pairs", lambda *a, **kw: applied.append(1) or apply(*a, **kw)
@@ -440,15 +449,15 @@ def test_deep_merges_only_unions(monkeypatch, binds_text, text, value_merges):
 def test_every_deep_node_returns_normalized_pairs(monkeypatch, kind):
     # a node that passes its parts through unmerged must already hold what
     # a merge of them would give
-    finish = modal_eval._DeepEval._finish
+    evaluate = modal_eval._DeepEval.eval
 
     def checked(self, *args):
-        values, errors = finish(self, *args)
+        values, errors = evaluate(self, *args)
         assert tuple(values) == modal.merge_value_pairs(self.alg, values)
-        assert tuple(errors) == modal.merge_error_pairs(self.alg, errors)
+        assert tuple(errors) == modal.merge_value_pairs(self.alg, errors)
         return values, errors
 
-    monkeypatch.setattr(modal_eval._DeepEval, "_finish", checked)
+    monkeypatch.setattr(modal_eval._DeepEval, "eval", checked)
     for seed in range(40):
         rng = random.Random(seed)
         alg, binds = random_bindings(rng, kind)

@@ -11,13 +11,7 @@ from multiworld.labels import (
     Tag,
 )
 from multiworld.lang import eval_plain, parse, render_program
-from multiworld.modal import (
-    ModalResult,
-    ModalValue,
-    merge_error_pairs,
-    merge_value_pairs,
-    validate,
-)
+from multiworld.modal import ModalResult, ModalValue, merge_value_pairs, validate
 from multiworld.modal_eval import ModalEnv, eval_modal
 from multiworld.oracle import (
     assert_equiv,
@@ -108,7 +102,7 @@ def test_oracle_merges_worlds_as_it_goes():
         # each world merged as it arrives is one merge of them all, to the
         # last bit of every weight
         assert result.values == merge_value_pairs(alg, values)
-        assert result.errors == merge_error_pairs(alg, errors)
+        assert result.errors == merge_value_pairs(alg, errors)
         assert bool(errors) == divides_by_zero
 
 
