@@ -2,10 +2,10 @@
 
 Plain programs compute one value per run.  This package lifts them: inputs
 become modal values (sets of labeled variants), labels come from one of
-three pluggable algebras (feature formulas, probabilities, or MIN/MAX
-range tags), and evaluation produces an answer for every world in a single
-pass, pruning world combinations that cannot co-occur and sharing whatever
-the worlds have in common.
+three pluggable algebras (sets of feature configurations, probabilities,
+or sets of MIN/MAX range endpoints), and evaluation produces an answer for
+every world in a single pass, pruning world combinations that cannot
+co-occur and sharing whatever the worlds have in common.
 """
 
 from .bindings import load_bindings, parse_bindings

@@ -73,12 +73,6 @@ class ProbabilityOverflow(ModalError):
     exit_code = 2
 
 
-class IntervalJoinMismatch(ModalError):
-    """Tried to join the MIN and MAX endpoint tags."""
-
-    exit_code = 2
-
-
 class TooManyFeatures(ModalError):
     """More features declared than the configured limit allows."""
 

@@ -6,14 +6,18 @@ three supported modalities:
 
 * ``FeatureAlgebra`` -- labels are sets of configurations of a declared,
   ordered set of feature names, held as 2^k-bit ints; a world is a total
-  true/false configuration of those features.  Intersection, union and
-  complement are bitwise operations and a label is empty when it is 0.
+  true/false configuration of those features.
+* ``IntervalAlgebra`` -- labels are sets of the two endpoint worlds MIN
+  and MAX, held as 2-bit ints; ``Tag.MIN`` (1) and ``Tag.MAX`` (2) name
+  the worlds and are also the labels holding one endpoint alone.
 * ``ProbabilityAlgebra`` -- labels are weights in [0, 1].  Worlds are
   quantified rather than named; combining weights assumes independence
   (intersection multiplies, union of disjoint sets adds).
-* ``IntervalAlgebra`` -- labels are the two endpoint tags MIN and MAX.
-  The EMPTY tag only arises as the meet of mismatched tags; it never
-  appears inside a valid modal value.
+
+Feature and interval labels share one set algebra (``WorldSetAlgebra``):
+intersection, union and complement are bitwise operations and a label is
+empty when it is 0.  The one interval-only rule is ``merge_per_label``: a
+range keeps one pair per endpoint.
 
 Labels are immutable values.  ``FeatureExpr`` formulas are output syntax
 only: the bindings parser folds label text straight into world sets.
@@ -33,7 +37,6 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
-    IntervalJoinMismatch,
     MissingConfig,
     ModalityMismatch,
     ProbabilityOverflow,
@@ -168,9 +171,10 @@ class Algebra:
     * ``shape_problem(label)`` -- why a label is not one of this algebra.
     * ``endpoints(values, errors)`` -- the (MIN, MAX) values of a complete
       range, or ``None``.
-    * ``merge_per_label`` -- pairs merge on (item, label) instead of item.
+    * ``merge_per_label`` -- pairs merge on (item, label) instead of item
+      (interval: a range keeps one pair per endpoint).
     * ``features`` -- the declared feature names (none but for features);
-      ``sat_calls`` -- the emptiness checks made (only features count).
+      ``sat_calls`` -- the emptiness checks made.
     * ``check_features(names)`` -- reject a program that tests ``names``
       unless every one is a declared feature.
 
@@ -213,20 +217,52 @@ class Algebra:
         return tuple(values)
 
 
+class WorldSetAlgebra(Algebra):
+    """Labels are sets of named worlds held as ints: bit ``p`` is set iff
+    world ``p`` is in the set, and ``top`` holds every world.  Equal world
+    sets are equal ints, intersection, union and complement are bitwise,
+    and a label is empty when it is 0; ``sat_calls`` counts emptiness
+    checks."""
+
+    def top_labels(self) -> tuple:
+        return (self.top,)
+
+    def meet(self, l1: int, l2: int) -> int:
+        return l1 & l2
+
+    def join(self, l1: int, l2: int) -> int:
+        return l1 | l2
+
+    def complement(self, label: int) -> int:
+        return self.top ^ label
+
+    def is_empty(self, label: int) -> bool:
+        self.sat_calls += 1
+        return label == 0
+
+    def minus(self, ctx, labels) -> int:
+        left = self.complement(functools.reduce(self.join, labels, 0))
+        return left if ctx is None else ctx & left
+
+    def shape_problem(self, label):
+        if not isinstance(label, int) or label & ~self.top:
+            return "label is not a set of the declared configurations"
+        return None
+
+
 class _Config(dict):
     """A configuration that knows its position in a label's bits."""
 
     __slots__ = ("position",)
 
 
-class FeatureAlgebra(Algebra):
+class FeatureAlgebra(WorldSetAlgebra):
     """Labels are world sets over a fixed, ordered set of feature names.
 
-    A label is an int: bit ``p`` is set iff configuration ``p`` is in the
-    set, where bit ``i`` of ``p`` is the value of ``features[i]``.  Equal
-    world sets are equal ints.  A feature's mask is built on first use.
-    No ``feature_limit`` admits more than ``_BITSET_FEATURE_CAP`` features.
-    ``sat_calls`` counts emptiness checks.
+    Bit ``p`` of a label stands for configuration ``p``, where bit ``i`` of
+    ``p`` is the value of ``features[i]``.  A feature's mask is built on
+    first use.  No ``feature_limit`` admits more than
+    ``_BITSET_FEATURE_CAP`` features.
     """
 
     kind = "feature"
@@ -248,7 +284,6 @@ class FeatureAlgebra(Algebra):
         self._index = {name: i for i, name in enumerate(features)}
         self._masks: dict = {}
         self.top = (1 << (1 << len(features))) - 1
-        self.sat_calls = 0
 
     def _mask(self, i: int) -> int:
         """The configurations where ``features[i]`` is true."""
@@ -278,26 +313,6 @@ class FeatureAlgebra(Algebra):
         undeclared = names.difference(self._index)
         if undeclared:
             raise UndeclaredFeature(f"program tests undeclared feature(s): {sorted(undeclared)}")
-
-    def top_labels(self) -> tuple:
-        return (self.top,)
-
-    def meet(self, l1: int, l2: int) -> int:
-        return l1 & l2
-
-    def join(self, l1: int, l2: int) -> int:
-        return l1 | l2
-
-    def complement(self, label: int) -> int:
-        return self.top ^ label
-
-    def is_empty(self, label: int) -> bool:
-        self.sat_calls += 1
-        return label == 0
-
-    def minus(self, ctx, labels) -> int:
-        left = self.complement(functools.reduce(self.join, labels, 0))
-        return left if ctx is None else ctx & left
 
     def holds(self, label: int, config) -> bool:
         return bool(label >> self._position(config) & 1)
@@ -353,11 +368,6 @@ class FeatureAlgebra(Algebra):
                 f"(missing {sorted(missing)}, unknown {sorted(extra)})"
             )
         return config
-
-    def shape_problem(self, label):
-        if not isinstance(label, int) or label & ~self.top:
-            return "label is not a set of the declared configurations"
-        return None
 
     def problems(self, labels, within=None) -> list:
         out = []
@@ -517,6 +527,7 @@ class ProbabilityAlgebra(Algebra):
         return min(s, 1.0)
 
     def is_empty(self, label: float) -> bool:
+        self.sat_calls += 1
         return label < self.empty_eps
 
     def narrow(self, ctx, values, errors):
@@ -563,76 +574,57 @@ class ProbabilityAlgebra(Algebra):
         return f"{label:.9f}"
 
 
-class Tag(enum.Enum):
-    MIN = "MIN"
-    MAX = "MAX"
-    EMPTY = "EMPTY"
+class Tag(enum.IntEnum):
+    """The endpoint worlds of a range; each is also the label holding it alone."""
+
+    MIN = 1
+    MAX = 2
 
 
 _ENDPOINTS = (Tag.MIN, Tag.MAX)
+# by label: the endpoints it holds, and its text
+_HELD = ((), (Tag.MIN,), (Tag.MAX,), _ENDPOINTS)
+_LABEL_TEXT = ("none", "MIN", "MAX", "MIN|MAX")
 
 
-class IntervalAlgebra(Algebra):
-    """Labels are the MIN/MAX endpoint tags of a range.
+class IntervalAlgebra(WorldSetAlgebra):
+    """Labels are sets of the endpoint worlds MIN and MAX of a range.
 
-    A path condition is one tag, or ``None`` for both; pairs merge per tag,
-    since a range always keeps both endpoints.
+    A path condition is such a set, or ``None`` for both; pairs merge per
+    label, since a range always keeps one pair per endpoint.
     """
 
     kind = "interval"
     merge_per_label = True
+    top = Tag.MIN | Tag.MAX
 
     def top_labels(self) -> tuple:
-        # no single label covers both endpoint worlds
+        # one label per endpoint world, as a range keeps them apart
         return _ENDPOINTS
 
-    def meet(self, l1: Tag, l2: Tag) -> Tag:
-        return l1 if l1 is l2 else Tag.EMPTY
-
-    def join(self, l1: Tag, l2: Tag) -> Tag:
-        if l1 is l2:
-            return l1
-        if l1 is Tag.EMPTY:
-            return l2
-        if l2 is Tag.EMPTY:
-            return l1
-        raise IntervalJoinMismatch(f"cannot join {l1.value} with {l2.value}")
-
-    def is_empty(self, label: Tag) -> bool:
-        return label is Tag.EMPTY
-
-    def minus(self, ctx, labels):
-        left = [t for t in (_ENDPOINTS if ctx is None else (ctx,)) if t not in labels]
-        if len(left) == 2:
-            return None
-        return left[0] if left else Tag.EMPTY
-
-    def covers(self, label: Tag, world: Tag) -> bool:
-        return label is world
+    def covers(self, label: int, world: Tag) -> bool:
+        return bool(label & world)
 
     def worlds(self):
         return _ENDPOINTS
 
-    def minterm(self, world: Tag) -> Tag:
-        return world
+    def minterm(self, world: Tag) -> int:
+        return int(world)
 
     def world_text(self, world: Tag) -> str:
-        return world.value
+        return Tag(world).name
 
     def parse_world(self, text) -> Tag:
         tag = (text or "").strip().upper()
         if tag not in ("MIN", "MAX"):
             raise MissingConfig("plain interval runs need --config MIN or MAX")
-        return Tag(tag)
-
-    def shape_problem(self, label):
-        return "EMPTY tag inside a modal value" if label is Tag.EMPTY else None
+        return Tag[tag]
 
     def problems(self, labels, within=None) -> list:
-        want = _ENDPOINTS if within is None else (within,)
+        want = _HELD[self.top if within is None else within]
         if len(labels) == len(want) and set(labels) == set(want):
             return []
-        ones = " and ".join(f"one {t.value}" for t in want)
+        ones = " and ".join(f"one {t.name}" for t in want)
         return [f"expected exactly {ones}, got {[self.canonical_text(l) for l in labels]}"]
 
     def endpoints(self, values, errors=()):
@@ -643,6 +635,5 @@ class IntervalAlgebra(Algebra):
             return None
         return by_tag[Tag.MIN], by_tag[Tag.MAX]
 
-    def canonical_text(self, label: Tag) -> str:
-        return label.value
-
+    def canonical_text(self, label: int) -> str:
+        return _LABEL_TEXT[label]

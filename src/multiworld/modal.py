@@ -8,9 +8,9 @@ total, so a division by zero in some worlds never poisons the rest.
 
 Normalization is the sharing mechanism of the whole package: pairs carrying
 the same value are merged by joining their labels, so results stay compact
-no matter how many worlds produced them.  An algebra with
-``merge_per_label`` (interval) keeps pairs with different labels apart: a
-range is exactly two pairs.  Error pairs merge by the same rule, keyed on
+no matter how many worlds produced them.  The one interval-only rule is
+``merge_per_label``: pairs with different labels stay apart, so a range
+keeps one pair per endpoint.  Error pairs merge by the same rule, keyed on
 their kind.  Outcomes of runs merge once, as they arrive
 (``collect_outcomes``), into normal form, and no caller merges them again.
 Every per-modality rule here is a call into the algebra (see
@@ -210,7 +210,7 @@ def project(alg, mv: ModalValue, world) -> Value:
     matches = [v for v, label in mv.pairs if alg.covers(label, world)]
     if len(matches) != 1:
         raise InvariantViolation(
-            f"world {world!r} matched {len(matches)} pairs (expected exactly 1)"
+            f"world {alg.world_text(world)} matched {len(matches)} pairs (expected exactly 1)"
         )
     return matches[0]
 

@@ -4,8 +4,8 @@ This is the independent route the lifted evaluators are checked against.
 It never touches the lifting machinery: each world is materialized as a
 concrete environment (projection of every binding ``main`` reads), the
 plain evaluator runs once per world, and the per-world outcomes are
-aggregated back into a modal result labeled by minterms (features),
-endpoint tags (interval), or summed weights (probability).
+aggregated back into a modal result labeled by the minterm of each named
+world (features, interval) or by summed weights (probability).
 
 Also here: a seeded generator of small well-scoped programs and bindings,
 used by the equivalence and invariant sweeps.
@@ -66,7 +66,7 @@ def enumerate_worlds(alg, bindings):
     of that world alone.
 
     Named worlds (configurations, endpoint tags) project every binding and
-    are labeled by their minterm or tag.  Weights name no world, so under
+    are labeled by their minterm.  Weights name no world, so under
     probability the worlds are the joint draws of the bindings, assumed
     independent, labeled by their product weight.  An over-budget world
     count raises ``BudgetExceeded`` at the call.
@@ -114,7 +114,7 @@ def outcome_at(alg, result, world) -> tuple:
     hits = [("value", v) for v, label in result.values if alg.covers(label, world)]
     hits += [("error", k) for k, label in result.errors if alg.covers(label, world)]
     if len(hits) != 1:
-        return ("invalid", f"{len(hits)} outcomes at {world!r}")
+        return ("invalid", f"{len(hits)} outcomes at {alg.world_text(world)}")
     return hits[0]
 
 

@@ -183,7 +183,6 @@ EXIT_CODES = {
     "EvalError": 1,
     "EmptyModalValue": 2,
     "ProbabilityOverflow": 2,
-    "IntervalJoinMismatch": 2,
     "InvariantViolation": 2,
     "TooManyFeatures": 3,
     "BudgetExceeded": 3,

@@ -1,16 +1,12 @@
 import functools
+import itertools
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiworld.errors import (
-    IntervalJoinMismatch,
-    ProbabilityOverflow,
-    TooManyFeatures,
-    UndeclaredFeature,
-)
+from multiworld.errors import ProbabilityOverflow, TooManyFeatures, UndeclaredFeature
 from multiworld.cli import display_label
 from multiworld.labels import (
     FALSE,
@@ -51,6 +47,14 @@ def formulas(names=NAMES):
     )
 
 
+def world_set_algebras():
+    """Each algebra whose labels are world sets, with every label it has:
+    the 16 sets of configurations of two features, and the 4 sets of the
+    endpoints MIN and MAX."""
+    for alg in (FeatureAlgebra(("FA", "FB")), IntervalAlgebra()):
+        yield alg, range(alg.top + 1)
+
+
 # --- feature algebra --------------------------------------------------------
 
 def test_meet_is_conjunction():
@@ -63,27 +67,28 @@ def test_meet_is_conjunction():
 
 
 def test_meet_with_top_is_identity():
-    alg = fresh_alg()
-    label = alg.join(alg.var("FA"), alg.complement(alg.var("FB")))
-    assert alg.meet(label, alg.top) == label
+    for alg, labels in world_set_algebras():
+        for label in labels:
+            assert alg.meet(label, alg.top) == label
 
 
 def test_join_is_disjunction_denotationally():
-    alg = fresh_alg()
-    fa, fb = alg.var("FA"), alg.var("FB")
-    joined = alg.join(alg.meet(fa, alg.complement(fb)),
-                      alg.meet(alg.complement(fa), alg.complement(fb)))
-    # truth table over {FA, FB}: equivalent to !FB
-    for cfg in alg.iter_configs():
-        assert alg.holds(joined, cfg) == (not cfg["FB"])
-    assert joined == alg.complement(fb)
+    # a meet (join) holds at a world where both (either) of its labels do
+    for alg, labels in world_set_algebras():
+        for a, b in itertools.product(labels, repeat=2):
+            for world in alg.worlds():
+                in_a, in_b = alg.covers(a, world), alg.covers(b, world)
+                assert alg.covers(alg.join(a, b), world) == (in_a or in_b)
+                assert alg.covers(alg.meet(a, b), world) == (in_a and in_b)
 
 
 def test_is_empty_contradiction():
-    alg = fresh_alg()
-    fa = alg.var("FA")
-    assert alg.is_empty(alg.meet(fa, alg.complement(fa)))
-    assert not alg.is_empty(alg.top)
+    for alg, labels in world_set_algebras():
+        for label in labels:
+            assert alg.is_empty(alg.meet(label, alg.complement(label)))
+            assert alg.join(label, alg.complement(label)) == alg.top
+            assert alg.is_empty(label) == (not any(alg.covers(label, w) for w in alg.worlds()))
+        assert not alg.is_empty(alg.top)
 
 
 def test_sat_examples():
@@ -119,9 +124,24 @@ def test_feature_limit():
 
 
 def test_check_disjoint_minterms():
-    alg = FeatureAlgebra(("FA", "FB"))
-    minterms = [alg.minterm(cfg) for cfg in alg.iter_configs()]
-    assert alg.problems(minterms) == []
+    # the minterms partition the worlds; repeating one overlaps, dropping
+    # one leaves a gap
+    expected = {
+        "feature": (
+            ["labels overlap: (!FA & !FB) and (!FA & !FB)"],
+            ["configuration {FA=0, FB=0} is uncovered"],
+        ),
+        "interval": (
+            ["expected exactly one MIN and one MAX, got ['MIN', 'MAX', 'MIN']"],
+            ["expected exactly one MIN and one MAX, got ['MAX']"],
+        ),
+    }
+    for alg, _ in world_set_algebras():
+        minterms = [alg.minterm(world) for world in alg.worlds()]
+        overlap, gap = expected[alg.kind]
+        assert alg.problems(minterms) == []
+        assert alg.problems(minterms + minterms[:1]) == overlap
+        assert alg.problems(minterms[1:]) == gap
 
 
 def test_check_total_examples():
@@ -373,32 +393,17 @@ def test_probability_join_is_sum(a, b):
 
 # --- interval algebra -------------------------------------------------------
 
-def test_interval_meet_table():
-    alg = IntervalAlgebra()
-    assert alg.meet(Tag.MIN, Tag.MIN) is Tag.MIN
-    assert alg.meet(Tag.MAX, Tag.MAX) is Tag.MAX
-    assert alg.meet(Tag.MIN, Tag.MAX) is Tag.EMPTY
-    assert alg.meet(Tag.EMPTY, Tag.MIN) is Tag.EMPTY
-
-
-def test_interval_join_table():
-    alg = IntervalAlgebra()
-    assert alg.join(Tag.MIN, Tag.MIN) is Tag.MIN
-    assert alg.join(Tag.EMPTY, Tag.MAX) is Tag.MAX
-    with pytest.raises(IntervalJoinMismatch):
-        alg.join(Tag.MIN, Tag.MAX)
-
-
 def test_interval_empty_disjoint_total():
     alg = IntervalAlgebra()
-    assert alg.is_empty(Tag.EMPTY)
-    assert not alg.is_empty(Tag.MIN)
+    assert alg.is_empty(alg.meet(Tag.MIN, Tag.MAX))
     assert alg.problems([Tag.MIN, Tag.MAX]) == []
     assert alg.problems([Tag.MAX, Tag.MIN]) == []
     assert alg.problems([Tag.MIN, Tag.MIN])
     assert alg.problems([Tag.MIN])
-    assert alg.canonical_text(Tag.MIN) == "MIN"
-    assert alg.top_labels() == (Tag.MIN, Tag.MAX)
+    # a range keeps one pair per endpoint, so one label holding both is not one
+    assert alg.problems([alg.top]) == ["expected exactly one MIN and one MAX, got ['MIN|MAX']"]
+    assert [alg.canonical_text(label) for label in range(4)] == ["none", "MIN", "MAX", "MIN|MAX"]
+    assert alg.top_labels() == (1, 2)
 
 
 def test_interval_problems_within_a_tag():
@@ -407,6 +412,7 @@ def test_interval_problems_within_a_tag():
         "expected exactly one MIN and one MAX, got ['MIN']"
     ]
     assert alg.problems([Tag.MAX], within=Tag.MAX) == []
+    assert alg.problems([Tag.MAX, Tag.MIN], within=alg.top) == []
     # the context's tag missing, doubled, or joined by the other tag
     assert alg.problems([], within=Tag.MAX) == ["expected exactly one MAX, got []"]
     assert alg.problems([Tag.MIN, Tag.MIN], within=Tag.MIN) == [
@@ -418,16 +424,15 @@ def test_interval_problems_within_a_tag():
 
 
 def test_minus_removes_worlds_from_a_context():
-    alg = FeatureAlgebra(("FA", "FB"))
-    fa, fb = alg.var("FA"), alg.var("FB")
-    assert alg.minus(None, [fa]) == alg.complement(fa)
-    assert alg.minus(fb, [fa]) == alg.meet(fb, alg.complement(fa))
-    assert alg.minus(fa, [fa]) == 0
-    intv = IntervalAlgebra()
-    assert intv.minus(None, [Tag.MIN]) is Tag.MAX
-    assert intv.minus(None, [Tag.MIN, Tag.MAX]) is Tag.EMPTY
-    assert intv.minus(Tag.MAX, [Tag.MIN]) is Tag.MAX
-    assert intv.minus(Tag.MAX, [Tag.MAX]) is Tag.EMPTY
+    # the worlds of the context (None: every world) that no label holds
+    for alg, labels in world_set_algebras():
+        for ctx in (None, *labels):
+            for a, b in itertools.product(labels, repeat=2):
+                left = alg.minus(ctx, [a, b])
+                for world in alg.worlds():
+                    in_ctx = ctx is None or alg.covers(ctx, world)
+                    in_labels = alg.covers(a, world) or alg.covers(b, world)
+                    assert alg.covers(left, world) == (in_ctx and not in_labels)
 
 
 def test_enumerated_configurations_know_their_position():
@@ -444,9 +449,10 @@ def test_enumerated_configurations_know_their_position():
 
 
 def test_sat_calls_count_emptiness_checks():
-    alg = FeatureAlgebra(("FA",))
-    label = alg.meet(alg.var("FA"), alg.complement(alg.var("FA")))
-    before = alg.sat_calls
-    alg.is_empty(label)
-    alg.is_empty(label)
-    assert alg.sat_calls == before + 2  # every emptiness check counts
+    # every emptiness check counts, in every modality
+    for alg, label in ((FeatureAlgebra(("FA",)), 0), (IntervalAlgebra(), Tag.MIN),
+                       (ProbabilityAlgebra(), 0.0)):
+        before = alg.sat_calls
+        alg.is_empty(label)
+        alg.is_empty(label)
+        assert alg.sat_calls == before + 2

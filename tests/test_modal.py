@@ -255,6 +255,9 @@ def test_project_detects_bad_value():
     broken = fval([(1, FA), (2, FA)])
     with pytest.raises(InvariantViolation):
         project(FEAT, broken, {"FA": True, "FB": True})
+    half = ModalValue(((1, Tag.MIN),), "interval")
+    with pytest.raises(InvariantViolation, match=r"^world MAX matched 0 pairs \(expected exactly 1\)$"):
+        project(INTV, half, Tag.MAX)
 
 
 # --- rendering ------------------------------------------------------------------

@@ -145,6 +145,12 @@ def test_assert_equiv_reports_diverging_world():
     ok, diff = assert_equiv(alg, a, b)
     assert not ok
     assert "FA=" in diff
+    intv = IntervalAlgebra()
+    doubled = ModalResult(((1, Tag.MIN), (2, Tag.MIN), (3, Tag.MAX)), (), "interval")
+    rng = ModalResult(((1, Tag.MIN), (3, Tag.MAX)), (), "interval")
+    assert assert_equiv(intv, doubled, rng) == (
+        False, "diverges at MIN: ('invalid', '2 outcomes at MIN') vs ('value', 1)"
+    )
 
 
 def test_assert_equiv_probability_tolerance():
