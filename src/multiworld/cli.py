@@ -30,7 +30,7 @@ from . import lang
 from .bindings import load_bindings
 from .errors import EvalError, InvariantViolation, ModalError, ParseError, ProjectionUnsupported
 from .lifting import LiftStats
-from .modal import project, render_result, validate, value_text
+from .modal import bound_inputs, project, render_result, validate, value_text
 from .modal_eval import ModalEnv, eval_modal, eval_shallow_blackbox
 from .oracle import assert_equiv, brute_force_eval
 
@@ -57,16 +57,16 @@ def display_label(alg):
 # --------------------------------------------------------------------------
 
 def _run_plain(program, alg, bindings, cfg, stats):
-    alg.check_features(program.analysis.features)
+    inputs = bound_inputs(program, alg, bindings)
     if alg.worlds() is None:
-        # weights name no world: only constant bindings have one plain run
-        if any(len(mv.pairs) != 1 for mv in bindings.values()):
+        # weights name no world: only constant inputs have one plain run
+        if any(len(mv.pairs) != 1 for mv in inputs.values()):
             raise ProjectionUnsupported("plain mode needs constant probability bindings")
-        env = {name: mv.pairs[0][0] for name, mv in bindings.items()}
+        env = {name: mv.pairs[0][0] for name, mv in inputs.items()}
         config = None
     else:
         world = alg.parse_world(cfg.config)
-        env = {name: project(alg, mv, world) for name, mv in bindings.items()}
+        env = {name: project(alg, mv, world) for name, mv in inputs.items()}
         config = world if alg.features else None
     try:
         out = lang.eval_plain(program, env, config, stats)

@@ -8,8 +8,9 @@ three supported modalities:
   ordered set of feature names, held as 2^k-bit ints; a world is a total
   true/false configuration of those features.
 * ``IntervalAlgebra`` -- labels are sets of the two endpoint worlds MIN
-  and MAX, held as 2-bit ints; ``Tag.MIN`` (1) and ``Tag.MAX`` (2) name
-  the worlds and are also the labels holding one endpoint alone.
+  and MAX, held as 2-bit ints; ``Tag`` names the endpoint worlds as ints,
+  ``Tag.MIN`` (1) and ``Tag.MAX`` (2), which are also the labels holding
+  one endpoint alone.
 * ``ProbabilityAlgebra`` -- labels are weights in [0, 1].  Worlds are
   quantified rather than named; combining weights assumes independence
   (intersection multiplies, union of disjoint sets adds).
@@ -30,7 +31,6 @@ testing which modality they run under.
 
 from __future__ import annotations
 
-import enum
 import functools
 import heapq
 import itertools
@@ -551,6 +551,9 @@ class ProbabilityAlgebra(Algebra):
     def covers(self, label: float, world) -> bool:
         raise ProjectionUnsupported("probability labels do not name worlds")
 
+    def world_text(self, world) -> str:
+        raise ProjectionUnsupported("probability labels do not name worlds")
+
     def worlds(self):
         return None
 
@@ -574,8 +577,9 @@ class ProbabilityAlgebra(Algebra):
         return f"{label:.9f}"
 
 
-class Tag(enum.IntEnum):
-    """The endpoint worlds of a range; each is also the label holding it alone."""
+class Tag:
+    """The endpoint worlds of a range, as plain ints; each is also the
+    label holding that endpoint alone."""
 
     MIN = 1
     MAX = 2
@@ -602,29 +606,29 @@ class IntervalAlgebra(WorldSetAlgebra):
         # one label per endpoint world, as a range keeps them apart
         return _ENDPOINTS
 
-    def covers(self, label: int, world: Tag) -> bool:
+    def covers(self, label: int, world: int) -> bool:
         return bool(label & world)
 
     def worlds(self):
         return _ENDPOINTS
 
-    def minterm(self, world: Tag) -> int:
-        return int(world)
+    def minterm(self, world: int) -> int:
+        return world
 
-    def world_text(self, world: Tag) -> str:
-        return Tag(world).name
+    def world_text(self, world: int) -> str:
+        return _LABEL_TEXT[world]
 
-    def parse_world(self, text) -> Tag:
+    def parse_world(self, text) -> int:
         tag = (text or "").strip().upper()
         if tag not in ("MIN", "MAX"):
             raise MissingConfig("plain interval runs need --config MIN or MAX")
-        return Tag[tag]
+        return _LABEL_TEXT.index(tag)
 
     def problems(self, labels, within=None) -> list:
         want = _HELD[self.top if within is None else within]
         if len(labels) == len(want) and set(labels) == set(want):
             return []
-        ones = " and ".join(f"one {t.name}" for t in want)
+        ones = " and ".join(f"one {_LABEL_TEXT[t]}" for t in want)
         return [f"expected exactly {ones}, got {[self.canonical_text(l) for l in labels]}"]
 
     def endpoints(self, values, errors=()):

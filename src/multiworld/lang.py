@@ -4,7 +4,8 @@ The plain evaluator is the ground-truth semantics that every lifted mode
 must agree with world by world.  Values are 64-bit signed integers and
 booleans; division truncates toward zero; overflow and division by zero
 are runtime errors; ``&&`` and ``||`` short-circuit.  ``feature("N")``
-tests one feature of the active configuration.
+tests one feature of the active configuration.  Each primitive operator
+is defined once, in ``PRIMITIVES``, the table every evaluator applies.
 
 Program file grammar (``.mdl``, ``//`` comments):
 
@@ -57,18 +58,6 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 KEYWORDS = {"fun", "let", "in", "if", "then", "else", "true", "false", "feature"}
-
-# lifted-counter names for the built-in operators
-OP_NAMES = {
-    "+": "add",
-    "-": "sub",
-    "*": "mul",
-    "/": "div",
-    "<": "lt",
-    "<=": "le",
-    "==": "eq",
-    "!": "not",
-}
 
 
 # --------------------------------------------------------------------------
@@ -503,35 +492,46 @@ def _checked(n: int) -> int:
     return n
 
 
-def apply_op(op: str, a, b):
-    """Apply one binary primitive to plain values, per-world semantics."""
-    if op == "+":
-        return _checked(_as_int(a) + _as_int(b))
-    if op == "-":
-        return _checked(_as_int(a) - _as_int(b))
-    if op == "*":
-        return _checked(_as_int(a) * _as_int(b))
-    if op == "/":
-        num, den = _as_int(a), _as_int(b)
-        if den == 0:
-            raise EvalError(DIV_BY_ZERO, "division by zero")
-        quot = abs(num) // abs(den)
-        if (num >= 0) != (den >= 0):
-            quot = -quot
-        return _checked(quot)
-    if op == "<":
-        return _as_int(a) < _as_int(b)
-    if op == "<=":
-        return _as_int(a) <= _as_int(b)
-    if op == "==":
-        if isinstance(a, bool) != isinstance(b, bool):
-            raise EvalError(TYPE_MISMATCH, "== needs operands of one type")
-        return a == b
-    raise ValueError(f"unknown operator {op!r}")
+def _div(a, b):
+    num, den = _as_int(a), _as_int(b)
+    if den == 0:
+        raise EvalError(DIV_BY_ZERO, "division by zero")
+    quot = abs(num) // abs(den)
+    return _checked(quot if (num >= 0) == (den >= 0) else -quot)
 
 
-def apply_not(a):
-    return not _as_bool(a)
+def _eq(a, b):
+    if isinstance(a, bool) != isinstance(b, bool):
+        raise EvalError(TYPE_MISMATCH, "== needs operands of one type")
+    return a == b
+
+
+@dataclass(frozen=True)
+class PrimitiveFn:
+    """A deterministic plain function of ``arity`` values, counted under
+    ``name``.
+
+    ``fn`` either returns a value or raises ``EvalError`` with a per-world
+    error kind.
+    """
+
+    name: str
+    arity: int
+    fn: object
+
+
+# Every primitive operator by its text, with its per-world semantics: the
+# one table that the plain evaluator and the lifted evaluators apply.
+PRIMITIVES = {
+    "+": PrimitiveFn("add", 2, lambda a, b: _checked(_as_int(a) + _as_int(b))),
+    "-": PrimitiveFn("sub", 2, lambda a, b: _checked(_as_int(a) - _as_int(b))),
+    "*": PrimitiveFn("mul", 2, lambda a, b: _checked(_as_int(a) * _as_int(b))),
+    "/": PrimitiveFn("div", 2, _div),
+    "<": PrimitiveFn("lt", 2, lambda a, b: _as_int(a) < _as_int(b)),
+    "<=": PrimitiveFn("le", 2, lambda a, b: _as_int(a) <= _as_int(b)),
+    "==": PrimitiveFn("eq", 2, _eq),
+    "!": PrimitiveFn("not", 1, lambda a: not _as_bool(a)),
+}
 
 
 def eval_plain(program: Program, env, config=None, stats=None):
@@ -561,9 +561,10 @@ def eval_plain(program: Program, env, config=None, stats=None):
             guard = _as_bool(ev(e.guard, scope))
             return ev(e.then if guard else e.orelse, scope)
         if isinstance(e, Not):
+            prim = PRIMITIVES["!"]
             if stats is not None:
-                stats.applications["not"] += 1
-            return apply_not(ev(e.arg, scope))
+                stats.applications[prim.name] += 1
+            return prim.fn(ev(e.arg, scope))
         if isinstance(e, BinOp):
             if e.op == "&&":
                 if not _as_bool(ev(e.lhs, scope)):
@@ -575,9 +576,10 @@ def eval_plain(program: Program, env, config=None, stats=None):
                 return _as_bool(ev(e.rhs, scope))
             lhs = ev(e.lhs, scope)
             rhs = ev(e.rhs, scope)
+            prim = PRIMITIVES[e.op]
             if stats is not None:
-                stats.applications[OP_NAMES[e.op]] += 1
-            return apply_op(e.op, lhs, rhs)
+                stats.applications[prim.name] += 1
+            return prim.fn(lhs, rhs)
         if isinstance(e, Call):
             fd = fundefs[e.fn]
             args = [ev(a, scope) for a in e.args]

@@ -29,20 +29,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import ArityMismatch, EvalError, ModalityMismatch
+from .lang import PrimitiveFn
 from .modal import ModalResult, collect_outcomes
-
-
-@dataclass(frozen=True)
-class PrimitiveFn:
-    """A deterministic plain function of ``arity`` values.
-
-    ``fn`` either returns a value or raises ``EvalError`` with a per-world
-    error kind.
-    """
-
-    name: str
-    arity: int
-    fn: object
 
 
 @dataclass

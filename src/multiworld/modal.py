@@ -63,6 +63,15 @@ def make_const(alg, v: Value) -> ModalValue:
     return ModalValue(tuple((v, label) for label in labels), alg.kind)
 
 
+def bound_inputs(program, alg, bindings) -> dict:
+    """The bindings that ``program``'s ``main`` reads, in first-use order,
+    once ``alg`` has accepted the features the program tests.  Every
+    evaluator reads only these; an unbound input fails where it is read."""
+    facts = program.analysis
+    alg.check_features(facts.features)
+    return {name: bindings[name] for name in facts.inputs if name in bindings}
+
+
 # --------------------------------------------------------------------------
 # Normalization
 # --------------------------------------------------------------------------

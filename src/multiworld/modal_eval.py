@@ -34,7 +34,6 @@ shares internally.  Its outcomes merge once, as they arrive
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import lang
@@ -45,9 +44,16 @@ from .errors import (
     MissingBinding,
 )
 from .labels import NOWHERE
-from .lifting import LiftStats, PrimitiveFn, apply_pairs, cross, restrict
+from .lifting import LiftStats, apply_pairs, cross, restrict
 from .lifting import shallow_apply  # noqa: F401 -- not called; perfbench's tracer test reads it
-from .modal import ModalResult, collect_outcomes, make_const, merge_value_pairs, validate
+from .modal import (
+    ModalResult,
+    bound_inputs,
+    collect_outcomes,
+    make_const,
+    merge_value_pairs,
+    validate,
+)
 
 
 @dataclass
@@ -62,13 +68,6 @@ class ModalEnv:
     bindings: dict
     check_invariants: bool = False
     interval_empty: str = "reject"
-
-
-_PRIMITIVES = {
-    op: PrimitiveFn(name, 2, functools.partial(lang.apply_op, op))
-    for op, name in lang.OP_NAMES.items()
-}
-_PRIMITIVES["!"] = PrimitiveFn("not", 1, lang.apply_not)
 
 
 def _feature_pairs(alg, name) -> tuple:
@@ -111,7 +110,7 @@ class _DeepEval:
             pairs = _feature_pairs(self.alg, expr.name)
         elif isinstance(expr, lang.Not):
             av, ae = self.eval(expr.arg, scope, ctx)
-            return self._apply(_PRIMITIVES["!"], [av], [ae])
+            return self._apply(lang.PRIMITIVES["!"], [av], [ae])
         elif isinstance(expr, lang.BinOp):
             if expr.op == "&&":
                 # a && b  ==  if a then bool(b) else false; dually for ||
@@ -142,7 +141,7 @@ class _DeepEval:
         if frame is NOWHERE:
             return (), le
         rv, re_ = self.eval(expr.rhs, scope, alg.enter(frame))
-        return self._apply(_PRIMITIVES[expr.op], [lv, rv], [le, alg.leave(re_, frame)])
+        return self._apply(lang.PRIMITIVES[expr.op], [lv, rv], [le, alg.leave(re_, frame)])
 
     def _branch(self, guard, then, orelse, scope, ctx, want_bool=False):
         """Evaluate each arm only under the guard labels that select it.
@@ -195,10 +194,8 @@ class _DeepEval:
     # -- entry point ---------------------------------------------------------
 
     def run(self) -> ModalResult:
-        self.alg.check_features(self.program.analysis.features)
-        bindings = self.env.bindings
-        scope = {name: bindings[name].pairs for name in self.program.analysis.inputs
-                 if name in bindings}
+        inputs = bound_inputs(self.program, self.alg, self.env.bindings)
+        scope = {name: mv.pairs for name, mv in inputs.items()}
         values, errors = self.eval(self.program.main, scope, None)
         return _finish_result(self.env, values, errors)
 
@@ -233,21 +230,18 @@ def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
                           stats: LiftStats | None = None) -> ModalResult:
     """Cross the program's modal inputs and run it plainly per tuple.
 
-    The operands are the bound free variables of ``main`` in first-use
-    order, as in the oracle (a run that reads an unbound one fails there),
-    then, for the feature modality, every tested feature's modal boolean in
+    The operands are ``main``'s bound inputs (``modal.bound_inputs``), as
+    in the oracle (a run that reads an unbound one fails there), then, for the feature modality, every tested feature's modal boolean in
     declared order, so the plain evaluator always sees a concrete
     configuration.  A program with no operand runs once per top label.
     """
     alg = env.alg
     if stats is None:
         stats = LiftStats()
-    facts = program.analysis
-    alg.check_features(facts.features)
-
-    names = [n for n in facts.inputs if n in env.bindings]
-    tested = [n for n in alg.features if n in facts.features]
-    operands = [env.bindings[n].pairs for n in names] + [_feature_pairs(alg, n) for n in tested]
+    inputs = bound_inputs(program, alg, env.bindings)
+    names = list(inputs)
+    tested = [n for n in alg.features if n in program.analysis.features]
+    operands = [mv.pairs for mv in inputs.values()] + [_feature_pairs(alg, n) for n in tested]
     if not operands:
         operands = [[(None, label) for label in alg.top_labels()]]
 

@@ -22,6 +22,7 @@ from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
 from .modal import (
     ModalResult,
     ModalValue,
+    bound_inputs,
     collect_outcomes,
     make_const,
     normalize,
@@ -87,9 +88,7 @@ def enumerate_worlds(alg, bindings):
 def brute_force_eval(program: lang.Program, bindings, alg, stats=None) -> ModalResult:
     """Per-world plain runs, aggregated into a modal result.  The worlds
     cross only the bindings that ``main`` reads."""
-    facts = program.analysis
-    alg.check_features(facts.features)
-    inputs = {name: bindings[name] for name in facts.inputs if name in bindings}
+    inputs = bound_inputs(program, alg, bindings)
     values, errors = collect_outcomes(alg, (
         (label, lang.eval_plain, (program, env, config, stats))
         for env, config, label in enumerate_worlds(alg, inputs)

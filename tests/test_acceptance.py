@@ -11,9 +11,8 @@ import pytest
 from multiworld.bindings import load_bindings
 from multiworld.cli import RunConfig, run as cli_run
 from multiworld.labels import ProbabilityAlgebra
-from multiworld.lang import parse
-from multiworld.lifting import LiftStats, PrimitiveFn, shallow_apply
-from multiworld.lang import apply_op
+from multiworld.lang import PRIMITIVES, parse
+from multiworld.lifting import LiftStats, shallow_apply
 from multiworld.modal import ModalValue, make_const, validate
 from multiworld.modal_eval import ModalEnv, eval_modal, eval_shallow_blackbox
 from multiworld.oracle import (
@@ -43,6 +42,7 @@ class Entry:
     program: object
     deep: object
     deep_stats: LiftStats
+    blackbox: object
     blackbox_stats: LiftStats
     oracle: object
 
@@ -58,10 +58,10 @@ def build_corpus(kind, linear):
         deep_stats = LiftStats()
         deep = eval_modal(program, env, deep_stats)
         blackbox_stats = LiftStats()
-        eval_shallow_blackbox(program, env, blackbox_stats)
+        blackbox = eval_shallow_blackbox(program, env, blackbox_stats)
         oracle = brute_force_eval(program, binds, alg)
         entries.append(
-            Entry(seed, alg, binds, program, deep, deep_stats, blackbox_stats, oracle)
+            Entry(seed, alg, binds, program, deep, deep_stats, blackbox, blackbox_stats, oracle)
         )
     return entries, time.perf_counter() - start
 
@@ -166,6 +166,14 @@ def test_c05_oracle_equivalence_interval(interval_corpus):
         ok, diff = assert_equiv(e.alg, e.deep, e.oracle)
         assert ok, (e.seed, diff)
     assert len(entries) >= 500
+    # an interval label is a plain int, wherever it was made
+    parsed = [load_example(name)[2] for name in ("interval_abs", "interval_cancel")]
+    labels = [label for binds in parsed + [e.binds for e in entries]
+              for mv in binds.values() for _, label in mv.pairs]
+    for e in entries:
+        for result in (e.deep, e.blackbox, e.oracle):
+            labels += [label for _, label in result.values + result.errors]
+    assert {type(label) for label in labels} == {int}
     print(f"criterion 05 PASS: {len(entries)} interval programs equivalent")
 
 
@@ -234,8 +242,7 @@ def test_c09_two_point_distribution():
     distribution with weights 0.2/0.8 and total mass 1 within 1e-9."""
     alg = ProbabilityAlgebra()
     x = ModalValue(((7, 0.2), (9, 0.8)), "probability")
-    add = PrimitiveFn("add", 2, lambda a, b: apply_op("+", a, b))
-    result = shallow_apply(alg, add, [x, make_const(alg, 1)])
+    result = shallow_apply(alg, PRIMITIVES["+"], [x, make_const(alg, 1)])
     weights = dict(result.values)
     assert set(weights) == {8, 10}
     assert weights[8] == pytest.approx(0.2, abs=1e-12)

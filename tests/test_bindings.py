@@ -61,6 +61,15 @@ def test_boolean_values():
     assert [v for v, _ in binds["b"].pairs] == [False, True]
 
 
+def test_false_feature_label():
+    # false joins as the empty world set, and a pair labeled false denotes
+    # no world, so normalization drops it
+    alg, binds = parse_bindings(
+        "modality feature(FA);\nbind v = { 1 @ FA | false, 2 @ !FA, 3 @ false & FA, 4 @ false };"
+    )
+    assert binds["v"].pairs == ((1, alg.var("FA")), (2, alg.complement(alg.var("FA"))))
+
+
 def test_bindings_normalize_merges_duplicates():
     alg, binds = parse_bindings("modality feature(FA);\nbind v = { 2 @ FA, 2 @ !FA };")
     assert len(binds["v"].pairs) == 1

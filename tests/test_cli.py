@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from multiworld import cli
 from multiworld.cli import main
 from multiworld.errors import ModalError
 from multiworld.lang import render_program
+from multiworld.modal_eval import eval_modal
 from multiworld.oracle import random_bindings, random_program
 from test_bindings import BINDINGS_TOKENS
 from test_lang import PROGRAM_TOKENS
@@ -248,13 +250,32 @@ def test_every_mode_rejects_feature_tests_the_modality_cannot_decide(
 
 
 def test_oracle_crosses_only_the_bindings_main_reads(tmp_path, capsys):
-    # all 14 bindings have 2 * 3^13 joint draws, over the oracle's budget
+    # all 15 bindings have 2 * 3^13 joint draws, over the oracle's budget
     unused = "".join(f"bind u{i} = {{ 1 @ 0.2, 2 @ 0.3, 3 @ 0.5 }};\n" for i in range(13))
-    bindings = "modality probability;\nbind x = { 1 @ 0.5, 2 @ 0.5 };\n" + unused
+    bindings = "modality probability;\nbind c = { 7 @ 1.0 };\nbind x = { 1 @ 0.5, 2 @ 0.5 };\n" + unused
     answer = "2 @ 0.500000000\n3 @ 0.500000000\n"
-    for mode, out in (("deep", answer), ("oracle", answer), ("check", answer + "check: deep == oracle\n")):
+    for mode, out in (("deep", answer), ("shallow", answer), ("oracle", answer),
+                      ("check", answer + "check: deep == oracle\n")):
         code = _run_files(tmp_path, "x + 1", bindings, "--mode", mode)
         assert (code, *capsys.readouterr()) == (0, out, ""), mode
+    # a plain run needs constant inputs, but only of the bindings main reads
+    code = _run_files(tmp_path, "c + 1", bindings, "--mode", "plain")
+    assert (code, *capsys.readouterr()) == (0, "8\n", "")
+    code = _run_files(tmp_path, "c + x", bindings, "--mode", "plain")
+    assert (code, *capsys.readouterr()) == (
+        1, "", "error: plain mode needs constant probability bindings\n")
+
+
+def test_check_mode_reports_where_deep_and_oracle_disagree(tmp_path, capsys, monkeypatch):
+    def off_by_one(program, env, stats=None):
+        result = eval_modal(program, env, stats)
+        return replace(result, values=tuple((v + 1, label) for v, label in result.values))
+
+    monkeypatch.setattr(cli, "eval_modal", off_by_one)
+    code = _run_files(tmp_path, "x + 1", "modality feature(FA);\nbind x = { 1 @ FA, 2 @ !FA };",
+                      "--mode", "check")
+    assert (code, *capsys.readouterr()) == (
+        2, "3 @ FA\n4 @ !FA\n", "check failed: diverges at {FA=0}: ('value', 4) vs ('value', 3)\n")
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiworld import lifting, modal_eval
+from multiworld import lifting
 from multiworld.errors import ArityMismatch, EvalError, ModalityMismatch
 from multiworld.labels import (
     FeatureAlgebra,
@@ -11,7 +11,7 @@ from multiworld.labels import (
     ProbabilityAlgebra,
     Tag,
 )
-from multiworld.lang import apply_op
+from multiworld.lang import PRIMITIVES
 from multiworld.lifting import LiftStats, PrimitiveFn, apply_pairs, restrict, shallow_apply
 from multiworld.modal import (
     ModalResult,
@@ -30,8 +30,7 @@ INTV = IntervalAlgebra()
 FA, FB = FEAT.var("FA"), FEAT.var("FB")
 AND, NOT, TOP = FEAT.meet, FEAT.complement, FEAT.top
 
-ADD = PrimitiveFn("add", 2, lambda a, b: apply_op("+", a, b))
-DIV = PrimitiveFn("div", 2, lambda a, b: apply_op("/", a, b))
+ADD, DIV = PRIMITIVES["+"], PRIMITIVES["/"]
 
 
 def three_arg_inputs():
@@ -154,12 +153,12 @@ def test_projection_homomorphism_random():
             )
             xs.append(ModalValue(pairs, "feature"))
         op = rng.choice(("+", "-", "*", "/"))
-        prim = PrimitiveFn(op, 2, lambda a, b, op=op: apply_op(op, a, b))
+        prim = PRIMITIVES[op]
         result = shallow_apply(FEAT, prim, xs)
         for cfg in FEAT.iter_configs():
             args = [project(FEAT, mv, cfg) for mv in xs]
             try:
-                expected = ("value", apply_op(op, *args))
+                expected = ("value", prim.fn(*args))
             except EvalError as ex:
                 expected = ("error", ex.kind)
             assert outcome_at(FEAT, result, cfg) == expected
@@ -168,7 +167,7 @@ def test_projection_homomorphism_random():
 
 # --- the one-pair shortcut ------------------------------------------------------
 
-PRIMS = list(modal_eval._PRIMITIVES.values())  # what deep evaluation applies
+PRIMS = list(PRIMITIVES.values())  # what every evaluator applies
 # non-empty labels whose meets can be empty: disjoint feature sets, MIN
 # against MAX, weights whose product falls below the empty threshold
 SINGLE_LABELS = {

@@ -241,8 +241,10 @@ def test_project_examples():
 
 
 def test_project_probability_unsupported():
-    with pytest.raises(ProjectionUnsupported):
-        project(PROB, make_const(PROB, 5), None)
+    # a value with no pairs matches none, and still names no world
+    for mv in (make_const(PROB, 5), ModalValue((), "probability")):
+        with pytest.raises(ProjectionUnsupported):
+            project(PROB, mv, None)
 
 
 def test_project_requires_total_config():
