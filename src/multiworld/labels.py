@@ -11,14 +11,14 @@ three supported modalities:
   and MAX, held as 2-bit ints; ``Tag`` names the endpoint worlds as ints,
   ``Tag.MIN`` (1) and ``Tag.MAX`` (2), which are also the labels holding
   one endpoint alone.
-* ``ProbabilityAlgebra`` -- labels are weights in [0, 1].  Worlds are
-  quantified rather than named; combining weights assumes independence
-  (intersection multiplies, union of disjoint sets adds).
+* ``ProbabilityAlgebra`` -- labels are weights in [0, 1].  A world is one
+  joint draw of the independent inputs a program reads; a deep run labels
+  by sets of draws (``lift``) and weighs its result's labels at the end.
 
-Feature and interval labels share one set algebra (``WorldSetAlgebra``):
-intersection, union and complement are bitwise operations and a label is
-empty when it is 0.  The one interval-only rule is ``merge_per_label``: a
-range keeps one pair per endpoint.
+Feature, interval and draw labels share one set algebra
+(``WorldSetAlgebra``): intersection, union and complement are bitwise
+operations and a label is empty when it is 0.  The one interval-only rule
+is ``merge_per_label``: a range keeps one pair per endpoint.
 
 Labels are immutable values.  ``FeatureExpr`` formulas are output syntax
 only: the bindings parser folds label text straight into world sets.
@@ -34,9 +34,12 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
+import re
 from dataclasses import dataclass
 
 from .errors import (
+    BudgetExceeded,
     MissingConfig,
     ModalityMismatch,
     ProbabilityOverflow,
@@ -140,8 +143,10 @@ _BITSET_FEATURE_CAP = 25
 _DNF_FEATURE_CAP = 12
 
 
-# the frame ``Algebra.narrow`` gives when no world is left
+# the path condition ``Algebra.narrow`` gives when no world is left
 NOWHERE = object()
+# the most joint draws of probability inputs that a run enumerates
+JOINT_BUDGET = 10**6
 
 
 def _members(bits: int):
@@ -150,6 +155,14 @@ def _members(bits: int):
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def joint_support(sizes) -> int:
+    """The number of joint draws of inputs of ``sizes`` values; ``BudgetExceeded`` over budget."""
+    count = math.prod(sizes)
+    if count > JOINT_BUDGET:
+        raise BudgetExceeded(f"joint support exceeds {JOINT_BUDGET} entries")
+    return count
 
 
 # --------------------------------------------------------------------------
@@ -177,17 +190,11 @@ class Algebra:
       ``sat_calls`` -- the emptiness checks made.
     * ``check_features(names)`` -- reject a program that tests ``names``
       unless every one is a declared feature.
-
-    Deep evaluation threads a *frame* through the program; these four
-    operations are all it knows of it.  Here a frame is a path condition:
-
-    * ``narrow(ctx, values, errors)`` -- the frame of what runs after a
-      sub-result: ``ctx`` without the worlds of ``errors``, or ``NOWHERE``
-      when no world is left;
-    * ``enter(frame)`` -- the path condition a sub-evaluation runs under;
-    * ``leave(pairs, frame)`` -- a sub-evaluation's pairs, as seen from
-      the frame that entered it;
-    * ``bind(values)`` -- the pairs a variable is bound to.
+    * ``lift(inputs)`` -- the world-set algebra a deep run combines labels
+      in, and each input's pairs in it (only probability lifts to another
+      algebra, of joint draws); its ``lower(pairs)`` gives pairs back.
+    * ``narrow(ctx, errors)`` -- the path condition after a sub-result:
+      ``ctx`` without the worlds of ``errors``; ``NOWHERE`` if none is left.
     """
 
     features = ()
@@ -201,20 +208,17 @@ class Algebra:
         if names:
             raise ModalityMismatch(f"the program tests features but the modality is {self.kind!r}")
 
-    def narrow(self, ctx, values, errors):
+    def narrow(self, ctx, errors):
         if not errors:
             return ctx
         ctx = self.minus(ctx, [label for _, label in errors])
         return NOWHERE if self.is_empty(ctx) else ctx
 
-    def enter(self, frame):
-        return frame
+    def lift(self, inputs) -> tuple:
+        return self, {name: mv.pairs for name, mv in inputs.items()}
 
-    def leave(self, pairs, frame):
+    def lower(self, pairs) -> tuple:
         return pairs
-
-    def bind(self, values) -> tuple:
-        return tuple(values)
 
 
 class WorldSetAlgebra(Algebra):
@@ -244,10 +248,24 @@ class WorldSetAlgebra(Algebra):
         left = self.complement(functools.reduce(self.join, labels, 0))
         return left if ctx is None else ctx & left
 
+    def covers(self, label: int, world) -> bool:
+        return bool(label & self.minterm(world))
+
     def shape_problem(self, label):
         if not isinstance(label, int) or label & ~self.top:
             return "label is not a set of the declared configurations"
         return None
+
+    def problems(self, labels, within=None) -> list:
+        out = []
+        for a, b in itertools.combinations(labels, 2):
+            if not self.is_empty(a & b):
+                out.append(f"labels overlap: {self.canonical_text(a)} and {self.canonical_text(b)}")
+                break
+        gap = self.minus(within, labels)
+        if not self.is_empty(gap):
+            out.append(f"configuration {self.world_text(self.first_world(gap))} is uncovered")
+        return out
 
 
 class _Config(dict):
@@ -301,6 +319,8 @@ class FeatureAlgebra(WorldSetAlgebra):
     def _position(self, config) -> int:
         if isinstance(config, _Config):
             return config.position
+        if set(config) != set(self.features):
+            raise ValueError(f"configuration must assign every declared feature: {config}")
         return sum(1 << i for i, name in enumerate(self.features) if config[name])
 
     def var(self, name: str) -> int:
@@ -313,14 +333,6 @@ class FeatureAlgebra(WorldSetAlgebra):
         undeclared = names.difference(self._index)
         if undeclared:
             raise UndeclaredFeature(f"program tests undeclared feature(s): {sorted(undeclared)}")
-
-    def holds(self, label: int, config) -> bool:
-        return bool(label >> self._position(config) & 1)
-
-    def covers(self, label: int, world) -> bool:
-        if not isinstance(world, _Config) and set(world) != set(self.features):
-            raise ValueError(f"configuration must assign every declared feature: {world}")
-        return self.holds(label, world)
 
     def iter_configs(self):
         """All 2^k configurations, last declared feature varying fastest."""
@@ -338,7 +350,7 @@ class FeatureAlgebra(WorldSetAlgebra):
         """The world set holding exactly one configuration."""
         return 1 << self._position(config)
 
-    def first_config(self, label: int) -> dict:
+    def first_world(self, label: int) -> dict:
         """The first configuration of a non-empty label in ``iter_configs``
         order: each feature false if the rest of the label allows it."""
         config = {}
@@ -368,17 +380,6 @@ class FeatureAlgebra(WorldSetAlgebra):
                 f"(missing {sorted(missing)}, unknown {sorted(extra)})"
             )
         return config
-
-    def problems(self, labels, within=None) -> list:
-        out = []
-        for a, b in itertools.combinations(labels, 2):
-            if not self.is_empty(a & b):
-                out.append(f"labels overlap: {self.canonical_text(a)} and {self.canonical_text(b)}")
-                break
-        gap = self.minus(within, labels)
-        if not self.is_empty(gap):
-            out.append(f"configuration {self.world_text(self.first_config(gap))} is uncovered")
-        return out
 
     # -- display -----------------------------------------------------------
 
@@ -492,18 +493,9 @@ class FeatureAlgebra(WorldSetAlgebra):
 class ProbabilityAlgebra(Algebra):
     """Labels are weights in [0, 1]; combination assumes independence.
 
-    Weights multiply under meet, so threading a path condition through
-    deep evaluation would count a world's mass once per restriction.
-    Instead every sub-evaluation runs in a mass-1 frame (``enter`` gives
-    ``None``), and its pairs are scaled once, by the frame's weight, where
-    it returns (``leave``, which drops the pairs whose scaled weight is
-    empty): at a branch, the weight is the guard's; after a binding or an
-    operand, the mass of the values evaluated so far (``narrow``;
-    ``NOWHERE`` at most ``empty_eps``).  A bound variable holds its values
-    rescaled to mass 1 (``bind``).  Each reference to a variable is
-    therefore an independent draw -- ``x + x`` convolves, it does not
-    double -- so the brute-force oracle, which draws every binding once,
-    agrees only on programs that reference each modal variable at most once.
+    A weight names no worlds, so a deep run names them (``lift``): each
+    joint draw of the inputs ``main`` reads is a world and a label is a set
+    of draws (``_Draws``), so a variable read twice reads one draw.
     """
 
     kind = "probability"
@@ -512,10 +504,6 @@ class ProbabilityAlgebra(Algebra):
 
     def top_labels(self) -> tuple:
         return (1.0,)
-
-    @property
-    def top(self) -> float:
-        return 1.0
 
     def meet(self, l1: float, l2: float) -> float:
         return l1 * l2
@@ -530,23 +518,9 @@ class ProbabilityAlgebra(Algebra):
         self.sat_calls += 1
         return label < self.empty_eps
 
-    def narrow(self, ctx, values, errors):
-        mass = sum(w for _, w in values)
-        if mass <= self.empty_eps:
-            return NOWHERE
-        return mass if ctx is None else ctx * mass
-
-    def enter(self, frame):
-        return None
-
-    def leave(self, pairs, frame):
-        if frame is None:
-            return pairs
-        return [(x, w * frame) for x, w in pairs if not self.is_empty(w * frame)]
-
-    def bind(self, values) -> tuple:
-        scale = 1.0 / sum(w for _, w in values)
-        return tuple((x, w * scale) for x, w in values)
+    def lift(self, inputs) -> tuple:
+        draws = _Draws(self, inputs)
+        return draws, draws.scope
 
     def covers(self, label: float, world) -> bool:
         raise ProjectionUnsupported("probability labels do not name worlds")
@@ -563,8 +537,7 @@ class ProbabilityAlgebra(Algebra):
         return None
 
     def problems(self, labels, within=None) -> list:
-        """Weights must add up to 1; every probabilistic evaluation runs in
-        a mass-1 frame, so there is no narrower ``within``."""
+        """Weights must add up to 1; only whole results carry weights."""
         total = sum(labels)
         out = []
         if total > 1.0 + self.tol:
@@ -575,6 +548,55 @@ class ProbabilityAlgebra(Algebra):
 
     def canonical_text(self, label: float) -> str:
         return f"{label:.9f}"
+
+
+class _Draws(WorldSetAlgebra):
+    """The joint draws of a deep run's probability inputs, as named worlds:
+    draw ``p`` picks value ``p // stride % size`` of each input (the last
+    varies fastest, as in the oracle) and weighs the product of their
+    weights; a draw lighter than ``empty_eps`` is no world.  Emptiness
+    checks count in the weight algebra's ``sat_calls``."""
+
+    kind = ProbabilityAlgebra.kind
+
+    def __init__(self, outer: ProbabilityAlgebra, inputs):
+        self.outer = outer
+        count = joint_support(len(mv.pairs) for mv in inputs.values())
+        self.draw_weights = [1.0]
+        for mv in inputs.values():
+            self.draw_weights = [w * v for w in self.draw_weights for _, v in mv.pairs]
+        self.top = int("".join("01"[w >= outer.empty_eps] for w in reversed(self.draw_weights)), 2)
+        self.scope, stride = {}, count
+        for name, mv in inputs.items():
+            size, stride = len(mv.pairs), stride // len(mv.pairs)
+            # one period of each value's label as binary text, highest draw first
+            runs = ("0" * stride * (size - 1 - j) + "1" * stride + "0" * stride * j for j in range(size))
+            labels = (int(run * (count // stride // size), 2) & self.top for run in runs)
+            self.scope[name] = tuple((x, label) for (x, _), label in zip(mv.pairs, labels) if label)
+
+    def is_empty(self, label: int) -> bool:
+        self.outer.sat_calls += 1
+        return label == 0
+
+    def weight(self, label: int) -> float:
+        """The sum of the label's draw weights, added in draw order."""
+        total = 0.0
+        for bit in re.finditer("1", format(label, "b")[::-1]):  # draw p at index p
+            total += self.draw_weights[bit.start()]
+        return min(total, 1.0)
+
+    def lower(self, pairs) -> tuple:
+        return tuple((x, self.weight(label)) for x, label in pairs)
+
+    def canonical_text(self, label: int) -> str:
+        return self.outer.canonical_text(self.weight(label))
+
+    def first_world(self, label: int) -> int:
+        return (label & -label).bit_length() - 1
+
+    def world_text(self, p: int) -> str:
+        picks = (f"{name}={next(x for x, l in pairs if l >> p & 1)}" for name, pairs in self.scope.items())
+        return "{" + ", ".join(picks) + "}"
 
 
 class Tag:
@@ -602,21 +624,13 @@ class IntervalAlgebra(WorldSetAlgebra):
     merge_per_label = True
     top = Tag.MIN | Tag.MAX
 
-    def top_labels(self) -> tuple:
-        # one label per endpoint world, as a range keeps them apart
-        return _ENDPOINTS
-
-    def covers(self, label: int, world: int) -> bool:
-        return bool(label & world)
-
     def worlds(self):
         return _ENDPOINTS
 
+    top_labels = worlds  # one label per endpoint world, as a range keeps them apart
+
     def minterm(self, world: int) -> int:
         return world
-
-    def world_text(self, world: int) -> str:
-        return _LABEL_TEXT[world]
 
     def parse_world(self, text) -> int:
         tag = (text or "").strip().upper()
@@ -641,3 +655,5 @@ class IntervalAlgebra(WorldSetAlgebra):
 
     def canonical_text(self, label: int) -> str:
         return _LABEL_TEXT[label]
+
+    world_text = canonical_text  # a world is the label holding it alone

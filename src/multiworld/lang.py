@@ -561,19 +561,15 @@ def eval_plain(program: Program, env, config=None, stats=None):
             guard = _as_bool(ev(e.guard, scope))
             return ev(e.then if guard else e.orelse, scope)
         if isinstance(e, Not):
+            arg = ev(e.arg, scope)
             prim = PRIMITIVES["!"]
             if stats is not None:
                 stats.applications[prim.name] += 1
-            return prim.fn(ev(e.arg, scope))
+            return prim.fn(arg)
         if isinstance(e, BinOp):
-            if e.op == "&&":
-                if not _as_bool(ev(e.lhs, scope)):
-                    return False
-                return _as_bool(ev(e.rhs, scope))
-            if e.op == "||":
-                if _as_bool(ev(e.lhs, scope)):
-                    return True
-                return _as_bool(ev(e.rhs, scope))
+            if e.op == "&&" or e.op == "||":
+                lhs = _as_bool(ev(e.lhs, scope))  # false decides &&, true decides ||
+                return lhs if lhs == (e.op == "||") else _as_bool(ev(e.rhs, scope))
             lhs = ev(e.lhs, scope)
             rhs = ev(e.rhs, scope)
             prim = PRIMITIVES[e.op]

@@ -12,17 +12,15 @@ results are unioned back together.  Errors are confined to their worlds and
 excluded from every downstream context; within one world the first error
 (left-to-right evaluation order) wins.
 
-One code path serves every modality: what a path condition is, how it
-narrows after a sub-result and how a sub-result returns to it are the
-algebra's frame operations (``labels.Algebra``).  Feature and interval
-frames are labels, and variables and constants are read through
-``lifting.restrict``; probability runs every sub-evaluation in a mass-1
-frame and scales where it returns (``labels.ProbabilityAlgebra``).  Every
-node returns normalized pairs: normalized parts pass through, and only a
-union of two or more non-empty parts is merged, so the answer is never
-merged again.  Under ``check_invariants`` the evaluator is
-``_CheckedDeepEval``, whose ``eval`` checks that each node's labels
-partition its path condition.
+One code path serves every modality: a path condition is a label of the
+world-set algebra the run lifts its inputs into (``labels.Algebra.lift``;
+a probability run lifts to the joint draws of its inputs and lowers its
+result back to weights), and variables and constants are read through
+``lifting.restrict``.  Every node returns normalized pairs: normalized
+parts pass through, and only a union of two or more non-empty parts is
+merged, so the answer is never merged again.  Under ``check_invariants``
+the evaluator is ``_CheckedDeepEval``, whose ``eval`` checks that each
+node's labels partition its path condition.
 
 ``eval_shallow_blackbox`` is the contrast case: shallow lifting of the
 whole program.  It crosses ``main``'s bound inputs and the truth values of
@@ -80,7 +78,6 @@ class _DeepEval:
     def __init__(self, program: lang.Program, env: ModalEnv, stats: LiftStats):
         self.program = program
         self.env = env
-        self.alg = env.alg
         self.stats = stats
         self.fundefs = program.analysis.fundefs
         self.consts: dict = {}
@@ -135,13 +132,12 @@ class _DeepEval:
         return values, self._union((*error_parts, errors))
 
     def _binop(self, expr, scope, ctx):
-        alg = self.alg
         lv, le = self.eval(expr.lhs, scope, ctx)
-        frame = alg.narrow(ctx, lv, le)
-        if frame is NOWHERE:
+        ctx = self.alg.narrow(ctx, le)
+        if ctx is NOWHERE:
             return (), le
-        rv, re_ = self.eval(expr.rhs, scope, alg.enter(frame))
-        return self._apply(lang.PRIMITIVES[expr.op], [lv, rv], [le, alg.leave(re_, frame)])
+        rv, re_ = self.eval(expr.rhs, scope, ctx)
+        return self._apply(lang.PRIMITIVES[expr.op], [lv, rv], [le, re_])
 
     def _branch(self, guard, then, orelse, scope, ctx, want_bool=False):
         """Evaluate each arm only under the guard labels that select it.
@@ -151,7 +147,6 @@ class _DeepEval:
         an arm gives a non-boolean under ``want_bool`` (the right operand
         of ``&&``/``||``).  An arm no world selects is never evaluated.
         """
-        alg = self.alg
         gv, ge = self.eval(guard, scope, ctx)
         values: list = []
         errors: list = [ge]
@@ -163,41 +158,38 @@ class _DeepEval:
             if isinstance(arm, bool):
                 values.append([(arm, label)])
                 continue
-            av, ae = self.eval(arm, scope, alg.enter(label))
+            av, ae = self.eval(arm, scope, label)
             if want_bool:
-                errors.extend(alg.leave([(TYPE_MISMATCH, l)], label)
-                              for v, l in av if not isinstance(v, bool))
+                errors.extend([(TYPE_MISMATCH, l)] for v, l in av if not isinstance(v, bool))
                 av = [(v, l) for v, l in av if isinstance(v, bool)]
-            values.append(alg.leave(av, label))
-            errors.append(alg.leave(ae, label))
+            values.append(av)
+            errors.append(ae)
         return self._union(values), self._union(errors)
 
     def _bind(self, inner, names, args, body, scope, ctx, fn=None):
         """A ``let``, or a call of ``fn``, which counts as applied only once
         its body runs, as in the plain evaluator."""
-        alg = self.alg
-        frame = ctx
         errors: list = []
         for name, arg in zip(names, args):
-            av, ae = self.eval(arg, scope, alg.enter(frame))
-            errors.append(alg.leave(ae, frame))
-            frame = alg.narrow(frame, av, ae)
-            if frame is NOWHERE:
+            av, ae = self.eval(arg, scope, ctx)
+            errors.append(ae)
+            ctx = self.alg.narrow(ctx, ae)
+            if ctx is NOWHERE:
                 return (), self._union(errors)
-            inner[name] = alg.bind(av)
+            inner[name] = av
         if fn is not None:
             self.stats.applications[fn] += 1
-        xv, xe = self.eval(body, inner, alg.enter(frame))
-        errors.append(alg.leave(xe, frame))
-        return alg.leave(xv, frame), self._union(errors)
+        xv, xe = self.eval(body, inner, ctx)
+        errors.append(xe)
+        return xv, self._union(errors)
 
     # -- entry point ---------------------------------------------------------
 
     def run(self) -> ModalResult:
-        inputs = bound_inputs(self.program, self.alg, self.env.bindings)
-        scope = {name: mv.pairs for name, mv in inputs.items()}
+        inputs = bound_inputs(self.program, self.env.alg, self.env.bindings)
+        self.alg, scope = self.env.alg.lift(inputs)
         values, errors = self.eval(self.program.main, scope, None)
-        return _finish_result(self.env, values, errors)
+        return _finish_result(self.env, self.alg.lower(values), self.alg.lower(errors))
 
 
 class _CheckedDeepEval(_DeepEval):

@@ -18,7 +18,7 @@ from itertools import product
 
 from . import lang
 from .errors import BudgetExceeded, ModalityMismatch
-from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
+from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag, joint_support
 from .modal import (
     ModalResult,
     ModalValue,
@@ -32,7 +32,6 @@ from .modal import (
 )
 
 FEATURE_BUDGET = 20
-JOINT_BUDGET = 10**6
 
 
 def _named_worlds(alg):
@@ -48,11 +47,7 @@ def _joint_draws(bindings):
     """Each joint draw of independent bindings as (env, None, weight),
     leaving out draws whose weight is empty."""
     names = list(bindings)
-    size = 1
-    for name in names:
-        size *= len(bindings[name].pairs)
-        if size > JOINT_BUDGET:
-            raise BudgetExceeded(f"joint support exceeds {JOINT_BUDGET} entries")
+    joint_support(len(mv.pairs) for mv in bindings.values())
     draws = (
         (dict(zip(names, [v for v, _ in combo])), None, math.prod([w for _, w in combo], start=1.0))
         for combo in product(*[bindings[n].pairs for n in names])

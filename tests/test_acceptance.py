@@ -81,6 +81,11 @@ def probability_corpus():
     return build_corpus("probability", linear=True)
 
 
+@pytest.fixture(scope="module")
+def nonlinear_probability_corpus():
+    return build_corpus("probability", linear=False)
+
+
 def test_c01_cross_product_pruning():
     """Black-box lifting of the three-argument sharing example generates 8
     tuples, prunes the 4 contradictions, and keeps one survivor per
@@ -177,15 +182,17 @@ def test_c05_oracle_equivalence_interval(interval_corpus):
     print(f"criterion 05 PASS: {len(entries)} interval programs equivalent")
 
 
-def test_c06_oracle_equivalence_probability(probability_corpus):
-    """Linear probabilistic programs: deep output distribution matches
-    exhaustive joint enumeration within 1e-9."""
-    entries, _ = probability_corpus
-    for e in entries:
-        ok, diff = assert_equiv(e.alg, e.deep, e.oracle, tol=1e-9)
-        assert ok, (e.seed, diff)
-    assert len(entries) >= 500
-    print(f"criterion 06 PASS: {len(entries)} linear probability programs match")
+def test_c06_oracle_equivalence_probability(probability_corpus, nonlinear_probability_corpus):
+    """Probabilistic programs, linear or reading a variable more than once:
+    deep output distribution matches exhaustive joint enumeration, and
+    black-box lifting, within 1e-9."""
+    for entries, _ in (probability_corpus, nonlinear_probability_corpus):
+        for e in entries:
+            for other in (e.oracle, e.blackbox):
+                ok, diff = assert_equiv(e.alg, e.deep, other, tol=1e-9)
+                assert ok, (e.seed, diff)
+        assert len(entries) >= 500
+    print(f"criterion 06 PASS: {2 * CORPUS_SIZE} linear and non-linear probability programs match")
 
 
 def test_c07_invariant_preservation():
@@ -204,6 +211,7 @@ def test_c07_invariant_preservation():
     for kind, linear, empty in (
         ("feature", False, "reject"),
         ("probability", True, "reject"),
+        ("probability", False, "reject"),
         ("interval", False, "swap"),
     ):
         for seed in range(INVARIANT_SWEEP):

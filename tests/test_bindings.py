@@ -39,8 +39,8 @@ def test_label_precedence_and_parens():
     # ! binds tightest, & next, | loosest
     for cfg in alg.iter_configs():
         want_one = (not cfg["FA"]) and cfg["FB"] or cfg["FA"]
-        assert alg.holds(one[1], cfg) == want_one
-        assert alg.holds(one[2], cfg) == (not want_one)
+        assert alg.covers(one[1], cfg) == want_one
+        assert alg.covers(one[2], cfg) == (not want_one)
     assert validate(alg, binds["v"]).ok
 
 

@@ -266,6 +266,16 @@ def test_oracle_crosses_only_the_bindings_main_reads(tmp_path, capsys):
         1, "", "error: plain mode needs constant probability bindings\n")
 
 
+@pytest.mark.parametrize("mode", ("deep", "oracle", "check"))
+def test_joint_draws_over_the_budget_exit_3(tmp_path, capsys, mode):
+    # 21 two-point inputs have 2^21 joint draws, over the budget that deep
+    # and the oracle share; it is checked before any draw is built
+    names = [f"x{i}" for i in range(21)]
+    bindings = "modality probability;\n" + "".join(f"bind {n} = {{ 0 @ 0.5, 1 @ 0.5 }};\n" for n in names)
+    code = _run_files(tmp_path, " + ".join(names), bindings, "--mode", mode)
+    assert (code, *capsys.readouterr()) == (3, "", "error: joint support exceeds 1000000 entries\n")
+
+
 def test_check_mode_reports_where_deep_and_oracle_disagree(tmp_path, capsys, monkeypatch):
     def off_by_one(program, env, stats=None):
         result = eval_modal(program, env, stats)

@@ -2,9 +2,9 @@
 
 ``golden/deep_eval.jsonl`` holds one record per deep run of a seeded random
 program (``oracle.random_bindings`` + ``oracle.random_program``): 100 seeds
-per modality, even seeds linear, odd seeds not.  The non-linear
-probability programs are the independent-draw cases the oracle cannot
-check.  Every program runs with ``check_invariants`` off and on, interval
+per modality, even seeds linear, odd seeds not.  A non-linear
+probability program reads a variable more than once, and reads one draw
+of it in each world, as the oracle does.  Every program runs with ``check_invariants`` off and on, interval
 programs also under both ``interval_empty`` policies, which give the same
 record unless a checked ``reject`` run refuses an inverted range.
 

@@ -38,7 +38,7 @@ from multiworld.modal_eval import ModalEnv, eval_modal
 from test_cli import run_example
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-EXAMPLES = ("sharing", "feature_div", "prob_sum", "interval_abs", "interval_cancel")
+EXAMPLES = ("sharing", "feature_div", "prob_sum", "prob_reuse", "interval_abs", "interval_cancel")
 MODES = ("deep", "shallow", "oracle", "check")
 DISPLAY = GOLDEN / "display_labels.json"
 RECORDED = 209  # entries not made by generated_labels()
@@ -128,7 +128,7 @@ def record_cli():
             path, args = cli_golden(name, mode)
             code, out, err = run_example(*args)
             assert code == 0, err
-            old = path.read_text().splitlines()
+            old = path.read_text().splitlines() if path.exists() else []
             for before, after in zip_longest(old, out.splitlines(), fillvalue=""):
                 if before != after:
                     print(f"{path.name}: {before} -> {after}")

@@ -63,7 +63,7 @@ def test_meet_is_conjunction():
     met = alg.meet(fa, fb)
     assert alg.canonical_text(met) == "(FA & FB)"
     for cfg in alg.iter_configs():
-        assert alg.holds(met, cfg) == (cfg["FA"] and cfg["FB"])
+        assert alg.covers(met, cfg) == (cfg["FA"] and cfg["FB"])
 
 
 def test_meet_with_top_is_identity():
@@ -198,8 +198,8 @@ def test_meet_join_homomorphism(a, b):
     la, lb = build(alg, a), build(alg, b)
     met, joined = alg.meet(la, lb), alg.join(la, lb)
     for cfg in alg.iter_configs():
-        assert alg.holds(met, cfg) == (satisfies(a, cfg) and satisfies(b, cfg))
-        assert alg.holds(joined, cfg) == (satisfies(a, cfg) or satisfies(b, cfg))
+        assert alg.covers(met, cfg) == (satisfies(a, cfg) and satisfies(b, cfg))
+        assert alg.covers(joined, cfg) == (satisfies(a, cfg) or satisfies(b, cfg))
 
 
 @given(formulas(), formulas())
@@ -236,7 +236,7 @@ def test_partition_covers_each_config_once(groups):
     labels = [functools.reduce(alg.join, ms) for ms in by_group.values()]
     assert alg.problems(labels) == []
     for cfg in configs:
-        assert sum(alg.holds(l, cfg) for l in labels) == 1
+        assert sum(alg.covers(l, cfg) for l in labels) == 1
 
 
 def test_canonical_text_shapes():
@@ -268,7 +268,7 @@ def test_no_per_label_state():
     for i in range(10_000):
         label = alg.join(alg.meet(lits[i % 6], lits[i * 5 % 6]), lits[i * 7 % 6])
         alg.is_empty(label)
-        alg.holds(label, config)
+        alg.covers(label, config)
     assert sizes() == before
 
 
@@ -443,7 +443,7 @@ def test_enumerated_configurations_know_their_position():
         plain = dict(cfg)
         assert alg.minterm(cfg) == alg.minterm(plain)
         for label in labels:
-            assert alg.covers(label, cfg) == alg.holds(label, plain)
+            assert alg.covers(label, cfg) == alg.covers(label, plain)
     with pytest.raises(ValueError):
         alg.covers(1, {"FA": True})
 

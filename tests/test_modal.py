@@ -65,8 +65,8 @@ def test_normalize_merges_equal_values():
     assert len(normal.pairs) == 2
     # projection at every configuration of {FA, FB} is unchanged
     for cfg in FEAT.iter_configs():
-        raw_hits = [v for v, l in raw.pairs if FEAT.holds(l, cfg)]
-        new_hits = [v for v, l in normal.pairs if FEAT.holds(l, cfg)]
+        raw_hits = [v for v, l in raw.pairs if FEAT.covers(l, cfg)]
+        new_hits = [v for v, l in normal.pairs if FEAT.covers(l, cfg)]
         assert raw_hits == new_hits or (not raw_hits and not new_hits)
 
 

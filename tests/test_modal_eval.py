@@ -105,6 +105,21 @@ def test_repeated_variable_stays_correlated_under_features():
     assert {v for v, _ in deep.values} == {-14, 6}
 
 
+def test_modes_count_the_same_applications():
+    # a negation counts once its operand has a value, in every mode: in the
+    # FA world the division fails, so that world's ! never runs
+    program, alg, binds, env = setup(
+        "!(1 / x == 1)", "modality feature(FA);\nbind x = { 0 @ FA, 1 @ !FA };"
+    )
+    counts = []
+    for run in (eval_modal, eval_shallow_blackbox,
+                lambda program, env, stats: brute_force_eval(program, binds, alg, stats)):
+        stats = LiftStats()
+        run(program, env, stats)
+        counts.append(stats.applications)
+    assert counts[0] == counts[1] == counts[2] == {"div": 2, "eq": 1, "not": 1}
+
+
 def test_interval_conditional_per_endpoint():
     program, alg, binds, env = setup(
         "if x < 0 then 0 - x else x", "modality interval;\nbind x = [-3 .. 9];"
@@ -125,16 +140,14 @@ def test_probability_linear_program_matches_enumeration():
     assert mass == pytest.approx(1.0, abs=1e-9)
 
 
-def test_probability_repeated_reference_is_independent():
-    # weights lose world identity: x + x convolves two independent draws
+def test_probability_repeated_reference_reads_one_draw():
+    # a world is one draw of x, so x + x doubles it and never mixes draws
     program, alg, binds, env = setup(
         "x + x", "modality probability;\nbind x = { 7 @ 0.2, 9 @ 0.8 };"
     )
     deep = eval_modal(program, env)
-    weights = dict(deep.values)
-    assert weights[14] == pytest.approx(0.04, abs=1e-12)
-    assert weights[16] == pytest.approx(0.32, abs=1e-12)
-    assert weights[18] == pytest.approx(0.64, abs=1e-12)
+    assert deep.values == ((14, 0.2), (18, 0.8))
+    assert deep.errors == ()
 
 
 # --- lifted control flow -----------------------------------------------------------
@@ -316,7 +329,7 @@ def test_deep_result_always_validates():
         rng = random.Random(1000 + seed)
         kind = ("feature", "interval", "probability")[seed % 3]
         alg, binds = random_bindings(rng, kind)
-        program = random_program(rng, alg, binds, linear=kind == "probability")
+        program = random_program(rng, alg, binds)
         env = ModalEnv(alg, binds, interval_empty="swap")
         deep = eval_modal(program, env)
         report = validate(alg, deep, interval_empty="swap")
@@ -478,8 +491,8 @@ bind y = { 5 @ 0.0000001, 6 @ 0.9999999 };
     "fun f(a, b) = b; f(1 / x, y) + 0",
 ])
 def test_probability_frame_drops_empty_weights(text, check):
-    # y returns into a frame of weight 1e-7: its 5 @ 1e-7 scales to 1e-14,
-    # below empty_eps, and must not reach the + as a tuple to prune
+    # the draw x = 1, y = 5 weighs 1e-14, below empty_eps: it is no world,
+    # so it never reaches the + as a tuple to prune
     program, alg, binds, env = setup(text, TINY_WEIGHTS, check_invariants=check)
     stats = LiftStats()
     result = eval_modal(program, env, stats)
