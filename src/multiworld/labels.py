@@ -10,15 +10,17 @@ three supported modalities:
 * ``IntervalAlgebra`` -- labels are sets of the two endpoint worlds MIN
   and MAX, held as 2-bit ints; ``Tag`` names the endpoint worlds as ints,
   ``Tag.MIN`` (1) and ``Tag.MAX`` (2), which are also the labels holding
-  one endpoint alone.
+  one endpoint alone.  Inside a run, equal endpoints share one pair
+  labelled ``MIN|MAX`` (``lift``); bindings and results hold one pair per
+  endpoint (``lower``).
 * ``ProbabilityAlgebra`` -- labels are weights in [0, 1].  A world is one
   joint draw of the independent inputs a program reads; a deep run labels
   by sets of draws (``lift``) and weighs its result's labels at the end.
 
 Feature, interval and draw labels share one set algebra
 (``WorldSetAlgebra``): intersection, union and complement are bitwise
-operations and a label is empty when it is 0.  The one interval-only rule
-is ``merge_per_label``: a range keeps one pair per endpoint.
+operations and a label is empty when it is 0.  Pairs of every algebra
+merge by value alone.
 
 Labels are immutable values.  ``FeatureExpr`` formulas are output syntax
 only: the bindings parser folds label text straight into world sets.
@@ -47,6 +49,7 @@ from .errors import (
     TooManyFeatures,
     UndeclaredFeature,
 )
+from .modal import merge_value_pairs
 
 
 # --------------------------------------------------------------------------
@@ -184,21 +187,21 @@ class Algebra:
     * ``shape_problem(label)`` -- why a label is not one of this algebra.
     * ``endpoints(values, errors)`` -- the (MIN, MAX) values of a complete
       range, or ``None``.
-    * ``merge_per_label`` -- pairs merge on (item, label) instead of item
-      (interval: a range keeps one pair per endpoint).
+    * ``top`` -- the label holding every world, which a constant carries.
     * ``features`` -- the declared feature names (none but for features);
       ``sat_calls`` -- the emptiness checks made.
     * ``check_features(names)`` -- reject a program that tests ``names``
       unless every one is a declared feature.
     * ``lift(inputs)`` -- the world-set algebra a deep run combines labels
-      in, and each input's pairs in it (only probability lifts to another
-      algebra, of joint draws); its ``lower(pairs)`` gives pairs back.
+      in, and each input's pairs in it: probability lifts to an algebra of
+      joint draws, and interval merges a range's equal endpoints into one
+      pair.  Its ``lower(pairs)`` gives the public form back (weights, one
+      pair per endpoint); every result, binding and constant is lowered.
     * ``narrow(ctx, errors)`` -- the path condition after a sub-result:
       ``ctx`` without the worlds of ``errors``; ``NOWHERE`` if none is left.
     """
 
     features = ()
-    merge_per_label = False
     sat_calls = 0
 
     def endpoints(self, values, errors=()):
@@ -218,7 +221,7 @@ class Algebra:
         return self, {name: mv.pairs for name, mv in inputs.items()}
 
     def lower(self, pairs) -> tuple:
-        return pairs
+        return tuple(pairs)
 
 
 class WorldSetAlgebra(Algebra):
@@ -227,9 +230,6 @@ class WorldSetAlgebra(Algebra):
     sets are equal ints, intersection, union and complement are bitwise,
     and a label is empty when it is 0; ``sat_calls`` counts emptiness
     checks."""
-
-    def top_labels(self) -> tuple:
-        return (self.top,)
 
     def meet(self, l1: int, l2: int) -> int:
         return l1 & l2
@@ -499,11 +499,9 @@ class ProbabilityAlgebra(Algebra):
     """
 
     kind = "probability"
+    top = 1.0
     empty_eps = 1e-12
     tol = 1e-9
-
-    def top_labels(self) -> tuple:
-        return (1.0,)
 
     def meet(self, l1: float, l2: float) -> float:
         return l1 * l2
@@ -608,29 +606,31 @@ class Tag:
 
 
 _ENDPOINTS = (Tag.MIN, Tag.MAX)
-# by label: the endpoints it holds, and its text
-_HELD = ((), (Tag.MIN,), (Tag.MAX,), _ENDPOINTS)
+# by label: the endpoints it holds, in the order of their text
+_HELD = ((), (Tag.MIN,), (Tag.MAX,), (Tag.MAX, Tag.MIN))
 _LABEL_TEXT = ("none", "MIN", "MAX", "MIN|MAX")
 
 
 class IntervalAlgebra(WorldSetAlgebra):
     """Labels are sets of the endpoint worlds MIN and MAX of a range.
 
-    A path condition is such a set, or ``None`` for both; pairs merge per
-    label, since a range always keeps one pair per endpoint.
+    A path condition is such a set, or ``None`` for both.  A run shares
+    what both endpoints share: ``lift`` merges a range's equal endpoints
+    into one pair labelled ``MIN|MAX``, and ``lower`` splits such a pair
+    back into one pair per endpoint, the form of bindings and results.
     """
 
     kind = "interval"
-    merge_per_label = True
     top = Tag.MIN | Tag.MAX
 
     def worlds(self):
         return _ENDPOINTS
 
-    top_labels = worlds  # one label per endpoint world, as a range keeps them apart
-
     def minterm(self, world: int) -> int:
         return world
+
+    def first_world(self, label: int) -> int:
+        return label & -label
 
     def parse_world(self, text) -> int:
         tag = (text or "").strip().upper()
@@ -638,12 +638,13 @@ class IntervalAlgebra(WorldSetAlgebra):
             raise MissingConfig("plain interval runs need --config MIN or MAX")
         return _LABEL_TEXT.index(tag)
 
-    def problems(self, labels, within=None) -> list:
-        want = _HELD[self.top if within is None else within]
-        if len(labels) == len(want) and set(labels) == set(want):
-            return []
-        ones = " and ".join(f"one {_LABEL_TEXT[t]}" for t in want)
-        return [f"expected exactly {ones}, got {[self.canonical_text(l) for l in labels]}"]
+    def lift(self, inputs) -> tuple:
+        return self, {name: merge_value_pairs(self, mv.pairs) for name, mv in inputs.items()}
+
+    def lower(self, pairs) -> tuple:
+        """The pairs, each one holding both endpoints split into one pair per
+        endpoint, ``MAX`` first as label text sorts."""
+        return tuple((x, tag) for x, label in pairs for tag in _HELD[label])
 
     def endpoints(self, values, errors=()):
         if errors or len(values) != 2:

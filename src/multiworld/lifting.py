@@ -14,7 +14,8 @@ pair, the result is normalized with no second merge, and a wide cross
 product holds one pair per distinct output, never every tuple's label.
 When every list holds one pair, as in most deep applications, that tuple
 is applied plainly, with no merge.  ``shallow_apply`` wraps
-``apply_pairs`` for ``ModalValue`` arguments.
+``apply_pairs`` for ``ModalValue`` arguments and lowers its result to the
+algebra's public form (``labels.Algebra.lower``).
 
 ``restrict`` narrows (item, label) pairs to a path condition and keeps
 normalized pairs normalized, so the deep evaluator reads every variable and
@@ -99,7 +100,8 @@ def shallow_apply(alg, f: PrimitiveFn, args, stats: LiftStats | None = None) -> 
         if mv.modality != alg.kind:
             raise ModalityMismatch(f"argument of modality {mv.modality!r} under {alg.kind!r}")
     stats = stats if stats is not None else LiftStats()
-    return ModalResult(*apply_pairs(alg, f, [mv.pairs for mv in args], stats), alg.kind)
+    values, errors = apply_pairs(alg, f, [mv.pairs for mv in args], stats)
+    return ModalResult(alg.lower(values), alg.lower(errors), alg.kind)
 
 
 def restrict(alg, pairs, context) -> tuple:

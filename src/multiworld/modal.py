@@ -8,13 +8,13 @@ total, so a division by zero in some worlds never poisons the rest.
 
 Normalization is the sharing mechanism of the whole package: pairs carrying
 the same value are merged by joining their labels, so results stay compact
-no matter how many worlds produced them.  The one interval-only rule is
-``merge_per_label``: pairs with different labels stay apart, so a range
-keeps one pair per endpoint.  Error pairs merge by the same rule, keyed on
-their kind.  Outcomes of runs merge once, as they arrive
+no matter how many worlds produced them.  Error pairs merge by the same
+rule, keyed on their kind.  Outcomes of runs merge once, as they arrive
 (``collect_outcomes``), into normal form, and no caller merges them again.
-Every per-modality rule here is a call into the algebra (see
-``labels.Algebra``).
+What a caller hands out is lowered to the algebra's public form
+(``labels.Algebra.lower``): an interval value keeps one pair per endpoint
+there, though inside a run equal endpoints share one.  Every per-modality
+rule here is a call into the algebra (see ``labels.Algebra``).
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ class ModalResult:
 
 def make_const(alg, v: Value) -> ModalValue:
     """The modal value that is ``v`` in every world, in normal form."""
-    labels = sorted(alg.top_labels(), key=alg.canonical_text)
-    return ModalValue(tuple((v, label) for label in labels), alg.kind)
+    return ModalValue(alg.lower(((v, alg.top),)), alg.kind)
 
 
 def bound_inputs(program, alg, bindings) -> dict:
@@ -77,38 +76,27 @@ def bound_inputs(program, alg, bindings) -> dict:
 # --------------------------------------------------------------------------
 
 def _join_into(alg, grouped: dict, item, label) -> None:
-    """Join ``label`` into ``grouped``'s entry for the item's key, or under
-    ``alg.merge_per_label`` for (key, label)."""
+    """Join ``label`` into ``grouped``'s entry for the item's key."""
     key = value_key(item)
-    if alg.merge_per_label:
-        key = (key, label)
     entry = grouped.get(key)
     grouped[key] = (item, label) if entry is None else (entry[0], alg.join(entry[1], label))
 
 
-def _sorted_pairs(alg, grouped: dict) -> tuple:
-    """The entries of ``grouped`` by key, label text breaking ties."""
-    if alg.merge_per_label:
-        keys = sorted(grouped, key=lambda key: (key[0], alg.canonical_text(key[1])))
-    else:
-        keys = sorted(grouped)
-    return tuple(grouped[key] for key in keys)
+def _sorted_pairs(grouped: dict) -> tuple:
+    """The entries of ``grouped`` by key."""
+    return tuple(grouped[key] for key in sorted(grouped))
 
 
 def merge_value_pairs(alg, pairs) -> tuple:
     """Merge pairs with equal items (values, or error kinds) by joining
     their labels in encounter order, and sort.  Every label must be
-    non-empty: each is tested where it is made.
-
-    Under ``alg.merge_per_label`` the key is (item, label): interval
-    ``(5, MIN)`` and ``(5, MAX)`` stay distinct.
-    """
+    non-empty: each is tested where it is made."""
     if len(pairs) < 2:  # nothing to unite
         return tuple(pairs)
     grouped: dict = {}
     for item, label in pairs:
         _join_into(alg, grouped, item, label)
-    return _sorted_pairs(alg, grouped)
+    return _sorted_pairs(grouped)
 
 
 def collect_outcomes(alg, runs) -> tuple:
@@ -129,15 +117,13 @@ def collect_outcomes(alg, runs) -> tuple:
             _join_into(alg, errors, ex.kind, label)
         else:
             _join_into(alg, values, value, label)
-    return _sorted_pairs(alg, values), _sorted_pairs(alg, errors)
+    return _sorted_pairs(values), _sorted_pairs(errors)
 
 
-def _inverted(alg, value_pairs, error_pairs):
-    """The (MIN, MAX) values of a range whose MAX sits below its MIN."""
-    ends = alg.endpoints(value_pairs, error_pairs)
-    if ends and value_key(ends[1]) < value_key(ends[0]):
-        return ends
-    return None
+def _inverted(ends) -> bool:
+    """Does a range's MAX value sit below its MIN value?  Only ints are
+    ordered: ``<`` on a bool is a TypeMismatch, so bools form no range."""
+    return not any(isinstance(v, bool) for v in ends) and ends[1] < ends[0]
 
 
 def normalize(alg, mv: ModalValue) -> ModalValue:
@@ -146,7 +132,7 @@ def normalize(alg, mv: ModalValue) -> ModalValue:
     pairs = merge_value_pairs(alg, [pair for pair in mv.pairs if not alg.is_empty(pair[1])])
     if not pairs:
         raise EmptyModalValue("normalization dropped every pair")
-    return ModalValue(pairs, mv.modality)
+    return ModalValue(alg.lower(pairs), mv.modality)
 
 
 # --------------------------------------------------------------------------
@@ -200,8 +186,8 @@ def validate(alg, obj, *, interval_empty: str = "reject") -> ValidationReport:
         problems.extend(alg.problems(labels_))
 
     if not problems and interval_empty == "reject":
-        ends = _inverted(alg, value_pairs, error_pairs)
-        if ends:
+        ends = alg.endpoints(value_pairs, error_pairs)
+        if ends and _inverted(ends):
             problems.append(
                 f"empty range: MAX value {value_text(ends[1])} "
                 f"< MIN value {value_text(ends[0])}"
@@ -239,8 +225,8 @@ def render_result(alg, result: ModalResult, label_text=None, *,
     fmt = label_text or alg.canonical_text
     ends = alg.endpoints(result.values, result.errors)
     if ends:
-        if interval_empty == "swap":
-            ends = sorted(ends, key=value_key)
+        if interval_empty == "swap" and _inverted(ends):
+            ends = ends[::-1]
         return [f"[{value_text(ends[0])} .. {value_text(ends[1])}]"]
     lines = [f"{value_text(v)} @ {fmt(label)}" for v, label in result.values]
     lines.extend(f"error:{kind} @ {fmt(label)}" for kind, label in result.errors)

@@ -14,8 +14,10 @@ excluded from every downstream context; within one world the first error
 
 One code path serves every modality: a path condition is a label of the
 world-set algebra the run lifts its inputs into (``labels.Algebra.lift``;
-a probability run lifts to the joint draws of its inputs and lowers its
-result back to weights), and variables and constants are read through
+a probability run lifts to the joint draws of its inputs, an interval run
+merges each range's equal endpoints into one pair, and each lowers its
+result back to the public form), a constant is one pair at that
+algebra's ``top``, and variables and constants are read through
 ``lifting.restrict``.  Every node returns normalized pairs: normalized
 parts pass through, and only a union of two or more non-empty parts is
 merged, so the answer is never merged again.  Under ``check_invariants``
@@ -48,7 +50,6 @@ from .modal import (
     ModalResult,
     bound_inputs,
     collect_outcomes,
-    make_const,
     merge_value_pairs,
     validate,
 )
@@ -80,7 +81,6 @@ class _DeepEval:
         self.env = env
         self.stats = stats
         self.fundefs = program.analysis.fundefs
-        self.consts: dict = {}
 
     def _union(self, parts):
         """The union of normalized parts: a merge only if two or more are non-empty."""
@@ -94,10 +94,7 @@ class _DeepEval:
     def eval(self, expr, scope, ctx):
         """Returns (value_pairs, error_pairs) jointly covering ``ctx``."""
         if isinstance(expr, (lang.IntLit, lang.BoolLit)):
-            key = (type(expr.value), expr.value)  # 1 and True stay apart
-            if key not in self.consts:  # already normal form
-                self.consts[key] = make_const(self.alg, expr.value).pairs
-            pairs = self.consts[key]
+            pairs = ((expr.value, self.alg.top),)
         elif isinstance(expr, lang.Var):
             try:
                 pairs = scope[expr.name]
@@ -188,8 +185,7 @@ class _DeepEval:
     def run(self) -> ModalResult:
         inputs = bound_inputs(self.program, self.env.alg, self.env.bindings)
         self.alg, scope = self.env.alg.lift(inputs)
-        values, errors = self.eval(self.program.main, scope, None)
-        return _finish_result(self.env, self.alg.lower(values), self.alg.lower(errors))
+        return _finish_result(self.env, self.alg, *self.eval(self.program.main, scope, None))
 
 
 class _CheckedDeepEval(_DeepEval):
@@ -223,9 +219,10 @@ def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
     """Cross the program's modal inputs and run it plainly per tuple.
 
     The operands are ``main``'s bound inputs (``modal.bound_inputs``), as
-    in the oracle (a run that reads an unbound one fails there), then, for the feature modality, every tested feature's modal boolean in
-    declared order, so the plain evaluator always sees a concrete
-    configuration.  A program with no operand runs once per top label.
+    in the oracle (a run that reads an unbound one fails there), then, for
+    the feature modality, every tested feature's modal boolean in declared
+    order, so the plain evaluator always sees a concrete configuration.
+    A program with no operand runs once, at the top label.
     """
     alg = env.alg
     if stats is None:
@@ -235,20 +232,20 @@ def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
     tested = [n for n in alg.features if n in program.analysis.features]
     operands = [mv.pairs for mv in inputs.values()] + [_feature_pairs(alg, n) for n in tested]
     if not operands:
-        operands = [[(None, label) for label in alg.top_labels()]]
+        operands = [[(None, alg.top)]]
 
     def runs():
         for label, values in cross(alg, operands, stats):
             config = dict(zip(tested, values[len(names):])) if tested else None
             yield label, lang.eval_plain, (program, dict(zip(names, values)), config, stats)
 
-    return _finish_result(env, *collect_outcomes(alg, runs()))
+    return _finish_result(env, alg, *collect_outcomes(alg, runs()))
 
 
-def _finish_result(env: ModalEnv, values, errors) -> ModalResult:
-    """The result of a run from its normalized pairs, validated under
-    ``check_invariants``."""
-    result = ModalResult(tuple(values), tuple(errors), env.alg.kind)
+def _finish_result(env: ModalEnv, alg, values, errors) -> ModalResult:
+    """The result of a run from its normalized pairs in ``alg``, lowered
+    to their public form and validated under ``check_invariants``."""
+    result = ModalResult(alg.lower(values), alg.lower(errors), env.alg.kind)
     if env.check_invariants:
         report = validate(env.alg, result, interval_empty=env.interval_empty)
         if not report:

@@ -88,7 +88,7 @@ def brute_force_eval(program: lang.Program, bindings, alg, stats=None) -> ModalR
         (label, lang.eval_plain, (program, env, config, stats))
         for env, config, label in enumerate_worlds(alg, inputs)
     ))
-    return ModalResult(values, errors, alg.kind)
+    return ModalResult(alg.lower(values), alg.lower(errors), alg.kind)
 
 
 # --------------------------------------------------------------------------

@@ -312,6 +312,26 @@ def test_swap_policy_flag(tmp_path, capsys, mode, program, swapped, rejected):
     assert capsys.readouterr().out.startswith(rejected + "\n")  # flagged only by validation
 
 
+# (program, range of x, its line under --interval-empty swap, check's exit code under reject)
+CHECKED_RANGES = (
+    ("x < 5", "[1 .. 9]", "[true .. false]", 0),
+    ("if x < 5 then true else 3", "[1 .. 9]", "[true .. 3]", 0),
+    ("0 - x", "[4 .. 9]", "[-9 .. -4]", 2),
+)
+
+
+@pytest.mark.parametrize("program, span, swapped, rejected_code", CHECKED_RANGES,
+                         ids=("cmp", "mixed", "neg"))
+def test_only_ints_form_an_inverted_range(tmp_path, capsys, program, span, swapped, rejected_code):
+    # the language orders no bool, so a bool endpoint is never out of order
+    bindings = f"modality interval;\nbind x = {span};"
+    code = _run_files(tmp_path, program, bindings, "--mode", "check", "--interval-empty", "swap")
+    assert (code, capsys.readouterr().out) == (0, swapped + "\ncheck: deep == oracle\n")
+    code = _run_files(tmp_path, program, bindings, "--mode", "check")
+    capsys.readouterr()
+    assert code == rejected_code
+
+
 @pytest.mark.parametrize("mode", ("plain", "shallow", "deep", "oracle", "check"))
 def test_unbound_inputs_fail_only_where_they_are_read(tmp_path, capsys, mode):
     bindings = "modality feature(FA);\nbind y = { 1 @ FA, 2 @ !FA };"

@@ -38,7 +38,8 @@ from multiworld.modal_eval import ModalEnv, eval_modal
 from test_cli import run_example
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-EXAMPLES = ("sharing", "feature_div", "prob_sum", "prob_reuse", "interval_abs", "interval_cancel")
+EXAMPLES = ("sharing", "feature_div", "prob_sum", "prob_reuse", "interval_abs", "interval_cancel",
+            "interval_cmp")
 MODES = ("deep", "shallow", "oracle", "check")
 DISPLAY = GOLDEN / "display_labels.json"
 RECORDED = 209  # entries not made by generated_labels()

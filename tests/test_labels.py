@@ -132,8 +132,8 @@ def test_check_disjoint_minterms():
             ["configuration {FA=0, FB=0} is uncovered"],
         ),
         "interval": (
-            ["expected exactly one MIN and one MAX, got ['MIN', 'MAX', 'MIN']"],
-            ["expected exactly one MIN and one MAX, got ['MAX']"],
+            ["labels overlap: MIN and MIN"],
+            ["configuration MIN is uncovered"],
         ),
     }
     for alg, _ in world_set_algebras():
@@ -398,29 +398,25 @@ def test_interval_empty_disjoint_total():
     assert alg.is_empty(alg.meet(Tag.MIN, Tag.MAX))
     assert alg.problems([Tag.MIN, Tag.MAX]) == []
     assert alg.problems([Tag.MAX, Tag.MIN]) == []
-    assert alg.problems([Tag.MIN, Tag.MIN])
-    assert alg.problems([Tag.MIN])
-    # a range keeps one pair per endpoint, so one label holding both is not one
-    assert alg.problems([alg.top]) == ["expected exactly one MIN and one MAX, got ['MIN|MAX']"]
+    assert alg.problems([Tag.MIN, Tag.MIN]) == [
+        "labels overlap: MIN and MIN", "configuration MAX is uncovered"
+    ]
+    assert alg.problems([Tag.MIN]) == ["configuration MAX is uncovered"]
+    # inside a run one label may hold both endpoints
+    assert alg.problems([alg.top]) == []
     assert [alg.canonical_text(label) for label in range(4)] == ["none", "MIN", "MAX", "MIN|MAX"]
-    assert alg.top_labels() == (1, 2)
+    assert alg.top == Tag.MIN | Tag.MAX
 
 
 def test_interval_problems_within_a_tag():
     alg = IntervalAlgebra()
-    assert alg.problems([Tag.MIN]) == [
-        "expected exactly one MIN and one MAX, got ['MIN']"
-    ]
     assert alg.problems([Tag.MAX], within=Tag.MAX) == []
     assert alg.problems([Tag.MAX, Tag.MIN], within=alg.top) == []
-    # the context's tag missing, doubled, or joined by the other tag
-    assert alg.problems([], within=Tag.MAX) == ["expected exactly one MAX, got []"]
-    assert alg.problems([Tag.MIN, Tag.MIN], within=Tag.MIN) == [
-        "expected exactly one MIN, got ['MIN', 'MIN']"
-    ]
-    assert alg.problems([Tag.MAX, Tag.MIN], within=Tag.MIN) == [
-        "expected exactly one MIN, got ['MAX', 'MIN']"
-    ]
+    assert alg.problems([Tag.MIN], within=alg.top) == ["configuration MAX is uncovered"]
+    # the context's tag missing or doubled
+    assert alg.problems([], within=Tag.MAX) == ["configuration MAX is uncovered"]
+    assert alg.problems([Tag.MIN, Tag.MIN], within=Tag.MIN) == ["labels overlap: MIN and MIN"]
+    assert alg.problems([alg.top, Tag.MIN], within=Tag.MIN) == ["labels overlap: MIN|MAX and MIN"]
 
 
 def test_minus_removes_worlds_from_a_context():

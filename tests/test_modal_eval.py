@@ -368,7 +368,7 @@ def test_deep_nesting_is_a_budget_error(entry):
 
 @pytest.mark.parametrize("binds_text, message", [
     (SHARING_BINDS, "intermediate value: labels overlap: "),
-    ("modality interval;\nbind x = [1 .. 4];", "intermediate value: expected exactly one MAX, got "),
+    ("modality interval;\nbind x = [1 .. 4];", "intermediate value: labels overlap: MIN and MIN"),
 ])
 def test_check_invariants_catches_an_unrestricted_read(monkeypatch, binds_text, message):
     # a variable read that ignores its path condition puts both branches'
@@ -456,6 +456,43 @@ def test_deep_merges_only_unions(monkeypatch, binds_text, text, value_merges):
     assert eval_modal(program, env) == expected
     assert merged == ["merge_value_pairs"] * value_merges
     assert applied == [1]
+
+
+POINT = "modality interval;\nbind x = [1 .. 1];"
+
+
+def test_deep_shares_equal_endpoints():
+    # inside a deep run [1 .. 1] is one pair holding both endpoints, so
+    # x + 5 is one application; black-box crosses the public form, one
+    # pair per endpoint, and runs the program at each
+    program, alg, binds, env = setup("x + 5", POINT)
+    deep, shallow = LiftStats(), LiftStats()
+    assert eval_modal(program, env, deep).values == ((6, Tag.MAX), (6, Tag.MIN))
+    assert (deep.applications["add"], deep.tuples, deep.pruned) == (1, 1, 0)
+    eval_shallow_blackbox(program, env, shallow)
+    assert (shallow.applications["add"], shallow.tuples, shallow.pruned) == (2, 2, 0)
+
+
+def test_endpoints_keep_one_pair_each_outside_a_run():
+    program, alg, binds, env = setup("x", "modality interval;\nbind x = [5 .. 5];")
+    both = ((5, Tag.MAX), (5, Tag.MIN))
+    assert binds["x"].pairs == both
+    assert modal.normalize(alg, ModalValue(((5, Tag.MIN), (5, Tag.MAX)), "interval")).pairs == both
+    assert modal.make_const(alg, 5).pairs == both
+    zero = modal.make_const(alg, 0)
+    assert lifting.shallow_apply(alg, lang.PRIMITIVES["+"], [binds["x"], zero]).values == both
+    assert eval_modal(program, env).values == both
+    assert eval_shallow_blackbox(program, env).values == both
+    assert brute_force_eval(program, binds, alg).values == both
+
+
+def test_shared_error_splits_per_endpoint():
+    # x - x is 0 at both endpoints, so the division runs once and fails at both
+    program, alg, binds, env = setup("1 / (x - x)", "modality interval;\nbind x = [4 .. 9];")
+    stats = LiftStats()
+    result = eval_modal(program, env, stats)
+    assert modal.render_result(alg, result) == ["error:DivByZero @ MAX", "error:DivByZero @ MIN"]
+    assert stats.applications["div"] == 1
 
 
 @pytest.mark.parametrize("kind", ["feature", "interval", "probability"])
