@@ -14,7 +14,9 @@ Line-oriented, ``//`` comments, one modality declaration first, then binds:
 
 Feature labels use ``!`` (tightest), ``&``, ``|`` (loosest), parentheses,
 and the literals ``true``/``false``.  Values are integer literals (unary
-minus allowed) or ``true``/``false``.
+minus allowed) or ``true``/``false``.  The tokens come from
+``lang.Scanner``, as a program's do: one ``findall`` and one kind lookup
+per token, and a line and column only for an error.
 """
 
 from __future__ import annotations
@@ -23,54 +25,34 @@ import re
 
 from .errors import BindingsError, BudgetExceeded
 from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
-from .lang import INT64_MAX, INT64_MIN, _line_col, read_source
+from .lang import INT64_MAX, INT64_MIN, Scanner, read_source
 from .modal import ModalValue, normalize
 
-# One match per token: the whitespace and comments before it, then one
-# alternative per token class.
+# One match per token: the whitespace and comments before it, then the
+# token.  A punctuation mark's kind is the mark itself.
 _TOKEN_RE = re.compile(
     r"""
     (?:\s|//[^\n]*)*
-    (?:(?P<float>\d+\.\d+)
-      |(?P<int>\d+)
-      |(?P<id>[A-Za-z_][A-Za-z0-9_]*)
-      |(?P<dots>\.\.)
-      |(?P<punct>[{}\[\]()@,;=!&|+-])
-      |(?P<eof>\Z)
-      |(?P<other>.))
+    (\d+\.\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\.\.|[{}\[\]()@,;=!&|+-]|\Z|.)
     """,
     re.VERBOSE | re.DOTALL,
 )
+_FIXED_KINDS = {**{c: c for c in "{}[]()@,;=!&|+-"}, "..": "dots", "": "eof"}
 
 
-def _tokenize(text: str) -> tuple:
-    """Parallel lists of token kinds, texts and start offsets, ending in an
-    ``eof`` token.  A punctuation mark's kind is the mark itself."""
-    kinds, texts, starts = [], [], []
-    for m in _TOKEN_RE.finditer(text):
-        kind = group = m.lastgroup
-        word = m[group]
-        if group == "punct":
-            kind = word
-        elif group == "other":
-            raise BindingsError(f"unexpected character {word!r}", *_line_col(text, m.start(group)))
-        kinds.append(kind)
-        texts.append(word)
-        starts.append(m.start(group))
-    return kinds, texts, starts
+class _Reader(Scanner):
+    pattern, fixed, error = _TOKEN_RE, _FIXED_KINDS, BindingsError
 
-
-class _Reader:
-    def __init__(self, text: str, feature_limit: int):
-        self.text = text
-        self.kinds, self.texts, self.starts = _tokenize(text)
-        self.pos = 0
-        self.feature_limit = feature_limit
+    def classify(self, word: str) -> str:
+        if word[0].isdecimal():
+            return "float" if "." in word else "int"
+        if word.isascii() and word.isidentifier():
+            return "id"
+        self.error_at(self.texts.index(word), f"unexpected character {word!r}")
 
     def fail(self, message: str):
-        pos = self.pos
-        found = self.texts[pos] or self.kinds[pos]
-        raise BindingsError(f"{message} (found {found!r})", *_line_col(self.text, self.starts[pos]))
+        found = self.texts[self.pos] or self.kinds[self.pos]
+        self.error_at(self.pos, f"{message} (found {found!r})")
 
     def at(self, kind, text=None) -> bool:
         pos = self.pos
@@ -92,9 +74,9 @@ class _Reader:
 
     # -- grammar -----------------------------------------------------------
 
-    def file(self):
+    def file(self, feature_limit: int):
         self.expect("id", "modality")
-        alg = self.modality()
+        alg = self.modality(feature_limit)
         self._alg = alg  # the label sub-parser needs the declared features
         self.expect(";")
         bindings: dict = {}
@@ -109,7 +91,7 @@ class _Reader:
             self.fail("expected 'bind' or end of file")
         return alg, bindings
 
-    def modality(self):
+    def modality(self, feature_limit: int):
         kind = self.expect("id")
         if kind == "feature":
             self.expect("(")
@@ -119,7 +101,7 @@ class _Reader:
             self.expect(")")
             if len(set(names)) != len(names):
                 self.fail("duplicate feature name")
-            return FeatureAlgebra(names, feature_limit=self.feature_limit)
+            return FeatureAlgebra(names, feature_limit=feature_limit)
         if kind == "probability":
             return ProbabilityAlgebra()
         if kind == "interval":
@@ -221,7 +203,7 @@ def parse_bindings(text: str, feature_limit: int = 24):
     ``BudgetExceeded``.
     """
     try:
-        return _Reader(text, feature_limit).file()
+        return _Reader(text).file(feature_limit)
     except RecursionError:
         raise BudgetExceeded("bindings nested too deeply to parse") from None
 

@@ -183,7 +183,8 @@ class Algebra:
       exactly that world, ``world_text`` prints it, ``parse_world`` reads
       the ``--config`` text naming one.
     * ``problems(labels, within=ctx)`` -- why labels fail to partition
-      ``ctx`` (default: every world): overlaps first, then gaps.
+      ``ctx`` (default: every world): overlaps first, then gaps, then
+      worlds a label holds outside ``ctx``.
     * ``shape_problem(label)`` -- why a label is not one of this algebra.
     * ``endpoints(values, errors)`` -- the (MIN, MAX) values of a complete
       range, or ``None``.
@@ -262,9 +263,14 @@ class WorldSetAlgebra(Algebra):
             if not self.is_empty(a & b):
                 out.append(f"labels overlap: {self.canonical_text(a)} and {self.canonical_text(b)}")
                 break
-        gap = self.minus(within, labels)
-        if not self.is_empty(gap):
-            out.append(f"configuration {self.world_text(self.first_world(gap))} is uncovered")
+        within = self.top if within is None else within
+        # the worlds of ``within`` that no label holds, and those of a label outside it
+        stray = functools.reduce(self.join, labels, 0) ^ within
+        if not self.is_empty(stray):
+            for part, where in ((stray & within, "is uncovered"),
+                                (stray & ~within, "is outside the context")):
+                if part:
+                    out.append(f"configuration {self.world_text(self.first_world(part))} {where}")
         return out
 
 

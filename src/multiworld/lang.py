@@ -24,19 +24,23 @@ operators associate to the left; unary minus desugars to ``0 - e``.
 Identifiers and numerals may use letters and decimal digits of any
 script; other digit characters (``²``) are not numerals.
 
-The front end makes one pass of each kind: one compiled regular
-expression splits the text into tokens, a precedence-climbing parser
-reads a chain of operators at one level as a loop, and one walk with an
-explicit stack makes the load checks (scopes, arities, call cycles) and
-records what the evaluators read of the program (``Program.analysis``).
-Error positions are 1-based line and column.  Nesting deeper than the
-parser's, the renderer's or the evaluator's recursion allows raises
-``BudgetExceeded``.
+The front end makes one pass of each kind: one ``findall`` of a compiled
+regular expression reads every token's text and one lookup gives each
+kind (``Scanner``, which ``bindings`` shares), a precedence-climbing
+parser reads a chain of operators at one level as a loop, and one walk
+with an explicit stack makes the load checks (scopes, arities, call
+cycles) and records what the evaluators read of the program
+(``Program.analysis``).  Error positions are 1-based line and column,
+found by matching the text again when an error is raised.  Nesting
+deeper than the parser's, the renderer's or the evaluator's recursion
+allows raises ``BudgetExceeded``.  Syntax nodes are slotted dataclasses,
+compared by class and fields; they are neither frozen nor hashable.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -65,62 +69,62 @@ KEYWORDS = {"fun", "let", "in", "if", "then", "else", "true", "false", "feature"
 # --------------------------------------------------------------------------
 
 class Expr:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Let(Expr):
     name: str
     bound: Expr
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class If(Expr):
     guard: Expr
     then: Expr
     orelse: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BinOp(Expr):
     op: str
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Not(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Call(Expr):
     fn: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Feature(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FunDef:
     name: str
     params: tuple
@@ -147,60 +151,56 @@ class Analysis(NamedTuple):
 
 
 # --------------------------------------------------------------------------
-# Tokenizer
+# Scanner (shared with ``bindings``)
 # --------------------------------------------------------------------------
-
-# One match per token: the whitespace and comments before it, then one
-# alternative per token class.  ``\s``, ``\d`` and ``\w`` mean
-# ``str.isspace``, ``isdecimal`` and ``isalnum``-or-underscore, so identifiers
-# and numerals may come from any script; ``other`` is an identifier that
-# starts outside ASCII, or a stray character.
-_TOKEN_RE = re.compile(
-    r"""
-    (?:\s|//[^\n]*)*
-    (?:(?P<op>&&|\|\||<=|==|[-+*/<!(),;=])
-      |(?P<name>[A-Za-z_]\w*)
-      |(?P<int>\d+)
-      |(?P<string>"[^"\n]*")
-      |(?P<eof>\Z)
-      |(?P<other>[^\W\d]\w*|.))
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-
 
 def _line_col(text: str, offset: int) -> tuple:
     """The 1-based line and column of ``text[offset]``."""
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> tuple:
-    """Parallel lists of token kinds, texts and start offsets, ending in an
-    ``eof`` token.
+class Scanner:
+    """One text's tokens, as parallel lists ``kinds`` and ``texts`` that end
+    in an ``eof`` token with empty text; ``pos`` is the next token.
 
-    An operator's or a keyword's kind is its own text; the other kinds are
-    ``int``, ``id``, ``string`` (whose text leaves out the quotes) and
-    ``eof``.
+    A front end sets ``pattern`` (per match: whitespace and comments, then
+    one token's text as its one group), ``fixed`` (the kinds known in
+    advance by text), ``classify(word)`` (any other text's kind; raises on a
+    stray) and ``error``.  A token's offset is found only when an error
+    names it, by matching the text again.
     """
-    kinds, texts, starts = [], [], []
-    for m in _TOKEN_RE.finditer(text):
-        kind = group = m.lastgroup
-        word = m[group]
-        if group == "op":
-            kind = word
-        elif group == "name":
-            kind = word if word in KEYWORDS else "id"
-        elif group == "string":
-            word = word[1:-1]
-        elif group == "other":
-            if not word[0].isalpha():
-                message = "unterminated string" if word == '"' else f"unexpected character {word[0]!r}"
-                raise ParseError(message, *_line_col(text, m.start(group)))
-            kind = "id"
-        kinds.append(kind)
-        texts.append(word)
-        starts.append(m.start(group))
-    return kinds, texts, starts
+
+    def __init__(self, text: str):
+        self.text = text
+        self.texts = texts = self.pattern.findall(text)
+        kind_of = dict(self.fixed)
+        for word in dict.fromkeys(texts):  # in order: the first stray raises
+            if word not in kind_of:
+                kind_of[word] = self.classify(word)
+        self.kinds = list(map(kind_of.__getitem__, texts))
+        self.pos = 0
+
+    def error_at(self, pos: int, message: str):
+        """Raise ``error`` with ``message`` at the start of token ``pos``."""
+        match = next(itertools.islice(self.pattern.finditer(self.text), pos, None))
+        raise self.error(message, *_line_col(self.text, match.start(1)))
+
+
+# One match per token: the whitespace and comments before it, then the
+# token.  ``\s``, ``\d`` and ``\w`` mean ``str.isspace``, ``isdecimal`` and
+# ``isalnum``-or-underscore, so identifiers and numerals may come from any
+# script; a word that starts with no letter (``²``) is a stray.
+_TOKEN_RE = re.compile(
+    r"""
+    (?:\s|//[^\n]*)*
+    (&&|\|\||<=|==|[-+*/<!(),;=]|[^\W\d]\w*|\d+|"[^"\n]*"|\Z|.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+# An operator's or a keyword's kind is its own text; the other kinds are
+# ``int``, ``id``, ``string`` (whose text keeps its quotes) and ``eof``.
+_FIXED_KINDS = {**{w: w for w in (*KEYWORDS, "&&", "||", "<=", "==", *"-+*/<!(),;=")}, "": "eof"}
 
 
 # --------------------------------------------------------------------------
@@ -213,22 +213,33 @@ _PREC = {"||": 1, "&&": 2, "<": 3, "<=": 3, "==": 3, "+": 4, "-": 4, "*": 5, "/"
 _PREFIX_PREC = 6
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.kinds, self.texts, self.starts = _tokenize(text)
-        self.pos = 0
+class _Parser(Scanner):
+    pattern, fixed, error = _TOKEN_RE, _FIXED_KINDS, ParseError
+
+    def classify(self, word: str) -> str:
+        head = word[0]
+        if head.isdecimal():
+            return "int"
+        if head.isalpha() or head == "_":
+            return "id"
+        if head == '"' and word != '"':
+            return "string"
+        message = "unterminated string" if word == '"' else f"unexpected character {head!r}"
+        self.error_at(self.texts.index(word), message)
 
     def fail(self, message: str, pos: int | None = None):
-        offset = self.starts[self.pos if pos is None else pos]
-        raise ParseError(message, *_line_col(self.text, offset))
+        self.error_at(self.pos if pos is None else pos, message)
+
+    def word(self, pos: int) -> str:
+        """Token ``pos``'s text as an error shows it: a string's without quotes."""
+        text = self.texts[pos]
+        return text[1:-1] if self.kinds[pos] == "string" else text
 
     def expect(self, kind: str) -> str:
         """Consume one token of ``kind`` and return its text."""
         pos = self.pos
         if self.kinds[pos] != kind:
-            got = self.texts[pos] or self.kinds[pos]
-            self.fail(f"expected {kind!r}, found {got!r}")
+            self.fail(f"expected {kind!r}, found {self.word(pos) or self.kinds[pos]!r}")
         self.pos = pos + 1
         return self.texts[pos]
 
@@ -245,7 +256,7 @@ class _Parser:
             fundefs.append(self.fundef())
         main = self.expr()
         if self.kinds[self.pos] != "eof":
-            self.fail(f"unexpected trailing {self.texts[self.pos]!r}")
+            self.fail(f"unexpected trailing {self.word(self.pos)!r}")
         return Program(tuple(fundefs), main)
 
     def fundef(self) -> FunDef:
@@ -317,7 +328,7 @@ class _Parser:
             return BoolLit(kind == "true")
         if kind == "feature":
             self.expect("(")
-            name = self.expect("string")
+            name = self.expect("string")[1:-1]
             if not name or not all(c.isalnum() or c == "_" for c in name) or name[0].isdigit():
                 self.fail(f"feature name must be an identifier, got {name!r}", self.pos - 1)
             self.expect(")")
@@ -325,7 +336,7 @@ class _Parser:
         self.pos = pos
         if kind in KEYWORDS:
             self.fail(f"unexpected keyword {kind!r}")
-        self.fail(f"unexpected {self.texts[pos] or kind!r}")
+        self.fail(f"unexpected {self.word(pos) or kind!r}")
 
 
 def parse(text: str) -> Program:

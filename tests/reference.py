@@ -1,10 +1,93 @@
-"""Brute-force reference semantics for feature formulas.
+"""Reference semantics to check the package against.
 
-The feature algebra holds labels as world-set bitsets; these helpers give
-the independent meaning of a ``FeatureExpr`` to check it against.
+The feature algebra holds labels as world-set bitsets; the formula helpers
+give the independent meaning of a ``FeatureExpr`` to check it against.
+The two tokenizers are the front ends' earlier ``finditer`` loops, one
+named group per token class, kept to check the shared scanner against.
 """
 
+import re
+
+import pytest
+
+from multiworld.errors import BindingsError, ParseError
 from multiworld.labels import FAnd, FFalse, FNot, FOr, FTrue, FVar
+
+KEYWORDS = {"fun", "let", "in", "if", "then", "else", "true", "false", "feature"}
+
+_PROGRAM_TOKEN_RE = re.compile(
+    r"""
+    (?:\s|//[^\n]*)*
+    (?:(?P<op>&&|\|\||<=|==|[-+*/<!(),;=])
+      |(?P<name>[A-Za-z_]\w*)
+      |(?P<int>\d+)
+      |(?P<string>"[^"\n]*")
+      |(?P<eof>\Z)
+      |(?P<other>[^\W\d]\w*|.))
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_BINDINGS_TOKEN_RE = re.compile(
+    r"""
+    (?:\s|//[^\n]*)*
+    (?:(?P<float>\d+\.\d+)
+      |(?P<int>\d+)
+      |(?P<id>[A-Za-z_][A-Za-z0-9_]*)
+      |(?P<dots>\.\.)
+      |(?P<punct>[{}\[\]()@,;=!&|+-])
+      |(?P<eof>\Z)
+      |(?P<other>.))
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def line_col(text: str, offset: int) -> tuple:
+    """The 1-based line and column of ``text[offset]``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def program_tokens(text: str) -> tuple:
+    """Parallel lists of a program's token kinds, texts (a string's without
+    its quotes) and start offsets, ending in ``eof``; a stray character
+    raises ``ParseError``."""
+    kinds, texts, starts = [], [], []
+    for m in _PROGRAM_TOKEN_RE.finditer(text):
+        kind = group = m.lastgroup
+        word = m[group]
+        if group == "op":
+            kind = word
+        elif group == "name":
+            kind = word if word in KEYWORDS else "id"
+        elif group == "string":
+            word = word[1:-1]
+        elif group == "other":
+            if not word[0].isalpha():
+                message = "unterminated string" if word == '"' else f"unexpected character {word[0]!r}"
+                raise ParseError(message, *line_col(text, m.start(group)))
+            kind = "id"
+        kinds.append(kind)
+        texts.append(word)
+        starts.append(m.start(group))
+    return kinds, texts, starts
+
+
+def bindings_tokens(text: str) -> tuple:
+    """The same lists for a bindings text; a punctuation mark's kind is the
+    mark itself, and a stray character raises ``BindingsError``."""
+    kinds, texts, starts = [], [], []
+    for m in _BINDINGS_TOKEN_RE.finditer(text):
+        kind = group = m.lastgroup
+        word = m[group]
+        if group == "punct":
+            kind = word
+        elif group == "other":
+            raise BindingsError(f"unexpected character {word!r}", *line_col(text, m.start(group)))
+        kinds.append(kind)
+        texts.append(word)
+        starts.append(m.start(group))
+    return kinds, texts, starts
 
 
 def satisfies(expr, config) -> bool:
@@ -74,3 +157,25 @@ def prime_cubes(label: int, k: int) -> set:
             if not any(inside(label, bits & ~f, dont_care | f) for f in fixed):
                 out.add((bits, dont_care))
     return out
+
+
+def assert_scans_like(reference, scanner, text):
+    """``scanner(text)`` tokenizes as ``reference(text)`` does: the same kinds
+    and texts (a string token's without its quotes), or the same error text,
+    line and column on a stray character; and ``error_at`` puts each token at
+    its reference start.  Returns the starts, or ``None`` after an error."""
+    try:
+        kinds, texts, starts = reference(text)
+    except (ParseError, BindingsError) as ex:
+        with pytest.raises(type(ex)) as exc:
+            scanner(text)
+        assert (str(exc.value), exc.value.line, exc.value.col) == (str(ex), ex.line, ex.col)
+        return None
+    tokens = scanner(text)
+    assert tokens.kinds == kinds
+    assert [t[1:-1] if k == "string" else t for k, t in zip(tokens.kinds, tokens.texts)] == texts
+    for pos, start in enumerate(starts):
+        with pytest.raises(tokens.error) as exc:
+            tokens.error_at(pos, "here")
+        assert (exc.value.line, exc.value.col) == line_col(text, start)
+    return starts

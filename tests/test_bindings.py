@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiworld.bindings import parse_bindings
+from multiworld.bindings import _Reader, parse_bindings
 from multiworld.errors import (
     BindingsError,
     BudgetExceeded,
@@ -11,6 +11,7 @@ from multiworld.errors import (
 )
 from multiworld.labels import Tag
 from multiworld.modal import validate
+from reference import assert_scans_like, bindings_tokens, line_col
 
 
 def test_feature_bindings():
@@ -122,11 +123,19 @@ def test_deeply_nested_label_is_a_budget_error():
         parse_bindings("modality feature(FA);\nbind x = { 1 @ " + "(" * 3000 + "FA" + ")" * 3000 + " };")
 
 
+def test_non_ascii_digits_and_tight_ranges():
+    # \d is any decimal digit, as int() and float() read them
+    _, binds = parse_bindings("modality probability;\nbind x = { ٣ @ ٠.٥, 4 @ 0.5 };")
+    assert binds["x"].pairs == ((3, 0.5), (4, 0.5))
+    _, binds = parse_bindings("modality interval;\nbind r = [4..9]; // the end")
+    assert binds["r"].pairs == ((4, Tag.MIN), (9, Tag.MAX))
+
+
 BINDINGS_TOKENS = [
     "modality", "feature", "probability", "interval", "bind", "true", "false",
-    "x", "FA", "FB", "0", "7", "0.5", "1.5", "9223372036854775808",
+    "x", "FA", "FB", "0", "7", "٣", "0.5", "٠.٥", "1.5", "9223372036854775808", "[4..9]",
     "(", ")", "{", "}", "[", "]", "..", "@", ",", ";", "=", "!", "&", "|", "-", "+",
-    " ", "\n", "// c\n", ".", "$", "é",
+    " ", "\n", "// c\n", "// c", ".", "$", "é", '"',
 ]
 HEADS = ["", "modality feature(FA, FB);", "modality probability;", "modality interval;"]
 
@@ -134,10 +143,14 @@ HEADS = ["", "modality feature(FA, FB);", "modality probability;", "modality int
 @settings(max_examples=500)
 @given(st.sampled_from(HEADS), st.lists(st.sampled_from(BINDINGS_TOKENS), max_size=40))
 def test_token_soup_raises_only_documented_errors(head, tokens):
+    text = head + " ".join(tokens)
+    starts = assert_scans_like(bindings_tokens, _Reader, text)
     try:
-        parse_bindings(head + " ".join(tokens))
+        parse_bindings(text)
     except BindingsError as ex:
         assert ex.line is not None
+        if starts is not None:  # a parse error names a token's start
+            assert (ex.line, ex.col) in {line_col(text, start) for start in starts}
     # a well-formed file can still name an undeclared feature, declare too
     # many, or bind a value whose every label is empty
     except (UndeclaredFeature, TooManyFeatures, EmptyModalValue):

@@ -165,12 +165,19 @@ def test_feature_problems_within_a_context():
     assert alg.problems(parts[:1], within=ctx) == [
         "configuration {FA=0, FB=0} is uncovered"
     ]
-    # an overlap is reported once, before any gap
-    assert alg.problems([ctx, fb], within=ctx) == ["labels overlap: !FA and FB"]
+    # an overlap is reported once, before any gap; a label reaching outside
+    # the context is reported last
+    assert alg.problems([ctx, fb], within=ctx) == [
+        "labels overlap: !FA and FB",
+        "configuration {FA=1, FB=1} is outside the context",
+    ]
     assert alg.problems([alg.meet(ctx, fb), fb], within=ctx) == [
         "labels overlap: (!FA & FB) and FB",
         "configuration {FA=0, FB=0} is uncovered",
+        "configuration {FA=1, FB=1} is outside the context",
     ]
+    # every world in the labels, a context of one feature
+    assert alg.problems([alg.top], within=fa) == ["configuration {FA=0, FB=0} is outside the context"]
 
 
 def test_problems_counts_every_emptiness_check():
@@ -413,10 +420,15 @@ def test_interval_problems_within_a_tag():
     assert alg.problems([Tag.MAX], within=Tag.MAX) == []
     assert alg.problems([Tag.MAX, Tag.MIN], within=alg.top) == []
     assert alg.problems([Tag.MIN], within=alg.top) == ["configuration MAX is uncovered"]
-    # the context's tag missing or doubled
+    # the context's tag missing, doubled, or joined by the other tag
     assert alg.problems([], within=Tag.MAX) == ["configuration MAX is uncovered"]
     assert alg.problems([Tag.MIN, Tag.MIN], within=Tag.MIN) == ["labels overlap: MIN and MIN"]
-    assert alg.problems([alg.top, Tag.MIN], within=Tag.MIN) == ["labels overlap: MIN|MAX and MIN"]
+    assert alg.problems([Tag.MAX, Tag.MIN], within=Tag.MIN) == [
+        "configuration MAX is outside the context"
+    ]
+    assert alg.problems([alg.top, Tag.MIN], within=Tag.MIN) == [
+        "labels overlap: MIN|MAX and MIN", "configuration MAX is outside the context"
+    ]
 
 
 def test_minus_removes_worlds_from_a_context():

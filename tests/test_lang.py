@@ -1,4 +1,7 @@
+import dataclasses
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +20,13 @@ from multiworld.lang import (
     BoolLit,
     Call,
     Feature,
+    FunDef,
     If,
     IntLit,
     Let,
     Not,
     Var,
+    _Parser,
     eval_plain,
     parse,
     read_source,
@@ -29,6 +34,7 @@ from multiworld.lang import (
 )
 from multiworld.lifting import LiftStats
 from multiworld.oracle import random_bindings, random_program
+from reference import assert_scans_like, line_col, program_tokens
 
 DIV_PROGRAM = """
 fun foo(x, y) =
@@ -175,21 +181,56 @@ def test_render_round_trip_fuzzed(seed, kind, max_depth):
 
 PROGRAM_TOKENS = [
     "fun", "let", "in", "if", "then", "else", "true", "false", "feature",
-    "x", "f", "_a1", "é", "0", "7", "9223372036854775808", '"FA"', '"2"', '""', '"',
+    "x", "f", "_a1", "é", "0", "7", "٣", "9223372036854775808", '"FA"', '"2"', '""', '"',
     "(", ")", ",", ";", "=", "+", "-", "*", "/", "<", "<=", "==", "&&", "||", "!",
-    " ", "\n", "// c\n", "&", "|", "@", "$", "²",
+    " ", "\n", "// c\n", "// c", "&", "|", "@", "$", "²",
 ]
 
 
 @settings(max_examples=500)
 @given(st.lists(st.sampled_from(PROGRAM_TOKENS), max_size=40), st.sampled_from(["", " "]))
 def test_token_soup_raises_only_documented_errors(tokens, sep):
+    text = sep.join(tokens)
+    starts = assert_scans_like(program_tokens, _Parser, text)
     try:
-        parse(sep.join(tokens))
+        parse(text)
     except ParseError as ex:
         assert ex.line is not None and ex.col is not None
+        if starts is not None:  # a parse error names a token's start
+            assert (ex.line, ex.col) in {line_col(text, start) for start in starts}
     except (ScopeError, CyclicCallError):
         pass
+
+
+def test_error_positions_name_the_token():
+    for text, message in [
+        ('1 +\n  "FA"', 'unexpected \'FA\' (line 2, col 3)'),
+        ('1 ""', "unexpected trailing '' (line 1, col 3)"),
+        ('feature(\n x)', "expected 'string', found 'x' (line 2, col 2)"),
+        ('let x = 1 in\n"', "unterminated string (line 2, col 1)"),
+        ('let x = ² in x', "unexpected character '²' (line 1, col 9)"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+
+def test_nodes_are_slotted_dataclasses_compared_by_class_and_fields():
+    for cls in (IntLit, BoolLit, Var, Let, If, BinOp, Not, Call, Feature, FunDef):
+        assert dataclasses.is_dataclass(cls) and "__slots__" in vars(cls)
+        node = cls(*(None for _ in dataclasses.fields(cls)))
+        assert not hasattr(node, "__dict__")
+    assert IntLit(0) != BoolLit(False)
+    assert Var("x") != Feature("x")
+    assert BinOp("+", Var("x"), IntLit(1)) == BinOp("+", Var("x"), IntLit(1))
+
+
+def test_count_nodes_walks_the_slotted_fields(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    gen = importlib.import_module("gen")
+    # the program, a FunDef over a 3-node body, and 8 nodes in main
+    text = 'fun f(a) = a + 1;\nlet x = f(2) in if feature("FA") then x else !true'
+    assert gen.count_nodes(parse(text)) == 1 + 4 + 8
 
 
 def test_render_round_trip_shapes():

@@ -367,12 +367,13 @@ def test_deep_nesting_is_a_budget_error(entry):
 
 
 @pytest.mark.parametrize("binds_text, message", [
-    (SHARING_BINDS, "intermediate value: labels overlap: "),
-    ("modality interval;\nbind x = [1 .. 4];", "intermediate value: labels overlap: MIN and MIN"),
+    (SHARING_BINDS, r"intermediate value: configuration \{FA=1, FB=0\} is outside the context$"),
+    ("modality interval;\nbind x = [1 .. 4];",
+     "intermediate value: configuration MIN is outside the context$"),
 ])
 def test_check_invariants_catches_an_unrestricted_read(monkeypatch, binds_text, message):
-    # a variable read that ignores its path condition puts both branches'
-    # worlds into each branch; the per-node check names the overlap
+    # a variable read that ignores its path condition holds worlds outside
+    # its branch; the per-node check names the first at the read itself
     program, alg, binds, env = setup(
         "if x < 2 then x else x + 1", binds_text, check_invariants=True
     )
