@@ -14,7 +14,7 @@ three supported modalities:
   labelled ``MIN|MAX`` (``lift``); bindings and results hold one pair per
   endpoint (``lower``).
 * ``ProbabilityAlgebra`` -- labels are weights in [0, 1].  A world is one
-  joint draw of the independent inputs a program reads; a deep run labels
+  joint draw of the independent inputs a program reads; a lifted run labels
   by sets of draws (``lift``) and weighs its result's labels at the end.
 
 Feature, interval and draw labels share one set algebra
@@ -146,7 +146,7 @@ _BITSET_FEATURE_CAP = 25
 _DNF_FEATURE_CAP = 12
 
 
-# the path condition ``Algebra.narrow`` gives when no world is left
+# the path condition ``WorldSetAlgebra.narrow`` gives when no world is left
 NOWHERE = object()
 # the most joint draws of probability inputs that a run enumerates
 JOINT_BUDGET = 10**6
@@ -175,8 +175,6 @@ def joint_support(sizes) -> int:
 class Algebra:
     """What every algebra offers besides ``meet``/``join``/``is_empty``.
 
-    * ``minus(ctx, labels)`` -- the path condition ``ctx`` (``None``: every
-      world) without the worlds of ``labels``; empty when none are left.
     * ``covers(label, world)`` -- does the label hold at one named world?
     * ``worlds()`` -- the named worlds, lazily, or ``None`` when labels are
       weights that name no world; ``minterm(world)`` is the label holding
@@ -193,13 +191,12 @@ class Algebra:
       ``sat_calls`` -- the emptiness checks made.
     * ``check_features(names)`` -- reject a program that tests ``names``
       unless every one is a declared feature.
-    * ``lift(inputs)`` -- the world-set algebra a deep run combines labels
-      in, and each input's pairs in it: probability lifts to an algebra of
-      joint draws, and interval merges a range's equal endpoints into one
-      pair.  Its ``lower(pairs)`` gives the public form back (weights, one
-      pair per endpoint); every result, binding and constant is lowered.
-    * ``narrow(ctx, errors)`` -- the path condition after a sub-result:
-      ``ctx`` without the worlds of ``errors``; ``NOWHERE`` if none is left.
+    * ``lift(inputs)`` -- the world-set algebra (``WorldSetAlgebra``) that
+      every lifted run combines labels in, and each input's pairs in it:
+      probability lifts to an algebra of joint draws, and interval merges a
+      range's equal endpoints into one pair.  Its ``lower(pairs)`` gives the
+      public form back (weights, one pair per endpoint); every result,
+      binding and constant is lowered.
     """
 
     features = ()
@@ -211,12 +208,6 @@ class Algebra:
     def check_features(self, names) -> None:
         if names:
             raise ModalityMismatch(f"the program tests features but the modality is {self.kind!r}")
-
-    def narrow(self, ctx, errors):
-        if not errors:
-            return ctx
-        ctx = self.minus(ctx, [label for _, label in errors])
-        return NOWHERE if self.is_empty(ctx) else ctx
 
     def lift(self, inputs) -> tuple:
         return self, {name: mv.pairs for name, mv in inputs.items()}
@@ -230,7 +221,8 @@ class WorldSetAlgebra(Algebra):
     world ``p`` is in the set, and ``top`` holds every world.  Equal world
     sets are equal ints, intersection, union and complement are bitwise,
     and a label is empty when it is 0; ``sat_calls`` counts emptiness
-    checks."""
+    checks.  ``narrow(ctx, errors)``, the path condition after a sub-result,
+    is ``ctx`` (``None``: every world) without the worlds of ``errors``."""
 
     def meet(self, l1: int, l2: int) -> int:
         return l1 & l2
@@ -245,9 +237,12 @@ class WorldSetAlgebra(Algebra):
         self.sat_calls += 1
         return label == 0
 
-    def minus(self, ctx, labels) -> int:
-        left = self.complement(functools.reduce(self.join, labels, 0))
-        return left if ctx is None else ctx & left
+    def narrow(self, ctx, errors):
+        if not errors:
+            return ctx
+        gone = functools.reduce(self.join, [label for _, label in errors], 0)
+        left = (self.top if ctx is None else ctx) & ~gone
+        return NOWHERE if self.is_empty(left) else left
 
     def covers(self, label: int, world) -> bool:
         return bool(label & self.minterm(world))
@@ -497,20 +492,17 @@ class FeatureAlgebra(WorldSetAlgebra):
 
 
 class ProbabilityAlgebra(Algebra):
-    """Labels are weights in [0, 1]; combination assumes independence.
+    """Labels are weights in [0, 1], summed where bindings and outcomes merge.
 
-    A weight names no worlds, so a deep run names them (``lift``): each
-    joint draw of the inputs ``main`` reads is a world and a label is a set
-    of draws (``_Draws``), so a variable read twice reads one draw.
+    A weight names no worlds, so a lifted run names them (``lift``): each
+    joint draw of the independent inputs it reads is a world and a label
+    is a set of draws (``_Draws``), so a variable read twice reads one draw.
     """
 
     kind = "probability"
     top = 1.0
     empty_eps = 1e-12
     tol = 1e-9
-
-    def meet(self, l1: float, l2: float) -> float:
-        return l1 * l2
 
     def join(self, l1: float, l2: float) -> float:
         s = l1 + l2
@@ -555,7 +547,7 @@ class ProbabilityAlgebra(Algebra):
 
 
 class _Draws(WorldSetAlgebra):
-    """The joint draws of a deep run's probability inputs, as named worlds:
+    """The joint draws of a lifted run's probability inputs, as named worlds:
     draw ``p`` picks value ``p // stride % size`` of each input (the last
     varies fastest, as in the oracle) and weighs the product of their
     weights; a draw lighter than ``empty_eps`` is no world.  Emptiness

@@ -14,8 +14,9 @@ pair, the result is normalized with no second merge, and a wide cross
 product holds one pair per distinct output, never every tuple's label.
 When every list holds one pair, as in most deep applications, that tuple
 is applied plainly, with no merge.  ``shallow_apply`` wraps
-``apply_pairs`` for ``ModalValue`` arguments and lowers its result to the
-algebra's public form (``labels.Algebra.lower``).
+``apply_pairs`` for ``ModalValue`` arguments: it lifts them as a deep run
+lifts its inputs (``labels.Algebra.lift``) and lowers its result, so every
+function here sees world-set labels only.
 
 ``restrict`` narrows (item, label) pairs to a path condition and keeps
 normalized pairs normalized, so the deep evaluator reads every variable and
@@ -93,15 +94,17 @@ def apply_pairs(alg, f: PrimitiveFn, pair_lists, stats: LiftStats) -> tuple:
 
 
 def shallow_apply(alg, f: PrimitiveFn, args, stats: LiftStats | None = None) -> ModalResult:
-    """Apply ``f`` across the pruned cross product of modal arguments."""
+    """Apply ``f`` across the pruned cross product of modal arguments,
+    lifted as independent inputs."""
     if len(args) != f.arity:
         raise ArityMismatch(f"{f.name} takes {f.arity} argument(s), got {len(args)}")
     for mv in args:
         if mv.modality != alg.kind:
             raise ModalityMismatch(f"argument of modality {mv.modality!r} under {alg.kind!r}")
     stats = stats if stats is not None else LiftStats()
-    values, errors = apply_pairs(alg, f, [mv.pairs for mv in args], stats)
-    return ModalResult(alg.lower(values), alg.lower(errors), alg.kind)
+    lifted, scope = alg.lift(dict(enumerate(args)))
+    values, errors = apply_pairs(lifted, f, list(scope.values()), stats)
+    return ModalResult(lifted.lower(values), lifted.lower(errors), alg.kind)
 
 
 def restrict(alg, pairs, context) -> tuple:

@@ -25,11 +25,11 @@ the evaluator is ``_CheckedDeepEval``, whose ``eval`` checks that each
 node's labels partition its path condition.
 
 ``eval_shallow_blackbox`` is the contrast case: shallow lifting of the
-whole program.  It crosses ``main``'s bound inputs and the truth values of
-its tested features up front (``lifting.cross``) and runs the plain
-evaluator once per surviving tuple, duplicating whatever work the program
-shares internally.  Its outcomes merge once, as they arrive
-(``modal.collect_outcomes``).
+whole program.  It crosses ``main``'s bound inputs, lifted as a deep run
+lifts them, and the truth values of its tested features up front
+(``lifting.cross``) and runs the plain evaluator once per surviving tuple,
+duplicating whatever work the program shares internally.  Its outcomes
+merge once, as they arrive (``modal.collect_outcomes``).
 """
 
 from __future__ import annotations
@@ -216,21 +216,21 @@ def eval_modal(program: lang.Program, env: ModalEnv, stats: LiftStats | None = N
 
 def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
                           stats: LiftStats | None = None) -> ModalResult:
-    """Cross the program's modal inputs and run it plainly per tuple.
+    """Cross the program's lifted inputs and run it plainly per tuple.
 
-    The operands are ``main``'s bound inputs (``modal.bound_inputs``), as
-    in the oracle (a run that reads an unbound one fails there), then, for
+    The operands are the pairs of ``main``'s bound inputs
+    (``modal.bound_inputs``; a run that reads an unbound one fails there,
+    as in the oracle) in the algebra a deep run lifts them into, then, for
     the feature modality, every tested feature's modal boolean in declared
     order, so the plain evaluator always sees a concrete configuration.
     A program with no operand runs once, at the top label.
     """
-    alg = env.alg
     if stats is None:
         stats = LiftStats()
-    inputs = bound_inputs(program, alg, env.bindings)
-    names = list(inputs)
+    alg, scope = env.alg.lift(bound_inputs(program, env.alg, env.bindings))
+    names = list(scope)
     tested = [n for n in alg.features if n in program.analysis.features]
-    operands = [mv.pairs for mv in inputs.values()] + [_feature_pairs(alg, n) for n in tested]
+    operands = list(scope.values()) + [_feature_pairs(alg, n) for n in tested]
     if not operands:
         operands = [[(None, alg.top)]]
 

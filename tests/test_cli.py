@@ -19,6 +19,8 @@ from test_bindings import BINDINGS_TOKENS
 from test_lang import PROGRAM_TOKENS
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+# the shipped examples: each program with bindings of the same name
+EXAMPLES = tuple(sorted(p.stem for p in PROGRAMS.glob("*.mdl") if p.with_suffix(".mb").exists()))
 
 
 def run_cli(*args):
@@ -266,10 +268,10 @@ def test_oracle_crosses_only_the_bindings_main_reads(tmp_path, capsys):
         1, "", "error: plain mode needs constant probability bindings\n")
 
 
-@pytest.mark.parametrize("mode", ("deep", "oracle", "check"))
+@pytest.mark.parametrize("mode", ("deep", "shallow", "oracle", "check"))
 def test_joint_draws_over_the_budget_exit_3(tmp_path, capsys, mode):
-    # 21 two-point inputs have 2^21 joint draws, over the budget that deep
-    # and the oracle share; it is checked before any draw is built
+    # 21 two-point inputs have 2^21 joint draws, over the budget that every
+    # lifted mode and the oracle share; it is checked before any draw is built
     names = [f"x{i}" for i in range(21)]
     bindings = "modality probability;\n" + "".join(f"bind {n} = {{ 0 @ 0.5, 1 @ 0.5 }};\n" for n in names)
     code = _run_files(tmp_path, " + ".join(names), bindings, "--mode", mode)
@@ -286,6 +288,16 @@ def test_check_mode_reports_where_deep_and_oracle_disagree(tmp_path, capsys, mon
                       "--mode", "check")
     assert (code, *capsys.readouterr()) == (
         2, "3 @ FA\n4 @ !FA\n", "check failed: diverges at {FA=0}: ('value', 4) vs ('value', 3)\n")
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_oracle_makes_no_emptiness_check(name):
+    # sat_calls counts the run's emptiness checks, not the bindings load's,
+    # and the oracle runs every world plainly
+    config = cli.RunConfig(str(PROGRAMS / f"{name}.mdl"), str(PROGRAMS / f"{name}.mb"),
+                           mode="oracle", stats=True)
+    code, out, err = cli.run(config)
+    assert (code, out[-1], err) == (0, "sat_calls=0", [])
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -1,7 +1,8 @@
 """Outputs pinned byte for byte.
 
 ``golden/cli/<example>.<mode>.out`` is the stdout of ``modal run --stats``
-on each shipped example, ``sat_calls`` included; ``<example>.deep-checked.out``
+on each shipped example (``test_cli.EXAMPLES``: every ``programs/*.mdl``
+with a ``.mb`` of the same name), ``sat_calls`` included; ``<example>.deep-checked.out``
 is that of ``--mode deep --stats --check-invariants``.  ``golden/display_labels.json``
 holds seeded feature labels (world sets as hex bitmasks, bit ``p`` set iff
 configuration ``p`` is in the set, bit ``i`` of ``p`` being ``features[i]``)
@@ -35,11 +36,9 @@ from multiworld.bindings import parse_bindings
 from multiworld.cli import display_label
 from multiworld.labels import FeatureAlgebra
 from multiworld.modal_eval import ModalEnv, eval_modal
-from test_cli import run_example
+from test_cli import EXAMPLES, run_example
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-EXAMPLES = ("sharing", "feature_div", "prob_sum", "prob_reuse", "interval_abs", "interval_cancel",
-            "interval_cmp")
 MODES = ("deep", "shallow", "oracle", "check")
 DISPLAY = GOLDEN / "display_labels.json"
 RECORDED = 209  # entries not made by generated_labels()

@@ -16,6 +16,7 @@ from multiworld.labels import (
     FOr,
     FVar,
     FeatureAlgebra,
+    NOWHERE,
     IntervalAlgebra,
     ProbabilityAlgebra,
     Tag,
@@ -354,17 +355,6 @@ def test_half_dense_minimal_dnf_display_is_fast_and_exact():
 
 # --- probability algebra ----------------------------------------------------
 
-def test_probability_meet_matches_joint_enumeration():
-    alg = ProbabilityAlgebra()
-    # two independent two-point distributions; P(pick a AND pick c) from the
-    # exhaustive joint table must equal meet of the marginals
-    xs = [("a", 0.2), ("b", 0.8)]
-    ys = [("c", 0.5), ("d", 0.5)]
-    joint = {(x, y): wx * wy for x, wx in xs for y, wy in ys}
-    assert alg.meet(0.2, 0.5) == pytest.approx(joint[("a", "c")], abs=1e-15)
-    assert alg.meet(0.2, 0.5) == pytest.approx(0.1, abs=1e-12)
-
-
 def test_probability_join_and_overflow():
     alg = ProbabilityAlgebra()
     assert alg.join(0.1, 0.4) == pytest.approx(0.5, abs=1e-12)
@@ -384,12 +374,6 @@ def test_probability_empty_disjoint_total():
     assert alg.problems([0.25, 0.75 + 1e-12]) == []  # within tolerance
     assert alg.problems([0.2, 0.7]) == ["totality gap +0.1"]
     assert alg.canonical_text(0.2) == "0.200000000"
-
-
-@given(st.floats(0, 1), st.floats(0, 1))
-def test_probability_meet_is_product(a, b):
-    alg = ProbabilityAlgebra()
-    assert alg.meet(a, b) == pytest.approx(a * b, rel=1e-12, abs=1e-300)
 
 
 @given(st.floats(0, 0.5), st.floats(0, 0.5))
@@ -432,15 +416,20 @@ def test_interval_problems_within_a_tag():
 
 
 def test_minus_removes_worlds_from_a_context():
-    # the worlds of the context (None: every world) that no label holds
+    # narrow: the worlds of the context (None: every world) that no error
+    # label holds, or NOWHERE when none is left; no error keeps the context
     for alg, labels in world_set_algebras():
         for ctx in (None, *labels):
+            assert alg.narrow(ctx, ()) is ctx
             for a, b in itertools.product(labels, repeat=2):
-                left = alg.minus(ctx, [a, b])
-                for world in alg.worlds():
-                    in_ctx = ctx is None or alg.covers(ctx, world)
-                    in_labels = alg.covers(a, world) or alg.covers(b, world)
-                    assert alg.covers(left, world) == (in_ctx and not in_labels)
+                left = alg.narrow(ctx, [("DivByZero", a), ("Overflow", b)])
+                kept = [world for world in alg.worlds()
+                        if (ctx is None or alg.covers(ctx, world))
+                        and not (alg.covers(a, world) or alg.covers(b, world))]
+                if not kept:
+                    assert left is NOWHERE
+                else:
+                    assert [world for world in alg.worlds() if alg.covers(left, world)] == kept
 
 
 def test_enumerated_configurations_know_their_position():

@@ -119,7 +119,7 @@ def test_constant_args_apply_once():
     assert stats.applied == 1
     stats = LiftStats()
     shallow_apply(INTV, ADD, [make_const(INTV, 1), make_const(INTV, 2)], stats)
-    assert stats.applied == 2  # one per endpoint tag
+    assert stats.applied == 1  # lifted, a constant holds both endpoints in one pair
 
 
 def test_counter_identity_random():
@@ -168,12 +168,17 @@ def test_projection_homomorphism_random():
 # --- the one-pair shortcut ------------------------------------------------------
 
 PRIMS = list(PRIMITIVES.values())  # what every evaluator applies
+# the four joint draws of two independent inputs, as a lifted run labels them
+DRAWS, DRAWN = PROB.lift({
+    "x": ModalValue(((0, 0.5), (1, 0.5)), "probability"),
+    "y": ModalValue(((0, 0.75), (1, 0.25)), "probability"),
+})
 # non-empty labels whose meets can be empty: disjoint feature sets, MIN
-# against MAX, weights whose product falls below the empty threshold
+# against MAX, disjoint sets of draws
 SINGLE_LABELS = {
     FEAT: st.integers(1, TOP),
     INTV: st.sampled_from([Tag.MIN, Tag.MAX]),
-    PROB: st.sampled_from([1.0, 0.5, 0.25, 1e-7, 2e-6]),
+    DRAWS: st.integers(1, DRAWS.top),
 }
 
 
@@ -184,9 +189,10 @@ def crossed(alg, f, pair_lists, stats):
 
 def outcome(run, alg, prim, pair_lists):
     """The pairs, counters and emptiness checks of one application."""
-    stats, before = LiftStats(), alg.sat_calls
+    counter = PROB if alg is DRAWS else alg  # draws count their checks in PROB
+    stats, before = LiftStats(), counter.sat_calls
     pairs = run(alg, prim, pair_lists, stats)
-    return pairs, stats, alg.sat_calls - before
+    return pairs, stats, counter.sat_calls - before
 
 
 @settings(max_examples=300, deadline=None)
@@ -200,7 +206,7 @@ def test_single_pair_shortcut_matches_cross_product(data, alg, prim):
 @pytest.mark.parametrize("alg, left, right", [
     (FEAT, FA, NOT(FA)),
     (INTV, Tag.MIN, Tag.MAX),
-    (PROB, 0.5, 1e-12),
+    (DRAWS, *(label for _, label in DRAWN["x"])),
 ])
 def test_single_pair_shortcut_prunes_and_fails_like_the_cross_product(
         monkeypatch, alg, left, right):
@@ -221,12 +227,6 @@ def test_single_pair_shortcut_prunes_and_fails_like_the_cross_product(
 def test_restrict_feature():
     out = restrict(FEAT, ((-7, FA), (3, NOT(FA))), FB)
     assert out == ((-7, AND(FA, FB)), (3, AND(NOT(FA), FB)))
-
-
-def test_restrict_probability_multiplies():
-    out = dict(restrict(PROB, ((7, 0.2), (9, 0.8)), 0.5))
-    assert out[7] == pytest.approx(0.1, abs=1e-12)
-    assert out[9] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_restrict_by_top_is_identity():

@@ -411,8 +411,10 @@ def _wide_bindings():
 @pytest.mark.parametrize("evaluate", [eval_modal, eval_shallow_blackbox])
 def test_evaluators_merge_tuples_as_they_go(evaluate):
     for alg, binds in _wide_bindings():
+        # weights of independent draws multiply; feature sets intersect
+        meet = (lambda a, b: a * b) if alg.kind == "probability" else alg.meet
         outcomes = [
-            (vx * vy, alg.meet(lx, ly))
+            (vx * vy, meet(lx, ly))
             for vx, lx in binds["x"].pairs
             for vy, ly in binds["y"].pairs
         ]
@@ -463,15 +465,17 @@ POINT = "modality interval;\nbind x = [1 .. 1];"
 
 
 def test_deep_shares_equal_endpoints():
-    # inside a deep run [1 .. 1] is one pair holding both endpoints, so
-    # x + 5 is one application; black-box crosses the public form, one
-    # pair per endpoint, and runs the program at each
-    program, alg, binds, env = setup("x + 5", POINT)
-    deep, shallow = LiftStats(), LiftStats()
-    assert eval_modal(program, env, deep).values == ((6, Tag.MAX), (6, Tag.MIN))
-    assert (deep.applications["add"], deep.tuples, deep.pruned) == (1, 1, 0)
-    eval_shallow_blackbox(program, env, shallow)
-    assert (shallow.applications["add"], shallow.tuples, shallow.pruned) == (2, 2, 0)
+    # inside a lifted run [1 .. 1] is one pair holding both endpoints, so
+    # x + 5 is one application, deep and black-box alike; against [1 .. 2]
+    # it crosses two tuples, neither pruned
+    cases = [("x + 5", POINT, ["[6 .. 6]"], (1, 1, 0)),
+             ("x + y", "modality interval;\nbind x = [3 .. 3];\nbind y = [1 .. 2];", ["[4 .. 5]"], (2, 2, 0))]
+    for text, binds_text, lines, counters in cases:
+        program, alg, binds, env = setup(text, binds_text)
+        for evaluate in (eval_modal, eval_shallow_blackbox):
+            stats = LiftStats()
+            assert modal.render_result(alg, evaluate(program, env, stats)) == lines
+            assert (stats.applications["add"], stats.tuples, stats.pruned) == counters
 
 
 def test_endpoints_keep_one_pair_each_outside_a_run():
