@@ -12,16 +12,20 @@ whole call.  Each output is merged once, as it arrives
 (``modal.collect_outcomes``): equal outputs from different tuples share one
 pair, the result is normalized with no second merge, and a wide cross
 product holds one pair per distinct output, never every tuple's label.
-When every list holds one pair, as in most deep applications, that tuple
-is applied plainly, with no merge.  ``shallow_apply`` wraps
-``apply_pairs`` for ``ModalValue`` arguments: it lifts them as a deep run
-lifts its inputs (``labels.Algebra.lift``) and lowers its result, so every
-function here sees world-set labels only.
+
+``apply_pairs`` lifts only where values vary: an operand that holds one
+pair at the path condition its operands were evaluated under adds no
+dimension.  With no varying operand ``f`` applies once (``_apply_at``),
+with one it maps over that operand's pairs, and only two or more are
+crossed.  ``shallow_apply`` wraps ``apply_pairs`` for ``ModalValue``
+arguments: it lifts them as a deep run lifts its inputs
+(``labels.Algebra.lift``) and lowers its result, so every function here
+sees world-set labels only.
 
 ``restrict`` narrows (item, label) pairs to a path condition and keeps
-normalized pairs normalized, so the deep evaluator reads every variable and
-constant through it unmerged; it merges only where it unites two or more
-parts.
+normalized pairs normalized, so the deep evaluator reads every variable
+that holds two or more pairs through it unmerged; it merges only where it
+unites two or more parts.
 """
 
 from __future__ import annotations
@@ -78,18 +82,42 @@ def _runs(alg, f: PrimitiveFn, pair_lists, stats: LiftStats):
         yield label, f.fn, args
 
 
-def apply_pairs(alg, f: PrimitiveFn, pair_lists, stats: LiftStats) -> tuple:
-    """The merged (value pairs, error pairs) of ``f`` over the pruned cross product."""
-    if all(len(pairs) == 1 for pairs in pair_lists):  # one tuple: nothing to merge
-        # the loop runs ``cross`` to its end: closing a suspended generator costs more
-        outcome = (), ()
-        for label, args in cross(alg, pair_lists, stats):
-            stats.applications[f.name] += 1
-            try:
-                outcome = ((f.fn(*args), label),), ()
-            except EvalError as ex:
-                outcome = (), ((ex.kind, label),)
-        return outcome
+def _mapped(f: PrimitiveFn, pair_lists, i: int, stats: LiftStats):
+    """The ``collect_outcomes`` runs of ``f`` over the pairs of operand
+    ``i``, each other operand at its one value."""
+    before = [pairs[0][0] for pairs in pair_lists[:i]]
+    after = [pairs[0][0] for pairs in pair_lists[i + 1:]]
+    varying = pair_lists[i]
+    if varying:  # as in ``cross``, an empty operand counts nothing
+        stats.tuples += len(varying)
+        stats.applied += len(varying)
+        stats.applications[f.name] += len(varying)
+    for item, label in varying:
+        yield label, f.fn, (*before, item, *after)
+
+
+def _apply_at(f: PrimitiveFn, args, label, stats: LiftStats) -> tuple:
+    """The (value pairs, error pairs) of one application of ``f`` at
+    ``label``, counted as one tuple applied."""
+    stats.tuples += 1
+    stats.applied += 1
+    stats.applications[f.name] += 1
+    try:
+        return ((f.fn(*args), label),), ()
+    except EvalError as ex:
+        return (), ((ex.kind, label),)
+
+
+def apply_pairs(alg, f: PrimitiveFn, pair_lists, stats: LiftStats, ctx) -> tuple:
+    """The merged (value pairs, error pairs) of ``f`` over the pruned cross
+    product of ``pair_lists``, whose labels lie inside the path condition
+    ``ctx``.  An operand holding one pair at ``ctx`` prunes nothing, so
+    it is not crossed."""
+    varying = [i for i, pairs in enumerate(pair_lists) if len(pairs) != 1 or pairs[0][1] != ctx]
+    if not varying:
+        return _apply_at(f, [pairs[0][0] for pairs in pair_lists], ctx, stats)
+    if len(varying) == 1:
+        return collect_outcomes(alg, _mapped(f, pair_lists, varying[0], stats))
     return collect_outcomes(alg, _runs(alg, f, pair_lists, stats))
 
 
@@ -103,7 +131,7 @@ def shallow_apply(alg, f: PrimitiveFn, args, stats: LiftStats | None = None) -> 
             raise ModalityMismatch(f"argument of modality {mv.modality!r} under {alg.kind!r}")
     stats = stats if stats is not None else LiftStats()
     lifted, scope = alg.lift(dict(enumerate(args)))
-    values, errors = apply_pairs(lifted, f, list(scope.values()), stats)
+    values, errors = apply_pairs(lifted, f, list(scope.values()), stats, lifted.top)
     return ModalResult(lifted.lower(values), lifted.lower(errors), alg.kind)
 
 
@@ -113,10 +141,11 @@ def restrict(alg, pairs, context) -> tuple:
 
     ``pairs`` is a sequence of (item, label) pairs, as the deep evaluator
     holds them.  The result is partial: it is total relative to ``context``,
-    not to the full world set.  ``context=None`` means no restriction.
-    Pairs keep their order, so a normalized input stays normalized.
+    not to the full world set.  ``context=None``, or a context holding
+    every world, means no restriction.  Pairs keep their order, so a
+    normalized input stays normalized.
     """
-    if context is None:
+    if context is None or context == alg.top:
         return pairs
     out = []
     for item, label in pairs:

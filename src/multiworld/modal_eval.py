@@ -2,9 +2,9 @@
 
 Instead of crossing whole-program inputs, evaluation recurses down the call
 tree and applies ``lifting.apply_pairs`` to the operands' pair lists at
-each primitive (plainly, if each holds one pair), so cross products are
-computed at the leaves and shared sub-results (let bindings, constant
-arguments) are evaluated once no matter how many worlds flow through them.
+each primitive, so cross products are computed at the leaves and shared
+sub-results (let bindings, constant arguments) are evaluated once no
+matter how many worlds flow through them.
 
 Conditionals split the current path condition by the guard's labels: each
 branch is evaluated only under the worlds that take it, and the partial
@@ -16,13 +16,19 @@ One code path serves every modality: a path condition is a label of the
 world-set algebra the run lifts its inputs into (``labels.Algebra.lift``;
 a probability run lifts to the joint draws of its inputs, an interval run
 merges each range's equal endpoints into one pair, and each lowers its
-result back to the public form), a constant is one pair at that
-algebra's ``top``, and variables and constants are read through
-``lifting.restrict``.  Every node returns normalized pairs: normalized
-parts pass through, and only a union of two or more non-empty parts is
-merged, so the answer is never merged again.  Under ``check_invariants``
-the evaluator is ``_CheckedDeepEval``, whose ``eval`` checks that each
-node's labels partition its path condition.
+result back to the public form), and a run starts at its ``top``.  Each
+node's pairs partition its path condition, and every value in scope
+covers it, since every input must partition every world.  So label work
+is paid only where values vary: a constant, or a variable that holds one
+pair, is that value at the path condition, a variable holding more is
+read through ``lifting.restrict``, and ``apply_pairs`` maps an operator
+over its one varying operand instead of crossing.  Every node returns
+normalized pairs: normalized parts pass through, and only a union of two
+or more non-empty parts is merged, so the answer is never merged again.
+Each node type has one method, found by ``type`` in one table, so a
+nesting level costs two Python frames, checked or not.  Under
+``check_invariants`` the evaluator is ``_CheckedDeepEval``, whose
+``eval`` checks that each node's labels partition its path condition.
 
 ``eval_shallow_blackbox`` is the contrast case: shallow lifting of the
 whole program.  It crosses ``main``'s bound inputs, lifted as a deep run
@@ -34,6 +40,8 @@ merge once, as they arrive (``modal.collect_outcomes``).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from . import lang
@@ -75,6 +83,11 @@ def _feature_pairs(alg, name) -> tuple:
     return ((False, alg.complement(v)), (True, v))
 
 
+class _Nodes(dict):
+    def __missing__(self, cls):
+        raise TypeError(f"not an expression: {cls.__name__}")
+
+
 class _DeepEval:
     def __init__(self, program: lang.Program, env: ModalEnv, stats: LiftStats):
         self.program = program
@@ -89,103 +102,116 @@ class _DeepEval:
             return merge_value_pairs(self.alg, [pair for part in parts for pair in part])
         return parts[0] if parts else ()
 
-    # -- expression dispatch -------------------------------------------------
+    # -- expression dispatch: one method per node type -----------------------
 
     def eval(self, expr, scope, ctx):
         """Returns (value_pairs, error_pairs) jointly covering ``ctx``."""
-        if isinstance(expr, (lang.IntLit, lang.BoolLit)):
-            pairs = ((expr.value, self.alg.top),)
-        elif isinstance(expr, lang.Var):
-            try:
-                pairs = scope[expr.name]
-            except KeyError:
-                raise MissingBinding(f"no value bound for {expr.name!r}") from None
-        elif isinstance(expr, lang.Feature):
-            pairs = _feature_pairs(self.alg, expr.name)
-        elif isinstance(expr, lang.Not):
-            av, ae = self.eval(expr.arg, scope, ctx)
-            return self._apply(lang.PRIMITIVES["!"], [av], [ae])
-        elif isinstance(expr, lang.BinOp):
-            if expr.op == "&&":
-                # a && b  ==  if a then bool(b) else false; dually for ||
-                return self._branch(expr.lhs, expr.rhs, False, scope, ctx, want_bool=True)
-            if expr.op == "||":
-                return self._branch(expr.lhs, True, expr.rhs, scope, ctx, want_bool=True)
-            return self._binop(expr, scope, ctx)
-        elif isinstance(expr, lang.If):
-            return self._branch(expr.guard, expr.then, expr.orelse, scope, ctx)
-        elif isinstance(expr, lang.Let):
-            return self._bind(dict(scope), (expr.name,), (expr.bound,), expr.body, scope, ctx)
-        elif isinstance(expr, lang.Call):
-            fd = self.fundefs[expr.fn]
-            return self._bind({}, fd.params, expr.args, fd.body, scope, ctx, expr.fn)
-        else:
-            raise TypeError(f"not an expression: {expr!r}")
+        return self._node[type(expr)](self, expr, scope, ctx)
+
+    def _const(self, expr, scope, ctx):
+        return ((expr.value, ctx),), ()
+
+    def _var(self, expr, scope, ctx):
+        try:
+            pairs = scope[expr.name]
+        except KeyError:
+            raise MissingBinding(f"no value bound for {expr.name!r}") from None
+        if len(pairs) == 1:  # it covers ``ctx``, as every value in scope does
+            return ((pairs[0][0], ctx),), ()
         return restrict(self.alg, pairs, ctx), ()
 
-    def _apply(self, prim, arg_pair_lists, error_parts):
-        """A primitive's node: ``apply_pairs``' values, after the operands' errors."""
-        values, errors = apply_pairs(self.alg, prim, arg_pair_lists, self.stats)
-        return values, self._union((*error_parts, errors))
+    def _feature(self, expr, scope, ctx):
+        return restrict(self.alg, _feature_pairs(self.alg, expr.name), ctx), ()
+
+    def _not(self, expr, scope, ctx):
+        av, ae = self.eval(expr.arg, scope, ctx)
+        values, errors = apply_pairs(self.alg, lang.PRIMITIVES["!"], (av,), self.stats, ctx)
+        return values, self._union((ae, errors)) if ae else errors
 
     def _binop(self, expr, scope, ctx):
+        """An operator; ``a && b`` is ``if a then bool(b) else false``, and
+        dually for ``||``: worlds where an operand it reads holds a
+        non-boolean become TypeMismatch errors."""
+        op = expr.op
         lv, le = self.eval(expr.lhs, scope, ctx)
-        ctx = self.alg.narrow(ctx, le)
-        if ctx is NOWHERE:
-            return (), le
+        if op == "&&" or op == "||":
+            values, errors = [], [le]
+            for val, label in lv:
+                if val is (op == "&&"):  # the right operand decides
+                    rv, re_ = self.eval(expr.rhs, scope, label)
+                    values.append([(v, l) for v, l in rv if isinstance(v, bool)])
+                    errors.extend([(TYPE_MISMATCH, l)] for v, l in rv if not isinstance(v, bool))
+                    errors.append(re_)
+                elif isinstance(val, bool):
+                    values.append(((val, label),))
+                else:
+                    errors.append(((TYPE_MISMATCH, label),))
+            return self._union(values), self._union(errors)
+        if le:
+            ctx = self.alg.narrow(ctx, le)
+            if ctx is NOWHERE:
+                return (), le
         rv, re_ = self.eval(expr.rhs, scope, ctx)
-        return self._apply(lang.PRIMITIVES[expr.op], [lv, rv], [le, re_])
+        values, errors = apply_pairs(self.alg, lang.PRIMITIVES[op], (lv, rv), self.stats, ctx)
+        return values, self._union((le, re_, errors)) if le or re_ else errors
 
-    def _branch(self, guard, then, orelse, scope, ctx, want_bool=False):
+    def _if(self, expr, scope, ctx):
         """Evaluate each arm only under the guard labels that select it.
 
-        An arm is an expression or a decided bool.  Guard worlds holding a
-        non-boolean become TypeMismatch errors, and so do the worlds where
-        an arm gives a non-boolean under ``want_bool`` (the right operand
-        of ``&&``/``||``).  An arm no world selects is never evaluated.
+        Guard worlds holding a non-boolean become TypeMismatch errors.  An
+        arm no world selects is never evaluated, and an arm that every
+        world selects is the node's answer as it stands.
         """
-        gv, ge = self.eval(guard, scope, ctx)
+        gv, ge = self.eval(expr.guard, scope, ctx)
+        if len(gv) == 1 and not ge and isinstance(gv[0][0], bool):
+            return self.eval(expr.then if gv[0][0] else expr.orelse, scope, ctx)
         values: list = []
         errors: list = [ge]
         for val, label in gv:
-            if not isinstance(val, bool):
-                errors.append([(TYPE_MISMATCH, label)])
-                continue
-            arm = then if val else orelse
-            if isinstance(arm, bool):
-                values.append([(arm, label)])
-                continue
-            av, ae = self.eval(arm, scope, label)
-            if want_bool:
-                errors.extend([(TYPE_MISMATCH, l)] for v, l in av if not isinstance(v, bool))
-                av = [(v, l) for v, l in av if isinstance(v, bool)]
-            values.append(av)
-            errors.append(ae)
+            if isinstance(val, bool):
+                av, ae = self.eval(expr.then if val else expr.orelse, scope, label)
+                values.append(av)
+                errors.append(ae)
+            else:
+                errors.append(((TYPE_MISMATCH, label),))
         return self._union(values), self._union(errors)
 
-    def _bind(self, inner, names, args, body, scope, ctx, fn=None):
-        """A ``let``, or a call of ``fn``, which counts as applied only once
-        its body runs, as in the plain evaluator."""
-        errors: list = []
-        for name, arg in zip(names, args):
-            av, ae = self.eval(arg, scope, ctx)
-            errors.append(ae)
-            ctx = self.alg.narrow(ctx, ae)
+    def _let(self, expr, scope, ctx):
+        bv, be = self.eval(expr.bound, scope, ctx)
+        if be:
+            ctx = self.alg.narrow(ctx, be)
             if ctx is NOWHERE:
-                return (), self._union(errors)
+                return (), be
+        xv, xe = self.eval(expr.body, {**scope, expr.name: bv}, ctx)
+        return xv, self._union((be, xe)) if be else xe
+
+    def _call(self, expr, scope, ctx):
+        """A call, which counts as applied only once its body runs, as in
+        the plain evaluator."""
+        fd = self.fundefs[expr.fn]
+        inner, errors = {}, []
+        for name, arg in zip(fd.params, expr.args):
+            av, ae = self.eval(arg, scope, ctx)
+            if ae:
+                errors.append(ae)
+                ctx = self.alg.narrow(ctx, ae)
+                if ctx is NOWHERE:
+                    return (), self._union(errors)
             inner[name] = av
-        if fn is not None:
-            self.stats.applications[fn] += 1
-        xv, xe = self.eval(body, inner, ctx)
-        errors.append(xe)
-        return xv, self._union(errors)
+        self.stats.applications[expr.fn] += 1
+        xv, xe = self.eval(fd.body, inner, ctx)
+        return xv, self._union((*errors, xe)) if errors else xe
+
+    _node = _Nodes({
+        lang.IntLit: _const, lang.BoolLit: _const, lang.Var: _var, lang.Feature: _feature,
+        lang.Not: _not, lang.BinOp: _binop, lang.If: _if, lang.Let: _let, lang.Call: _call,
+    })
 
     # -- entry point ---------------------------------------------------------
 
     def run(self) -> ModalResult:
-        inputs = bound_inputs(self.program, self.env.alg, self.env.bindings)
-        self.alg, scope = self.env.alg.lift(inputs)
-        return _finish_result(self.env, self.alg, *self.eval(self.program.main, scope, None))
+        self.alg, scope = _lift_inputs(self.program, self.env)
+        return _finish_result(self.env, self.alg, *self.eval(self.program.main, scope, self.alg.top))
 
 
 class _CheckedDeepEval(_DeepEval):
@@ -193,12 +219,25 @@ class _CheckedDeepEval(_DeepEval):
     its path condition (``check_invariants``)."""
 
     def eval(self, expr, scope, ctx):
-        values, errors = super().eval(expr, scope, ctx)
+        values, errors = self._node[type(expr)](self, expr, scope, ctx)
         labels_ = [label for _, label in values] + [label for _, label in errors]
         problems = self.alg.problems(labels_, within=ctx)
         if problems:
             raise InvariantViolation("intermediate value: " + "; ".join(problems))
         return values, errors
+
+
+def _lift_inputs(program: lang.Program, env: ModalEnv) -> tuple:
+    """The algebra a lifted run labels in, and ``main``'s bound inputs
+    (``modal.bound_inputs``) lifted into it.  An input whose labels do not
+    partition every world, tested on bits, raises ``InvariantViolation``."""
+    alg, scope = env.alg.lift(bound_inputs(program, env.alg, env.bindings))
+    for name, pairs in scope.items():
+        labels_ = [label for _, label in pairs]
+        held = functools.reduce(operator.or_, labels_, 0)
+        if held != alg.top or sum(map(int.bit_count, labels_)) != held.bit_count():
+            raise InvariantViolation(f"binding {name!r}: " + "; ".join(alg.problems(labels_)))
+    return alg, scope
 
 
 def eval_modal(program: lang.Program, env: ModalEnv, stats: LiftStats | None = None) -> ModalResult:
@@ -227,7 +266,7 @@ def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
     """
     if stats is None:
         stats = LiftStats()
-    alg, scope = env.alg.lift(bound_inputs(program, env.alg, env.bindings))
+    alg, scope = _lift_inputs(program, env)
     names = list(scope)
     tested = [n for n in alg.features if n in program.analysis.features]
     operands = list(scope.values()) + [_feature_pairs(alg, n) for n in tested]

@@ -165,7 +165,7 @@ def test_projection_homomorphism_random():
         assert validate(FEAT, result).ok
 
 
-# --- the one-pair shortcut ------------------------------------------------------
+# --- lifting only where values vary ----------------------------------------------
 
 PRIMS = list(PRIMITIVES.values())  # what every evaluator applies
 # the four joint draws of two independent inputs, as a lifted run labels them
@@ -173,34 +173,52 @@ DRAWS, DRAWN = PROB.lift({
     "x": ModalValue(((0, 0.5), (1, 0.5)), "probability"),
     "y": ModalValue(((0, 0.75), (1, 0.25)), "probability"),
 })
-# non-empty labels whose meets can be empty: disjoint feature sets, MIN
-# against MAX, disjoint sets of draws
-SINGLE_LABELS = {
-    FEAT: st.integers(1, TOP),
-    INTV: st.sampled_from([Tag.MIN, Tag.MAX]),
-    DRAWS: st.integers(1, DRAWS.top),
-}
+LIFTED = [FEAT, INTV, DRAWS]  # a world-set algebra of each modality
 
 
-def crossed(alg, f, pair_lists, stats):
-    """The cross product through ``collect_outcomes``, with no shortcut."""
+def crossed(alg, f, pair_lists, stats, ctx=None):
+    """The cross product through ``collect_outcomes``, whatever the context."""
     return collect_outcomes(alg, lifting._runs(alg, f, pair_lists, stats))
 
 
-def outcome(run, alg, prim, pair_lists):
-    """The pairs, counters and emptiness checks of one application."""
+def outcome(run, alg, prim, pair_lists, ctx):
+    """The pairs, every counter and the emptiness checks of one application."""
     counter = PROB if alg is DRAWS else alg  # draws count their checks in PROB
     stats, before = LiftStats(), counter.sat_calls
-    pairs = run(alg, prim, pair_lists, stats)
-    return pairs, stats, counter.sat_calls - before
+    pairs = run(alg, prim, pair_lists, stats, ctx)
+    # a dict, since a Counter compares a zero count equal to a missing one
+    counters = (stats.tuples, stats.pruned, stats.applied, dict(stats.applications))
+    return pairs, counters, counter.sat_calls - before
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), alg=st.sampled_from(list(SINGLE_LABELS)), prim=st.sampled_from(PRIMS))
-def test_single_pair_shortcut_matches_cross_product(data, alg, prim):
+@st.composite
+def inside(draw, alg, ctx):
+    """Pairs whose labels partition a non-empty part of ``ctx``: an
+    operand evaluated under ``ctx``, its other worlds errors."""
+    part = draw(st.integers(1, alg.top)) & ctx or ctx
+    groups: dict = {}
+    for world in range(part.bit_length()):
+        if part >> world & 1:
+            groups.setdefault(draw(st.integers(0, 2)), []).append(world)
+    values = draw(st.lists(st.integers(-3, 3) | st.booleans(), min_size=3, max_size=3))
+    return tuple((values[g], sum(1 << w for w in worlds)) for g, worlds in groups.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), alg=st.sampled_from(LIFTED), prim=st.sampled_from(PRIMS))
+def test_operands_at_the_context_add_no_dimension(data, alg, prim):
+    # an operand holding one pair at ctx, on either side, changes no pair
+    # and no counter of the cross product, and saves its emptiness checks
+    ctx = data.draw(st.integers(1, alg.top))
     value = st.integers(-3, 3) | st.booleans()
-    pair_lists = [((data.draw(value), data.draw(SINGLE_LABELS[alg])),) for _ in range(prim.arity)]
-    assert outcome(apply_pairs, alg, prim, pair_lists) == outcome(crossed, alg, prim, pair_lists)
+    at_ctx = st.builds(lambda v: ((v, ctx),), value)
+    pair_lists = [data.draw(at_ctx | inside(alg, ctx)) for _ in range(prim.arity)]
+    pairs, counters, checks = outcome(apply_pairs, alg, prim, pair_lists, ctx)
+    want_pairs, want_counters, want_checks = outcome(crossed, alg, prim, pair_lists, ctx)
+    assert (pairs, counters) == (want_pairs, want_counters)
+    assert checks <= want_checks
+    if sum(operand != ((operand[0][0], ctx),) for operand in pair_lists) <= 1:
+        assert checks == 0  # at most one operand varies: nothing is crossed
 
 
 @pytest.mark.parametrize("alg, left, right", [
@@ -208,18 +226,16 @@ def test_single_pair_shortcut_matches_cross_product(data, alg, prim):
     (INTV, Tag.MIN, Tag.MAX),
     (DRAWS, *(label for _, label in DRAWN["x"])),
 ])
-def test_single_pair_shortcut_prunes_and_fails_like_the_cross_product(
-        monkeypatch, alg, left, right):
-    # 9 / 0 in no world, 9 / 0 in some, 9 / 3 in some
+def test_single_pairs_off_the_context_cross_prune_and_fail(alg, left, right):
+    # one pair each, neither at the context: 9 / 0 in no world, 9 / 0 in
+    # some, 9 / 3 in some
     cases = [[((9, left),), ((d, label),)] for d, label in ((0, right), (0, left), (3, left))]
-    expected = [outcome(crossed, alg, DIV, pair_lists) for pair_lists in cases]
-    monkeypatch.setattr(lifting, "_runs", None)  # the shortcut crosses nothing
-    got = [outcome(apply_pairs, alg, DIV, pair_lists) for pair_lists in cases]
-    assert got == expected
-    (pruned, pruned_stats, _), (failed, _, _), (applied, _, _) = got
-    assert pruned == ((), ()) and pruned_stats.pruned == 1
+    got = [outcome(apply_pairs, alg, DIV, pair_lists, alg.top) for pair_lists in cases]
+    assert got == [outcome(crossed, alg, DIV, pair_lists, alg.top) for pair_lists in cases]
+    (pruned, pruned_counters, _), (failed, _, _), (applied, _, checks) = got
+    assert pruned == ((), ()) and pruned_counters[:3] == (1, 1, 0)
     assert failed[0] == () and failed[1][0][0] == "DivByZero"
-    assert applied[0][0][0] == 3 and applied[1] == ()
+    assert applied[0][0][0] == 3 and applied[1] == () and checks == 1
 
 
 # --- restrict -----------------------------------------------------------------
@@ -231,7 +247,7 @@ def test_restrict_feature():
 
 def test_restrict_by_top_is_identity():
     pairs = ((-7, FA), (3, NOT(FA)))
-    assert restrict(FEAT, pairs, TOP) == pairs
+    assert restrict(FEAT, pairs, TOP) is pairs
     assert restrict(FEAT, pairs, None) is pairs
 
 

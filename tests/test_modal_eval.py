@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from multiworld import lang, lifting, modal, modal_eval
+from multiworld import labels, lang, lifting, modal, modal_eval
 from multiworld.errors import (
     BudgetExceeded,
     CyclicCallError,
@@ -541,3 +542,61 @@ def test_probability_frame_drops_empty_weights(text, check):
     assert result.values == ((6, 0.9999999 * 0.0000001),)
     assert result.errors == (("DivByZero", 0.9999999),)
     assert (stats.tuples, stats.pruned) == (3, 0)
+
+
+# --- lifting only where values vary ------------------------------------------------
+
+VARYING_BINDINGS = {
+    "feature": "modality feature(FA, FB);\nbind x = { 1 @ FA, 2 @ !FA };\n"
+               "bind b = { true @ FA, false @ !FA };",
+    "interval": "modality interval;\nbind x = [1 .. 2];",  # a range holds no bool
+    "probability": "modality probability;\nbind x = { 1 @ 0.5, 2 @ 0.5 };\n"
+                   "bind b = { true @ 0.25, false @ 0.75 };",
+}
+
+
+@pytest.mark.parametrize("kind, text, checks", [
+    *((kind, text, 0) for kind in VARYING_BINDINGS for text in ("x + 1", "1 + x")),
+    ("feature", "!b", 0),
+    ("probability", "!b", 0),
+    # x's two pairs are restricted to the FB arm; the constants are not
+    ("feature", 'if feature("FB") then x + 1 else 0', 2),
+])
+def test_no_label_work_where_nothing_varies(monkeypatch, kind, text, checks):
+    # a constant holds the whole context, so the operator maps over x's
+    # (or b's) two pairs: two tuples applied, with no meet and no
+    # emptiness test but those of the reads themselves
+    program, alg, binds, env = setup(text, VARYING_BINDINGS[kind])
+    meets = []
+    meet = labels.WorldSetAlgebra.meet
+    monkeypatch.setattr(labels.WorldSetAlgebra, "meet",
+                        lambda self, a, b: meets.append(1) or meet(self, a, b))
+    stats, before = LiftStats(), alg.sat_calls  # draws count their checks in alg
+    result = eval_modal(program, env, stats)
+    assert (stats.tuples, stats.applied, stats.pruned) == (2, 2, 0)
+    assert (len(meets), alg.sat_calls - before) == (checks, checks)
+    assert assert_equiv(alg, result, brute_force_eval(program, binds, alg)) == (True, None)
+
+
+def test_inputs_must_partition_every_world():
+    # a variable that holds one pair is read as that value at the whole
+    # context, so an input with a gap is rejected before any read: it
+    # would give 6 at FB, where FA is false too
+    program, alg, binds, env = setup(
+        'if feature("FB") then x + 1 else 0', "modality feature(FA, FB);\nbind x = { 5 @ FA };"
+    )
+    message = "binding 'x': configuration {FA=0, FB=0} is uncovered"
+    for evaluate in (eval_modal, eval_shallow_blackbox):
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            evaluate(program, env)
+    # the same text the command line prints for these bindings
+    assert modal.validate(alg, binds["x"]).problems == (message.partition(": ")[2],)
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_deep_nesting_capacity(check):
+    # two frames per nesting level, checked or not: 400 levels fit in the
+    # default recursion limit of 1000
+    program, alg, binds, env = setup(" + ".join(["x"] * 400), SHARING_BINDS, check_invariants=check)
+    result = eval_modal(program, env)
+    assert {v for v, _ in result.values} == {-7 * 400, 3 * 400}
