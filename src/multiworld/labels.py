@@ -37,6 +37,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -182,7 +183,9 @@ class Algebra:
       the ``--config`` text naming one.
     * ``problems(labels, within=ctx)`` -- why labels fail to partition
       ``ctx`` (default: every world): overlaps first, then gaps, then
-      worlds a label holds outside ``ctx``.
+      worlds a label holds outside ``ctx``.  The one partition test; it
+      counts no emptiness check, so a checked run adds to ``sat_calls`` only
+      ``modal.validate``'s ``empty label`` test of each result pair.
     * ``shape_problem(label)`` -- why a label is not one of this algebra.
     * ``endpoints(values, errors)`` -- the (MIN, MAX) values of a complete
       range, or ``None``.
@@ -222,7 +225,7 @@ class WorldSetAlgebra(Algebra):
     sets are equal ints, intersection, union and complement are bitwise,
     and a label is empty when it is 0; ``sat_calls`` counts emptiness
     checks.  ``narrow(ctx, errors)``, the path condition after a sub-result,
-    is ``ctx`` (``None``: every world) without the worlds of ``errors``."""
+    is the label ``ctx`` without the worlds of ``errors``."""
 
     def meet(self, l1: int, l2: int) -> int:
         return l1 & l2
@@ -240,8 +243,7 @@ class WorldSetAlgebra(Algebra):
     def narrow(self, ctx, errors):
         if not errors:
             return ctx
-        gone = functools.reduce(self.join, [label for _, label in errors], 0)
-        left = (self.top if ctx is None else ctx) & ~gone
+        left = ctx & ~functools.reduce(operator.or_, [label for _, label in errors], 0)
         return NOWHERE if self.is_empty(left) else left
 
     def covers(self, label: int, world) -> bool:
@@ -253,19 +255,20 @@ class WorldSetAlgebra(Algebra):
         return None
 
     def problems(self, labels, within=None) -> list:
-        out = []
-        for a, b in itertools.combinations(labels, 2):
-            if not self.is_empty(a & b):
-                out.append(f"labels overlap: {self.canonical_text(a)} and {self.canonical_text(b)}")
-                break
+        """A partition when the union is ``within`` and the sizes add up;
+        only a failing check walks the pairs, to name the first overlap."""
         within = self.top if within is None else within
-        # the worlds of ``within`` that no label holds, and those of a label outside it
-        stray = functools.reduce(self.join, labels, 0) ^ within
-        if not self.is_empty(stray):
-            for part, where in ((stray & within, "is uncovered"),
-                                (stray & ~within, "is outside the context")):
-                if part:
-                    out.append(f"configuration {self.world_text(self.first_world(part))} {where}")
+        held = functools.reduce(operator.or_, labels, 0)
+        twice = sum(map(int.bit_count, labels)) != held.bit_count()  # a world in two labels
+        if held == within and not twice:
+            return []
+        overlaps = (f"labels overlap: {self.canonical_text(a)} and {self.canonical_text(b)}"
+                    for a, b in itertools.combinations(labels, 2) if a & b)
+        out = [next(overlaps)] if twice else []
+        stray = held ^ within  # worlds of ``within`` no label holds, and of a label outside it
+        for part, where in ((stray & within, "is uncovered"), (stray & ~within, "is outside the context")):
+            if part:
+                out.append(f"configuration {self.world_text(self.first_world(part))} {where}")
         return out
 
 
@@ -612,10 +615,10 @@ _LABEL_TEXT = ("none", "MIN", "MAX", "MIN|MAX")
 class IntervalAlgebra(WorldSetAlgebra):
     """Labels are sets of the endpoint worlds MIN and MAX of a range.
 
-    A path condition is such a set, or ``None`` for both.  A run shares
-    what both endpoints share: ``lift`` merges a range's equal endpoints
-    into one pair labelled ``MIN|MAX``, and ``lower`` splits such a pair
-    back into one pair per endpoint, the form of bindings and results.
+    A path condition is such a set.  A run shares what both endpoints
+    share: ``lift`` merges a range's equal endpoints into one pair labelled
+    ``MIN|MAX``, and ``lower`` splits such a pair back into one pair per
+    endpoint, the form of bindings and results.
     """
 
     kind = "interval"

@@ -43,18 +43,20 @@ from .modal import ModalResult, collect_outcomes
 class LiftStats:
     """Counters for one evaluation context.
 
-    ``applied + pruned == tuples`` always holds: ``applied`` counts only
-    cross-product tuples that reached a real application, while
-    ``applications`` also tallies named function calls made outside the
-    cross-product machinery (user functions during deep evaluation, every
-    operator during plain runs).  The algebra counts emptiness checks
-    itself (``sat_calls``).
+    ``applied`` is ``tuples - pruned``: it counts only cross-product tuples
+    that reached a real application, while ``applications`` also tallies
+    named function calls made outside the cross-product machinery (user
+    functions during deep evaluation, every operator during plain runs).
+    The algebra counts emptiness checks itself (``sat_calls``).
     """
 
     applications: Counter = field(default_factory=Counter)
     tuples: int = 0
     pruned: int = 0
-    applied: int = 0
+
+    @property
+    def applied(self) -> int:
+        return self.tuples - self.pruned
 
     def total_applications(self) -> int:
         return sum(self.applications.values())
@@ -71,7 +73,6 @@ def cross(alg, pair_lists, stats: LiftStats):
         if alg.is_empty(label):
             stats.pruned += 1
             continue
-        stats.applied += 1
         yield label, [item for item, _ in combo]
 
 
@@ -90,7 +91,6 @@ def _mapped(f: PrimitiveFn, pair_lists, i: int, stats: LiftStats):
     varying = pair_lists[i]
     if varying:  # as in ``cross``, an empty operand counts nothing
         stats.tuples += len(varying)
-        stats.applied += len(varying)
         stats.applications[f.name] += len(varying)
     for item, label in varying:
         yield label, f.fn, (*before, item, *after)
@@ -100,7 +100,6 @@ def _apply_at(f: PrimitiveFn, args, label, stats: LiftStats) -> tuple:
     """The (value pairs, error pairs) of one application of ``f`` at
     ``label``, counted as one tuple applied."""
     stats.tuples += 1
-    stats.applied += 1
     stats.applications[f.name] += 1
     try:
         return ((f.fn(*args), label),), ()
@@ -140,12 +139,11 @@ def restrict(alg, pairs, context) -> tuple:
     empty out.
 
     ``pairs`` is a sequence of (item, label) pairs, as the deep evaluator
-    holds them.  The result is partial: it is total relative to ``context``,
-    not to the full world set.  ``context=None``, or a context holding
-    every world, means no restriction.  Pairs keep their order, so a
-    normalized input stays normalized.
+    holds them.  The result is total relative to the label ``context``, not
+    to every world; a context of every world restricts nothing.  Pairs keep
+    their order, so a normalized input stays normalized.
     """
-    if context is None or context == alg.top:
+    if context == alg.top:
         return pairs
     out = []
     for item, label in pairs:

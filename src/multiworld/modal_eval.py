@@ -40,8 +40,6 @@ merge once, as they arrive (``modal.collect_outcomes``).
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 
 from . import lang
@@ -230,13 +228,13 @@ class _CheckedDeepEval(_DeepEval):
 def _lift_inputs(program: lang.Program, env: ModalEnv) -> tuple:
     """The algebra a lifted run labels in, and ``main``'s bound inputs
     (``modal.bound_inputs``) lifted into it.  An input whose labels do not
-    partition every world, tested on bits, raises ``InvariantViolation``."""
+    partition every world raises ``InvariantViolation``; like every
+    partition check, ``problems`` tests it with no emptiness check."""
     alg, scope = env.alg.lift(bound_inputs(program, env.alg, env.bindings))
     for name, pairs in scope.items():
-        labels_ = [label for _, label in pairs]
-        held = functools.reduce(operator.or_, labels_, 0)
-        if held != alg.top or sum(map(int.bit_count, labels_)) != held.bit_count():
-            raise InvariantViolation(f"binding {name!r}: " + "; ".join(alg.problems(labels_)))
+        problems = alg.problems([label for _, label in pairs])
+        if problems:
+            raise InvariantViolation(f"binding {name!r}: " + "; ".join(problems))
     return alg, scope
 
 

@@ -4,8 +4,13 @@ The feature algebra holds labels as world-set bitsets; the formula helpers
 give the independent meaning of a ``FeatureExpr`` to check it against.
 The two tokenizers are the front ends' earlier ``finditer`` loops, one
 named group per token class, kept to check the shared scanner against.
+``pairwise_problems`` is the earlier partition test, which tests every
+pair of labels for overlap, kept to check the failure texts of
+``WorldSetAlgebra.problems`` against.
 """
 
+import functools
+import itertools
 import re
 
 import pytest
@@ -88,6 +93,25 @@ def bindings_tokens(text: str) -> tuple:
         texts.append(word)
         starts.append(m.start(group))
     return kinds, texts, starts
+
+
+def pairwise_problems(alg, labels, within=None) -> list:
+    """Why world-set ``labels`` fail to partition ``within`` (default:
+    every world): the first overlapping pair in pair order, then the first
+    uncovered world, then the first world a label holds outside ``within``."""
+    out = []
+    for a, b in itertools.combinations(labels, 2):
+        if not alg.is_empty(a & b):
+            out.append(f"labels overlap: {alg.canonical_text(a)} and {alg.canonical_text(b)}")
+            break
+    within = alg.top if within is None else within
+    stray = functools.reduce(alg.join, labels, 0) ^ within
+    if not alg.is_empty(stray):
+        for part, where in ((stray & within, "is uncovered"),
+                            (stray & ~within, "is outside the context")):
+            if part:
+                out.append(f"configuration {alg.world_text(alg.first_world(part))} {where}")
+    return out
 
 
 def satisfies(expr, config) -> bool:

@@ -24,7 +24,8 @@ from multiworld.labels import (
     feature_text,
     or_all,
 )
-from reference import build, prime_cubes, satisfies, world_set
+from multiworld.modal import ModalValue
+from reference import build, pairwise_problems, prime_cubes, satisfies, world_set
 
 NAMES = ("FA", "FB", "FC", "FD", "FE", "FF")
 
@@ -181,14 +182,58 @@ def test_feature_problems_within_a_context():
     assert alg.problems([alg.top], within=fa) == ["configuration {FA=0, FB=0} is outside the context"]
 
 
-def test_problems_counts_every_emptiness_check():
-    # validation keeps the pairwise count that --stats sat_calls reports:
-    # one check per pair of labels plus one for the gap
+def test_problems_makes_no_emptiness_check():
+    # the partition test is on bits: a passing check, and a failing one,
+    # adds nothing to the sat_calls that --stats reports
     alg = FeatureAlgebra(("FA", "FB"))
     minterms = [alg.minterm(cfg) for cfg in alg.iter_configs()]
     before = alg.sat_calls
-    alg.problems(minterms)
-    assert alg.sat_calls - before == 6 + 1
+    assert alg.problems(minterms) == []
+    assert alg.sat_calls == before
+    assert alg.problems(minterms[1:] + minterms[-1:]) != []
+    assert alg.sat_calls == before
+
+
+def _partition_algebras() -> list:
+    """World-set algebras of every shape: features (1-4), the endpoints,
+    and the joint draws of two probability inputs."""
+    draws, _ = ProbabilityAlgebra().lift({
+        "x": ModalValue(((1, 0.25), (2, 0.75)), "probability"),
+        "y": ModalValue(((0, 0.5), (1, 0.25), (2, 0.25)), "probability"),
+    })
+    features = [FeatureAlgebra(NAMES[:k]) for k in range(1, 5)]
+    return [*features, IntervalAlgebra(), draws]
+
+
+PARTITION_ALGEBRAS = _partition_algebras()
+
+
+@st.composite
+def partition_cases(draw):
+    """An algebra, labels and a context (``None``: every world): a
+    partition of the context into one to five labels, some possibly
+    empty, then with worlds added to or removed from some of them, which
+    makes overlaps, gaps and worlds outside the context."""
+    alg = draw(st.sampled_from(PARTITION_ALGEBRAS))
+    worlds = st.integers(0, alg.top)
+    within = draw(st.one_of(st.none(), worlds))
+    labels = [0] * draw(st.integers(1, 5))
+    for p in range(alg.top.bit_length()):
+        if (alg.top if within is None else within) >> p & 1:
+            labels[draw(st.integers(0, len(labels) - 1))] |= 1 << p
+    edits = st.tuples(st.integers(0, len(labels) - 1), worlds, st.booleans())
+    for i, bits, add in draw(st.lists(edits, max_size=3)):
+        labels[i] = labels[i] | bits if add else labels[i] & ~bits
+    return alg, labels, within
+
+
+@settings(max_examples=500)
+@given(partition_cases())
+def test_problems_match_the_pairwise_reference(case):
+    # the same texts in the same order as testing every pair of labels
+    alg, labels, within = case
+    assert alg.problems(labels, within) == pairwise_problems(alg, labels, within)
+    assert alg.problems([], within) == pairwise_problems(alg, [], within)
 
 
 @settings(max_examples=1000)
@@ -416,15 +461,15 @@ def test_interval_problems_within_a_tag():
 
 
 def test_minus_removes_worlds_from_a_context():
-    # narrow: the worlds of the context (None: every world) that no error
-    # label holds, or NOWHERE when none is left; no error keeps the context
+    # narrow: the worlds of the context that no error label holds, or
+    # NOWHERE when none is left; no error keeps the context
     for alg, labels in world_set_algebras():
-        for ctx in (None, *labels):
+        for ctx in (alg.top, *labels):
             assert alg.narrow(ctx, ()) is ctx
             for a, b in itertools.product(labels, repeat=2):
                 left = alg.narrow(ctx, [("DivByZero", a), ("Overflow", b)])
                 kept = [world for world in alg.worlds()
-                        if (ctx is None or alg.covers(ctx, world))
+                        if alg.covers(ctx, world)
                         and not (alg.covers(a, world) or alg.covers(b, world))]
                 if not kept:
                     assert left is NOWHERE

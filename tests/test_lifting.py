@@ -248,7 +248,6 @@ def test_restrict_feature():
 def test_restrict_by_top_is_identity():
     pairs = ((-7, FA), (3, NOT(FA)))
     assert restrict(FEAT, pairs, TOP) is pairs
-    assert restrict(FEAT, pairs, None) is pairs
 
 
 def test_restrict_can_empty_out():

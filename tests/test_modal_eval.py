@@ -600,3 +600,38 @@ def test_deep_nesting_capacity(check):
     program, alg, binds, env = setup(" + ".join(["x"] * 400), SHARING_BINDS, check_invariants=check)
     result = eval_modal(program, env)
     assert {v for v, _ in result.values} == {-7 * 400, 3 * 400}
+
+
+@pytest.mark.parametrize("kind", ["feature", "interval", "probability"])
+def test_checking_adds_only_the_result_label_tests(kind):
+    # the partition test at every node counts no emptiness check, so a
+    # checked run makes the unchecked run's checks plus validate's one
+    # per pair of the result (the seeded corpus of the deep goldens)
+    for seed in range(100):
+        rng = random.Random(seed)
+        alg, binds = random_bindings(rng, kind)
+        program = random_program(rng, alg, binds, linear=seed % 2 == 0)
+        calls = []
+        for check in (False, True):
+            before = alg.sat_calls
+            result = eval_modal(program, ModalEnv(alg, binds, check_invariants=check, interval_empty="swap"))
+            calls.append(alg.sat_calls - before)
+        assert calls[1] == calls[0] + len(result.values) + len(result.errors), seed
+
+
+def test_checking_nested_let_at_scale():
+    # every node of the scaling program at k = 10, n = 30 is checked on
+    # bits: 34,516 emptiness checks unchecked, plus one per result pair
+    # (testing every pair of labels made 33,935,096)
+    features = ", ".join(f"F{i}" for i in range(10))
+    lines = ["let v0 = x in"]
+    for i in range(1, 30):
+        lines.append(f'let v{i} = if feature("F{i % 10}") then v{i - 1} + {i} else v{i - 1} * 2 in')
+    program, alg, binds, env = setup(
+        "\n".join(lines + ["v29"]),
+        f"modality feature({features}); bind x = {{ 1 @ F0, 2 @ !F0 }};",
+        check_invariants=True,
+    )
+    before = alg.sat_calls
+    result = eval_modal(program, env)
+    assert (len(result.values) + len(result.errors), alg.sat_calls - before) == (1024, 35540)
