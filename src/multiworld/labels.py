@@ -368,14 +368,16 @@ class FeatureAlgebra(WorldSetAlgebra):
         return "{" + ", ".join(f"{n}={int(config[n])}" for n in self.features) + "}"
 
     def parse_world(self, text):
-        """A configuration from ``FA=1,FB=0`` text naming every feature."""
+        """A configuration from ``FA=1,FB=0`` text naming every feature once."""
         config = {}
         for part in text.split(",") if text else ():
             name, _, raw = part.partition("=")
-            raw = raw.strip().lower()
+            name, raw = name.strip(), raw.strip().lower()
             if raw not in ("0", "1", "true", "false"):
                 raise MissingConfig(f"bad configuration entry {part!r}")
-            config[name.strip()] = raw in ("1", "true")
+            if name in config:
+                raise MissingConfig(f"configuration assigns feature {name!r} twice")
+            config[name] = raw in ("1", "true")
         missing = set(self.features) - set(config)
         extra = set(config) - set(self.features)
         if missing or extra:
@@ -554,7 +556,8 @@ class _Draws(WorldSetAlgebra):
     draw ``p`` picks value ``p // stride % size`` of each input (the last
     varies fastest, as in the oracle) and weighs the product of their
     weights; a draw lighter than ``empty_eps`` is no world.  Emptiness
-    checks count in the weight algebra's ``sat_calls``."""
+    checks count in the weight algebra's ``sat_calls``, which this
+    algebra's ``sat_calls`` reads."""
 
     kind = ProbabilityAlgebra.kind
 
@@ -572,6 +575,10 @@ class _Draws(WorldSetAlgebra):
             runs = ("0" * stride * (size - 1 - j) + "1" * stride + "0" * stride * j for j in range(size))
             labels = (int(run * (count // stride // size), 2) & self.top for run in runs)
             self.scope[name] = tuple((x, label) for (x, _), label in zip(mv.pairs, labels) if label)
+
+    @property
+    def sat_calls(self) -> int:
+        return self.outer.sat_calls
 
     def is_empty(self, label: int) -> bool:
         self.outer.sat_calls += 1

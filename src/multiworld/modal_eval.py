@@ -28,7 +28,9 @@ or more non-empty parts is merged, so the answer is never merged again.
 Each node type has one method, found by ``type`` in one table, so a
 nesting level costs two Python frames, checked or not.  Under
 ``check_invariants`` the evaluator is ``_CheckedDeepEval``, whose
-``eval`` checks that each node's labels partition its path condition.
+``eval`` checks that each node's labels partition its path condition;
+one value pair labelled with the path condition is a partition of it by
+construction and is not tested again.
 
 ``eval_shallow_blackbox`` is the contrast case: shallow lifting of the
 whole program.  It crosses ``main``'s bound inputs, lifted as a deep run
@@ -214,14 +216,17 @@ class _DeepEval:
 
 class _CheckedDeepEval(_DeepEval):
     """The deep evaluator that checks that each node's labels partition
-    its path condition (``check_invariants``)."""
+    its path condition (``check_invariants``).  A node that answers one
+    value pair labelled with its path condition partitions it by
+    construction, so only the other nodes are tested."""
 
     def eval(self, expr, scope, ctx):
         values, errors = self._node[type(expr)](self, expr, scope, ctx)
-        labels_ = [label for _, label in values] + [label for _, label in errors]
-        problems = self.alg.problems(labels_, within=ctx)
-        if problems:
-            raise InvariantViolation("intermediate value: " + "; ".join(problems))
+        if errors or len(values) != 1 or values[0][1] != ctx:
+            labels_ = [label for _, label in values] + [label for _, label in errors]
+            problems = self.alg.problems(labels_, within=ctx)
+            if problems:
+                raise InvariantViolation("intermediate value: " + "; ".join(problems))
         return values, errors
 
 

@@ -6,7 +6,9 @@ The two tokenizers are the front ends' earlier ``finditer`` loops, one
 named group per token class, kept to check the shared scanner against.
 ``pairwise_problems`` is the earlier partition test, which tests every
 pair of labels for overlap, kept to check the failure texts of
-``WorldSetAlgebra.problems`` against.
+``WorldSetAlgebra.problems`` against.  ``EveryNodeCheckedEval`` is the
+earlier checked deep evaluator, which tests the labels of every node,
+kept to check that the shipped one skips only nodes that cannot fail.
 """
 
 import functools
@@ -15,8 +17,9 @@ import re
 
 import pytest
 
-from multiworld.errors import BindingsError, ParseError
+from multiworld.errors import BindingsError, InvariantViolation, ParseError
 from multiworld.labels import FAnd, FFalse, FNot, FOr, FTrue, FVar
+from multiworld.modal_eval import _DeepEval
 
 KEYWORDS = {"fun", "let", "in", "if", "then", "else", "true", "false", "feature"}
 
@@ -112,6 +115,19 @@ def pairwise_problems(alg, labels, within=None) -> list:
             if part:
                 out.append(f"configuration {alg.world_text(alg.first_world(part))} {where}")
     return out
+
+
+class EveryNodeCheckedEval(_DeepEval):
+    """The deep evaluator that checks that the labels of every node, a
+    one-pair answer at its path condition too, partition its path condition."""
+
+    def eval(self, expr, scope, ctx):
+        values, errors = self._node[type(expr)](self, expr, scope, ctx)
+        labels_ = [label for _, label in values] + [label for _, label in errors]
+        problems = self.alg.problems(labels_, within=ctx)
+        if problems:
+            raise InvariantViolation("intermediate value: " + "; ".join(problems))
+        return values, errors
 
 
 def satisfies(expr, config) -> bool:

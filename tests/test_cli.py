@@ -116,6 +116,12 @@ def test_plain_mode_requires_full_config():
     assert "FB" in err
 
 
+def test_plain_mode_rejects_a_feature_named_twice():
+    # the last entry used to win, so this ran at FA=0
+    code, out, err = run_example("feature_div", "--mode", "plain", "--config", "FA=1,FB=1,FA=0")
+    assert (code, out, err) == (1, "", "error: configuration assigns feature 'FA' twice\n")
+
+
 def test_invariant_violation_exit_code():
     code, _, err = run_cli(
         "run",

@@ -498,3 +498,14 @@ def test_sat_calls_count_emptiness_checks():
         alg.is_empty(label)
         alg.is_empty(label)
         assert alg.sat_calls == before + 2
+
+
+def test_lifted_draws_report_the_checks_of_the_run():
+    # the joint draws count their emptiness checks in the weight algebra,
+    # and read them back from it
+    alg = ProbabilityAlgebra()
+    draws, scope = alg.lift({"x": ModalValue(((1, 0.5), (2, 0.5)), "probability")})
+    (_, low), (_, high) = scope["x"]
+    draws.is_empty(low & high)
+    draws.is_empty(low)
+    assert (draws.sat_calls, alg.sat_calls) == (2, 2)

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 
@@ -26,6 +27,7 @@ from multiworld.oracle import (
     random_program,
 )
 from multiworld.bindings import parse_bindings
+from reference import EveryNodeCheckedEval
 
 SHARING = """
 fun bar(a, b) = a * b;
@@ -382,6 +384,69 @@ def test_check_invariants_catches_an_unrestricted_read(monkeypatch, binds_text, 
     monkeypatch.setattr(modal_eval, "restrict", lambda alg, obj, ctx: obj)
     with pytest.raises(InvariantViolation, match=message):
         eval_modal(program, env)
+
+
+def _checked_outcome(alg, run) -> tuple:
+    """What a checked run returns or raises, its counters and its
+    emptiness checks."""
+    stats, before = LiftStats(), alg.sat_calls
+    try:
+        outcome = run(stats)
+    except InvariantViolation as ex:
+        outcome = f"InvariantViolation: {ex}"
+    counters = (stats.tuples, stats.pruned, dict(stats.applications))
+    return outcome, counters, alg.sat_calls - before
+
+
+@pytest.mark.parametrize("unrestricted", [False, True], ids=["restricted", "unrestricted"])
+@pytest.mark.parametrize("kind", ["feature", "interval", "probability"])
+def test_checked_run_skips_only_nodes_that_cannot_fail(monkeypatch, kind, unrestricted):
+    # the shipped check skips a one-pair answer at its path condition, the
+    # reference tests every node: the same results, the same first
+    # violation and the same emptiness checks over the deep-golden corpus;
+    # reads that ignore their path condition make violations occur
+    if unrestricted:
+        monkeypatch.setattr(modal_eval, "restrict", lambda alg, obj, ctx: obj)
+    violations = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        alg, binds = random_bindings(rng, kind)
+        program = random_program(rng, alg, binds, linear=seed % 2 == 0)
+        for policy in ("reject", "swap"):
+            env = ModalEnv(alg, binds, check_invariants=True, interval_empty=policy)
+            shipped = _checked_outcome(alg, lambda stats: eval_modal(program, env, stats))
+            reference = _checked_outcome(alg, lambda stats: EveryNodeCheckedEval(program, env, stats).run())
+            assert shipped == reference, (seed, policy)
+            violations += str(shipped[0]).startswith("InvariantViolation: intermediate value")
+    assert bool(violations) == unrestricted
+
+
+def test_checked_run_tests_the_label_not_the_node_type(monkeypatch):
+    # a constant that claims every world under a narrowed branch is
+    # caught: the skip looks at the label a node answers with
+    program, alg, binds, env = setup(
+        'if feature("FA") then 1 else 2', "modality feature(FA);", check_invariants=True
+    )
+    monkeypatch.setitem(modal_eval._DeepEval._node, lang.IntLit,
+                        lambda self, expr, scope, ctx: (((expr.value, self.alg.top),), ()))
+    with pytest.raises(InvariantViolation,
+                       match=r"^intermediate value: configuration \{FA=1\} is outside the context$"):
+        eval_modal(program, env)
+
+
+def test_all_constant_checked_run_tests_only_its_result(monkeypatch):
+    # every node of a program that reads no input answers one pair at its
+    # path condition, so only validate tests a partition
+    program, alg, binds, env = setup(
+        "let a = 1 + 2 in if a < 4 then !(a == 3) else a * 2", "modality feature(FA);",
+        check_invariants=True,
+    )
+    callers = []
+    problems = labels.WorldSetAlgebra.problems
+    monkeypatch.setattr(labels.WorldSetAlgebra, "problems", lambda self, *args, **kw: callers.append(
+        sys._getframe(1).f_code.co_name) or problems(self, *args, **kw))
+    assert eval_modal(program, env).values == ((False, alg.top),)
+    assert callers == ["validate"]
 
 
 def test_deep_calls_apply_pairs_by_its_lifting_name():
