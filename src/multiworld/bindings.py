@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import BindingsError, BudgetExceeded
+from .errors import BindingsError, BudgetExceeded, EmptyModalValue, ProbabilityOverflow
 from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
 from .lang import INT64_MAX, INT64_MIN, Scanner, read_source
 from .modal import ModalValue, normalize
@@ -74,9 +74,9 @@ class _Reader(Scanner):
 
     # -- grammar -----------------------------------------------------------
 
-    def file(self, feature_limit: int):
+    def file(self):
         self.expect("id", "modality")
-        alg = self.modality(feature_limit)
+        alg = self.modality()
         self._alg = alg  # the label sub-parser needs the declared features
         self.expect(";")
         bindings: dict = {}
@@ -85,13 +85,16 @@ class _Reader(Scanner):
             if name in bindings:
                 self.fail(f"duplicate binding for {name!r}")
             self.expect("=")
-            bindings[name] = self.modal_value(alg)
+            try:
+                bindings[name] = self.modal_value(alg)
+            except (EmptyModalValue, ProbabilityOverflow) as ex:
+                raise type(ex)(f"binding {name!r}: {ex}") from None
             self.expect(";")
         if not self.at("eof"):
             self.fail("expected 'bind' or end of file")
         return alg, bindings
 
-    def modality(self, feature_limit: int):
+    def modality(self):
         kind = self.expect("id")
         if kind == "feature":
             self.expect("(")
@@ -101,7 +104,7 @@ class _Reader(Scanner):
             self.expect(")")
             if len(set(names)) != len(names):
                 self.fail("duplicate feature name")
-            return FeatureAlgebra(names, feature_limit=feature_limit)
+            return FeatureAlgebra(names)
         if kind == "probability":
             return ProbabilityAlgebra()
         if kind == "interval":
@@ -196,17 +199,19 @@ class _Reader(Scanner):
         self.fail("expected a feature expression")
 
 
-def parse_bindings(text: str, feature_limit: int = 24):
+def parse_bindings(text: str):
     """Parse bindings text into (algebra, {name: ModalValue}).
 
     A label nested deeper than the parser's recursion allows raises
-    ``BudgetExceeded``.
+    ``BudgetExceeded``; a binding that normalizes to no pair, or whose
+    weights join past 1, raises ``EmptyModalValue`` or
+    ``ProbabilityOverflow`` naming the binding.
     """
     try:
-        return _Reader(text).file(feature_limit)
+        return _Reader(text).file()
     except RecursionError:
         raise BudgetExceeded("bindings nested too deeply to parse") from None
 
 
-def load_bindings(path: str, feature_limit: int = 24):
-    return parse_bindings(read_source(path), feature_limit=feature_limit)
+def load_bindings(path: str):
+    return parse_bindings(read_source(path))

@@ -2,7 +2,7 @@
 
     modal run -p program.mdl -b bindings.mb [--mode deep] [--stats]
               [--check-invariants] [--interval-empty reject|swap]
-              [--feature-limit N] [--config FA=1,FB=0]
+              [--config FA=1,FB=0]
 
 Modes: ``plain`` (one world, needs a configuration when features are
 tested), ``shallow`` (black-box cross product), ``deep`` (lifted
@@ -17,7 +17,8 @@ answers, not failures); otherwise the ``exit_code`` of the error that ended
 the run: 1 usage or parse problems (and unreadable files, or files that
 are not UTF-8, whose error names the file), 2 invariant violations
 (bindings that are not disjoint and total are rejected on every run), 3
-exceeded budgets (including inputs nested too deeply to parse or evaluate).
+exceeded budgets (including more than 24 declared features, and inputs
+nested too deeply to parse or evaluate).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class RunConfig:
     stats: bool = False
     check_invariants: bool = False
     interval_empty: str = "reject"
-    feature_limit: int = 24
 
 
 def display_label(alg):
@@ -79,10 +79,8 @@ def run(cfg: RunConfig):
     """Execute one run; returns (exit_code, stdout lines, stderr lines)."""
     out: list = []
     err: list = []
-    if cfg.feature_limit < 0:
-        raise ParseError(f"--feature-limit must be 0 or more, got {cfg.feature_limit}")
     program = lang.parse(lang.read_source(cfg.program))
-    alg, bindings = load_bindings(cfg.bindings, feature_limit=cfg.feature_limit)
+    alg, bindings = load_bindings(cfg.bindings)
 
     # Every run rejects bindings that are not disjoint, total and well
     # labeled.  Only --check-invariants also rejects an inverted interval
@@ -166,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate every intermediate modal value",
     )
     runp.add_argument("--interval-empty", choices=("reject", "swap"), default="reject")
-    runp.add_argument("--feature-limit", type=int, default=24)
     return parser
 
 

@@ -74,7 +74,8 @@ class ProbabilityOverflow(ModalError):
 
 
 class TooManyFeatures(ModalError):
-    """More features declared than the configured limit allows."""
+    """More features declared than a label holds: a feature label is a set
+    of 2^k configurations, so at most 24 features are declared."""
 
     exit_code = 3
 

@@ -137,18 +137,15 @@ def _fold_text(op: str, texts) -> str:
     return "(" * (len(texts) - 1) + texts[0] + "".join(f" {op} {t})" for t in texts[1:])
 
 
-# a label takes 2^k bits, so no algebra declares more features than this,
-# whatever its feature_limit (4 MB per label at the cap)
-_BITSET_FEATURE_CAP = 25
+# a label takes 2^k bits, so no algebra declares more features than this
+# (2 MB per label at the cap)
+_BITSET_FEATURE_CAP = 24
 
 # above this many features, display falls back from a minimal DNF, whose
 # primes can number about 3^k / k, to the cubes of a Shannon split; moving
 # the cap changes the text of labels between the old and the new cap
 _DNF_FEATURE_CAP = 12
 
-
-# the path condition ``WorldSetAlgebra.narrow`` gives when no world is left
-NOWHERE = object()
 # the most joint draws of probability inputs that a run enumerates
 JOINT_BUDGET = 10**6
 
@@ -225,7 +222,8 @@ class WorldSetAlgebra(Algebra):
     sets are equal ints, intersection, union and complement are bitwise,
     and a label is empty when it is 0; ``sat_calls`` counts emptiness
     checks.  ``narrow(ctx, errors)``, the path condition after a sub-result,
-    is the label ``ctx`` without the worlds of ``errors``."""
+    is the label ``ctx`` without the worlds of ``errors``; the caller tests
+    whether any is left."""
 
     def meet(self, l1: int, l2: int) -> int:
         return l1 & l2
@@ -241,10 +239,7 @@ class WorldSetAlgebra(Algebra):
         return label == 0
 
     def narrow(self, ctx, errors):
-        if not errors:
-            return ctx
-        left = ctx & ~functools.reduce(operator.or_, [label for _, label in errors], 0)
-        return NOWHERE if self.is_empty(left) else left
+        return ctx & ~functools.reduce(operator.or_, [label for _, label in errors], 0)
 
     def covers(self, label: int, world) -> bool:
         return bool(label & self.minterm(world))
@@ -283,20 +278,15 @@ class FeatureAlgebra(WorldSetAlgebra):
 
     Bit ``p`` of a label stands for configuration ``p``, where bit ``i`` of
     ``p`` is the value of ``features[i]``.  A feature's mask is built on
-    first use.  No ``feature_limit`` admits more than
-    ``_BITSET_FEATURE_CAP`` features.
+    first use.  At most ``_BITSET_FEATURE_CAP`` features are declared.
     """
 
     kind = "feature"
 
-    def __init__(self, features, feature_limit: int = 24):
+    def __init__(self, features):
         features = tuple(features)
         if len(set(features)) != len(features):
             raise ValueError(f"duplicate feature names: {features}")
-        if len(features) > feature_limit:
-            raise TooManyFeatures(
-                f"{len(features)} features declared, limit is {feature_limit}"
-            )
         if len(features) > _BITSET_FEATURE_CAP:
             raise TooManyFeatures(
                 f"{len(features)} features declared, at most {_BITSET_FEATURE_CAP} "

@@ -65,10 +65,20 @@ def make_const(alg, v: Value) -> ModalValue:
 def bound_inputs(program, alg, bindings) -> dict:
     """The bindings that ``program``'s ``main`` reads, in first-use order,
     once ``alg`` has accepted the features the program tests.  Every
-    evaluator reads only these; an unbound input fails where it is read."""
+    evaluator reads only these; an unbound input fails where it is read.
+
+    An input whose labels do not partition every world (``alg.problems``:
+    an overlap, a gap, weights that do not sum to 1) raises
+    ``InvariantViolation`` naming it, with the text ``modal run`` prints
+    for it; the test makes no emptiness check."""
     facts = program.analysis
     alg.check_features(facts.features)
-    return {name: bindings[name] for name in facts.inputs if name in bindings}
+    inputs = {name: bindings[name] for name in facts.inputs if name in bindings}
+    for name, mv in inputs.items():
+        problems = alg.problems([label for _, label in mv.pairs])
+        if problems:
+            raise InvariantViolation(f"binding {name!r}: " + "; ".join(problems))
+    return inputs
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,8 @@ a probability run lifts to the joint draws of its inputs, an interval run
 merges each range's equal endpoints into one pair, and each lowers its
 result back to the public form), and a run starts at its ``top``.  Each
 node's pairs partition its path condition, and every value in scope
-covers it, since every input must partition every world.  So label work
+covers it, since every input must partition every world
+(``modal.bound_inputs`` rejects one that does not).  So label work
 is paid only where values vary: a constant, or a variable that holds one
 pair, is that value at the path condition, a variable holding more is
 read through ``lifting.restrict``, and ``apply_pairs`` maps an operator
@@ -51,7 +52,6 @@ from .errors import (
     InvariantViolation,
     MissingBinding,
 )
-from .labels import NOWHERE
 from .lifting import LiftStats, apply_pairs, cross, restrict
 from .lifting import shallow_apply  # noqa: F401 -- not called; perfbench's tracer test reads it
 from .modal import (
@@ -149,7 +149,7 @@ class _DeepEval:
             return self._union(values), self._union(errors)
         if le:
             ctx = self.alg.narrow(ctx, le)
-            if ctx is NOWHERE:
+            if self.alg.is_empty(ctx):
                 return (), le
         rv, re_ = self.eval(expr.rhs, scope, ctx)
         values, errors = apply_pairs(self.alg, lang.PRIMITIVES[op], (lv, rv), self.stats, ctx)
@@ -180,7 +180,7 @@ class _DeepEval:
         bv, be = self.eval(expr.bound, scope, ctx)
         if be:
             ctx = self.alg.narrow(ctx, be)
-            if ctx is NOWHERE:
+            if self.alg.is_empty(ctx):
                 return (), be
         xv, xe = self.eval(expr.body, {**scope, expr.name: bv}, ctx)
         return xv, self._union((be, xe)) if be else xe
@@ -195,7 +195,7 @@ class _DeepEval:
             if ae:
                 errors.append(ae)
                 ctx = self.alg.narrow(ctx, ae)
-                if ctx is NOWHERE:
+                if self.alg.is_empty(ctx):
                     return (), self._union(errors)
             inner[name] = av
         self.stats.applications[expr.fn] += 1
@@ -210,7 +210,7 @@ class _DeepEval:
     # -- entry point ---------------------------------------------------------
 
     def run(self) -> ModalResult:
-        self.alg, scope = _lift_inputs(self.program, self.env)
+        self.alg, scope = self.env.alg.lift(bound_inputs(self.program, self.env.alg, self.env.bindings))
         return _finish_result(self.env, self.alg, *self.eval(self.program.main, scope, self.alg.top))
 
 
@@ -228,19 +228,6 @@ class _CheckedDeepEval(_DeepEval):
             if problems:
                 raise InvariantViolation("intermediate value: " + "; ".join(problems))
         return values, errors
-
-
-def _lift_inputs(program: lang.Program, env: ModalEnv) -> tuple:
-    """The algebra a lifted run labels in, and ``main``'s bound inputs
-    (``modal.bound_inputs``) lifted into it.  An input whose labels do not
-    partition every world raises ``InvariantViolation``; like every
-    partition check, ``problems`` tests it with no emptiness check."""
-    alg, scope = env.alg.lift(bound_inputs(program, env.alg, env.bindings))
-    for name, pairs in scope.items():
-        problems = alg.problems([label for _, label in pairs])
-        if problems:
-            raise InvariantViolation(f"binding {name!r}: " + "; ".join(problems))
-    return alg, scope
 
 
 def eval_modal(program: lang.Program, env: ModalEnv, stats: LiftStats | None = None) -> ModalResult:
@@ -269,7 +256,7 @@ def eval_shallow_blackbox(program: lang.Program, env: ModalEnv,
     """
     if stats is None:
         stats = LiftStats()
-    alg, scope = _lift_inputs(program, env)
+    alg, scope = env.alg.lift(bound_inputs(program, env.alg, env.bindings))
     names = list(scope)
     tested = [n for n in alg.features if n in program.analysis.features]
     operands = list(scope.values()) + [_feature_pairs(alg, n) for n in tested]

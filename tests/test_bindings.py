@@ -94,10 +94,12 @@ def test_bindings_errors():
 
 
 def test_feature_limit_flows_through():
-    text = "modality feature(" + ", ".join(f"F{i:02d}" for i in range(25)) + ");"
-    with pytest.raises(TooManyFeatures):
-        parse_bindings(text)
-    parse_bindings(text.replace(");", ");"), feature_limit=25)
+    def declare(k):
+        return "modality feature(" + ", ".join(f"F{i:02d}" for i in range(k)) + ");"
+
+    assert len(parse_bindings(declare(24))[0].features) == 24
+    with pytest.raises(TooManyFeatures, match="^25 features declared, at most 24 fit in a label"):
+        parse_bindings(declare(25))
 
 
 @pytest.mark.parametrize(

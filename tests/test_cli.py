@@ -142,33 +142,40 @@ def test_invariant_violation_exit_code():
     assert err2 == err
 
 
-def test_budget_exit_code():
-    code, _, err = run_example("sharing", "--feature-limit", "1")
-    assert code == 3
-    assert "limit" in err
-
-
-@pytest.mark.parametrize("name", ["sharing", "prob_sum", "interval_abs"])
-def test_negative_feature_limit_is_a_usage_error(name):
-    code, out, err = run_example(name, "--feature-limit", "-1")
-    assert code == 1
-    assert out == ""
-    assert err == "error: --feature-limit must be 0 or more, got -1\n"
-
-
-def test_feature_limit_cannot_lift_the_label_size_cap(tmp_path):
-    names = [f"F{i:02d}" for i in range(40)]
+def _run_wide(tmp_path, k, *flags):
+    """A run of ``x`` over one constant binding under ``k`` declared features."""
+    names = [f"F{i:02d}" for i in range(k)]
     binds = tmp_path / "wide.mb"
     binds.write_text(f"modality feature({', '.join(names)});\nbind x = {{ 1 @ true }};\n")
     prog = tmp_path / "x.mdl"
     prog.write_text("x")
-    code, out, err = run_cli(
-        "run", "-p", str(prog), "-b", str(binds), "--feature-limit", "40"
+    return run_cli("run", "-p", str(prog), "-b", str(binds), *flags)
+
+
+def test_budget_exit_code(tmp_path):
+    # the size of a label is the one limit on declared features
+    assert _run_wide(tmp_path, 24) == (0, "1 @ true\n", "")
+    assert _run_wide(tmp_path, 25) == (
+        3, "", "error: 25 features declared, at most 24 fit in a label (a set of 2^k configurations)\n"
     )
-    assert code == 3
+
+
+@pytest.mark.parametrize("name", ["sharing", "prob_sum", "interval_abs"])
+def test_negative_feature_limit_is_a_usage_error(name):
+    # there is no feature-limit flag, so any value of it is a usage error
+    code, out, err = run_example(name, "--feature-limit", "-1")
+    assert code == 1
     assert out == ""
-    assert err.startswith("error:") and "at most 25" in err
-    assert "Traceback" not in err
+    assert err == "error: unrecognized arguments: --feature-limit -1\n"
+
+
+def test_feature_limit_cannot_lift_the_label_size_cap(tmp_path):
+    code, out, err = _run_wide(tmp_path, 40)
+    assert (code, out) == (3, "")
+    assert err == "error: 40 features declared, at most 24 fit in a label (a set of 2^k configurations)\n"
+    assert _run_wide(tmp_path, 40, "--feature-limit", "40") == (
+        1, "", "error: unrecognized arguments: --feature-limit 40\n"
+    )
 
 
 def test_usage_exit_codes():
@@ -255,6 +262,17 @@ def test_every_mode_rejects_feature_tests_the_modality_cannot_decide(
     flags = ["--config", config] if mode == "plain" and config else []
     code = _run_files(tmp_path, 'if feature("FZ") then x else 0', bindings, "--mode", mode, *flags)
     assert (code, *capsys.readouterr()) == (1, "", line + "\n")
+
+
+@pytest.mark.parametrize("bindings, line", [
+    ("modality probability;\nbind x = { 1 @ 0.6, 1 @ 0.6 };",
+     "error: binding 'x': joined weights sum to 1.2 > 1.0"),
+    ("modality feature(FA);\nbind x = { 1 @ FA & !FA };",
+     "error: binding 'x': normalization dropped every pair"),
+], ids=("overflow", "empty"))
+def test_bindings_errors_name_their_binding(tmp_path, capsys, bindings, line):
+    assert _run_files(tmp_path, "x", bindings) == 2
+    assert capsys.readouterr() == ("", line + "\n")
 
 
 def test_oracle_crosses_only_the_bindings_main_reads(tmp_path, capsys):
@@ -510,8 +528,6 @@ def _flags(draw):
         flags += ["--config", draw(st.sampled_from(
             ["FA=1", "FA=0,FB=1", "FA=1,FB=0,FC=1,FD=0", "MIN", "max", "FA=2", "", "x"]
         ))]
-    if draw(st.booleans()):
-        flags += ["--feature-limit", str(draw(st.integers(-1, 30)))]
     return flags
 
 

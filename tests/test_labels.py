@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -16,7 +17,6 @@ from multiworld.labels import (
     FOr,
     FVar,
     FeatureAlgebra,
-    NOWHERE,
     IntervalAlgebra,
     ProbabilityAlgebra,
     Tag,
@@ -115,14 +115,12 @@ def test_undeclared_feature_rejected():
 
 
 def test_feature_limit():
-    with pytest.raises(TooManyFeatures):
-        FeatureAlgebra([f"F{i}" for i in range(25)])
-    with pytest.raises(TooManyFeatures):
-        FeatureAlgebra(("FA", "FB"), feature_limit=1)
-    # a raised limit does not lift the cap on the size of a label
-    assert len(FeatureAlgebra([f"F{i}" for i in range(25)], feature_limit=25).features) == 25
-    with pytest.raises(TooManyFeatures):
-        FeatureAlgebra([f"F{i}" for i in range(26)], feature_limit=40)
+    # the size of a label, 2^k bits, is the one limit on declared features
+    assert len(FeatureAlgebra([f"F{i}" for i in range(24)]).features) == 24
+    for k in (25, 40):
+        message = f"{k} features declared, at most 24 fit in a label (a set of 2^k configurations)"
+        with pytest.raises(TooManyFeatures, match=f"^{re.escape(message)}$"):
+            FeatureAlgebra([f"F{i}" for i in range(k)])
 
 
 def test_check_disjoint_minterms():
@@ -461,20 +459,21 @@ def test_interval_problems_within_a_tag():
 
 
 def test_minus_removes_worlds_from_a_context():
-    # narrow: the worlds of the context that no error label holds, or
-    # NOWHERE when none is left; no error keeps the context
+    # narrow: the worlds of the context that no error label holds, the
+    # empty label when none is left; no error keeps the context, and
+    # narrowing makes no emptiness check
     for alg, labels in world_set_algebras():
+        before = alg.sat_calls
         for ctx in (alg.top, *labels):
-            assert alg.narrow(ctx, ()) is ctx
+            assert alg.narrow(ctx, ()) == ctx
             for a, b in itertools.product(labels, repeat=2):
                 left = alg.narrow(ctx, [("DivByZero", a), ("Overflow", b)])
                 kept = [world for world in alg.worlds()
                         if alg.covers(ctx, world)
                         and not (alg.covers(a, world) or alg.covers(b, world))]
-                if not kept:
-                    assert left is NOWHERE
-                else:
-                    assert [world for world in alg.worlds() if alg.covers(left, world)] == kept
+                assert [world for world in alg.worlds() if alg.covers(left, world)] == kept
+                assert (left == 0) == (not kept)
+        assert alg.sat_calls == before
 
 
 def test_enumerated_configurations_know_their_position():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from multiworld import labels, lang, lifting, modal, modal_eval
+from multiworld import cli, labels, lang, lifting, modal, modal_eval
 from multiworld.errors import (
     BudgetExceeded,
     CyclicCallError,
@@ -14,7 +14,7 @@ from multiworld.errors import (
     ScopeError,
     UndeclaredFeature,
 )
-from multiworld.labels import FeatureAlgebra, Tag
+from multiworld.labels import FeatureAlgebra, ProbabilityAlgebra, Tag
 from multiworld.lang import parse
 from multiworld.lifting import LiftStats
 from multiworld.modal import ModalValue, validate
@@ -656,6 +656,42 @@ def test_inputs_must_partition_every_world():
             evaluate(program, env)
     # the same text the command line prints for these bindings
     assert modal.validate(alg, binds["x"]).problems == (message.partition(": ")[2],)
+
+
+def _plain(program, alg, binds):
+    cfg = cli.RunConfig("p.mdl", "b.mb", mode="plain", config="FA=1" if alg.features else None)
+    return cli._run_plain(program, alg, binds, cfg, LiftStats())
+
+
+ENTRY_POINTS = {
+    "deep": lambda program, alg, binds: eval_modal(program, ModalEnv(alg, binds)),
+    "deep-checked": lambda program, alg, binds: eval_modal(
+        program, ModalEnv(alg, binds, check_invariants=True)),
+    "shallow": lambda program, alg, binds: eval_shallow_blackbox(program, ModalEnv(alg, binds)),
+    "oracle": lambda program, alg, binds: brute_force_eval(program, binds, alg),
+    "plain": _plain,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("kind, message", [
+    ("probability", "binding 'x': totality gap +0.5"),
+    ("feature", "binding 'x': configuration {FA=0} is uncovered"),
+], ids=("probability", "feature"))
+def test_every_entry_point_rejects_the_same_bad_inputs(entry, kind, message):
+    # every mode reads its inputs through ``modal.bound_inputs``, which
+    # rejects a hand-built input that does not partition every world with
+    # the text ``modal run`` prints for it: weights that miss 1, and a
+    # gap, even where a plain run's world is covered
+    if kind == "probability":
+        alg = ProbabilityAlgebra()
+        x = ModalValue(((1, 0.5),), alg.kind)
+    else:
+        alg = FeatureAlgebra(("FA",))
+        x = ModalValue(((5, alg.var("FA")),), alg.kind)
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        ENTRY_POINTS[entry](parse("x + 1"), alg, {"x": x})
+    assert validate(alg, x).problems == (message.partition(": ")[2],)
 
 
 @pytest.mark.parametrize("check", [False, True])
