@@ -11,7 +11,7 @@ oracle, compared world by world).
 
 Output is deterministic: value pairs one per line as ``value @ label`` in
 normalized order, then ``error:KIND @ label`` lines.  Feature labels are
-world sets, displayed as a minimal sum of products (as disjoint cubes
+world sets, displayed as a sum of prime products (as disjoint cubes
 above 12 features).  Exit codes: 0 success (labeled per-world errors are
 answers, not failures); otherwise the ``exit_code`` of the error that ended
 the run: 1 usage or parse problems (and unreadable files, or files that

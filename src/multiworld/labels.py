@@ -141,9 +141,10 @@ def _fold_text(op: str, texts) -> str:
 # (2 MB per label at the cap)
 _BITSET_FEATURE_CAP = 24
 
-# above this many features, display falls back from a minimal DNF, whose
-# primes can number about 3^k / k, to the cubes of a Shannon split; moving
-# the cap changes the text of labels between the old and the new cap
+# above this many features, display falls back from a cover by prime
+# implicants, which can number about 3^k / k, to the cubes of a Shannon
+# split; moving the cap changes the text of labels between the old and the
+# new cap
 _DNF_FEATURE_CAP = 12
 
 # the most joint draws of probability inputs that a run enumerates
@@ -295,6 +296,7 @@ class FeatureAlgebra(WorldSetAlgebra):
         self.features = features
         self._index = {name: i for i, name in enumerate(features)}
         self._masks: dict = {}
+        self._literals = [("!" + name, name) for name in features]  # when false, when true
         self.top = (1 << (1 << len(features))) - 1
 
     def _mask(self, i: int) -> int:
@@ -382,10 +384,12 @@ class FeatureAlgebra(WorldSetAlgebra):
     def canonical_text(self, label: int) -> str:
         """A sum of products denoting the label's world set.
 
-        Up to ``_DNF_FEATURE_CAP`` features it is a minimal one: the
-        essential prime implicants plus a greedy cover of the rest, with
-        the products sorted by text.  Above the cap it is the disjoint
-        cubes of a Shannon split in declared-feature order.
+        Up to ``_DNF_FEATURE_CAP`` features it is the essential prime
+        implicants plus a greedy cover of the rest (``_minimal_cover``),
+        with the products sorted by text: short, though not always minimal.
+        A one-cube label skips the prime search, and a label its essential
+        primes cover skips the greedy pass.  Above the cap it is the
+        disjoint cubes of a Shannon split in declared-feature order.
         """
         if label == 0:
             return "false"
@@ -397,9 +401,7 @@ class FeatureAlgebra(WorldSetAlgebra):
 
     def _cube_text(self, bits: int, dont_care: int) -> str:
         return _fold_text("&", [
-            name if bits >> i & 1 else "!" + name
-            for i, name in enumerate(self.features)
-            if not dont_care >> i & 1
+            pair[bits >> i & 1] for i, pair in enumerate(self._literals) if not dont_care >> i & 1
         ])
 
     def _prime_cubes(self, label: int) -> set:
@@ -427,12 +429,21 @@ class FeatureAlgebra(WorldSetAlgebra):
         return primes(label, len(self.features))
 
     def _minimal_cover(self, label: int) -> list:
-        """Texts of the products of a minimal-ish cover of the label: the
-        essential primes, then greedily the first prime in (size, text)
-        order that covers the most minterms still uncovered."""
-        width = len(self.features)
+        """Texts of the products of a short cover of a label that is neither
+        empty nor every world.  A label equal to the smallest cube holding
+        it is that cube, found with no prime search.  Otherwise the cover
+        is the essential primes, and only when they leave minterms
+        uncovered, a greedy cover of those (``_greedy_cover``)."""
+        true = free = 0  # the features true, and those free, in the smallest cube holding it
+        for i in range(len(self.features)):
+            mask = self._mask(i)
+            if not label & ~mask:
+                true |= 1 << i
+            elif label & mask:
+                free |= 1 << i
+        if label.bit_count() == 1 << free.bit_count():
+            return [self._cube_text(true, free)]
         primes = self._prime_cubes(label)
-        text = {p: self._cube_text(*p) for p in primes}
         cover_of = {}
         for bits, dc in primes:
             cover = 1 << bits
@@ -444,24 +455,35 @@ class FeatureAlgebra(WorldSetAlgebra):
             twice |= once & cover
             once |= cover
         # essential primes: those covering a minterm no other prime covers
-        chosen = {p for p in primes if cover_of[p] & once & ~twice}
+        chosen = [p for p in primes if cover_of[p] & once & ~twice]
         uncovered = label
         for p in chosen:
             uncovered &= ~cover_of[p]
+        texts = [self._cube_text(*p) for p in chosen]
+        return texts + self._greedy_cover(cover_of, uncovered) if uncovered else texts
+
+    def _greedy_cover(self, cover_of: dict, uncovered: int) -> list:
+        """Texts of primes (the keys of ``cover_of``, each mapped to its
+        minterms) that cover ``uncovered``, picked greedily: the first
+        prime in (size, text) order that covers the most minterms still
+        uncovered."""
+        width = len(self.features)
+        text = {p: self._cube_text(*p) for p in cover_of}
         # counts only fall, so a popped entry whose count is still its key
         # is the first prime in order with the most uncovered minterms
-        order = sorted(primes, key=lambda p: (width - p[1].bit_count(), text[p]))
+        order = sorted(cover_of, key=lambda p: (width - p[1].bit_count(), text[p]))
         heap = [(-(cover_of[p] & uncovered).bit_count(), rank, p) for rank, p in enumerate(order)]
         heapq.heapify(heap)
+        chosen = []
         while uncovered:
             key, rank, p = heapq.heappop(heap)
             count = (cover_of[p] & uncovered).bit_count()
             if count == -key:
-                chosen.add(p)
+                chosen.append(text[p])
                 uncovered &= ~cover_of[p]
             elif count:
                 heapq.heappush(heap, (-count, rank, p))
-        return [text[p] for p in chosen]
+        return chosen
 
     def _shannon_cubes(self, label: int) -> list:
         """Texts of the disjoint cubes that a Shannon split in declared

@@ -272,16 +272,60 @@ class _Parser(Scanner):
 
     def expr(self, min_prec: int = 1) -> Expr:
         """An expression whose binary operators all bind at least as tightly
-        as ``min_prec``.  Precedence climbing: a chain of operators at one
-        level is a loop, and each operand recurses one level tighter."""
-        kind = self.kinds[self.pos]
-        if kind == "!" or kind == "-":
-            self.pos += 1
+        as ``min_prec``.  Precedence climbing: the first operand is read
+        here, a chain of operators at one level is a loop, and each later
+        operand recurses one level tighter."""
+        kinds, texts = self.kinds, self.texts
+        pos = self.pos
+        kind = kinds[pos]
+        self.pos = pos + 1
+        if kind == "id":
+            if kinds[pos + 1] != "(":
+                node = Var(texts[pos])
+            else:
+                self.pos += 1
+                args = self.comma_list(self.expr)
+                self.expect(")")
+                node = Call(texts[pos], args)
+        elif kind == "int":
+            digits = texts[pos]
+            # int() refuses numerals of thousands of digits, and none fits
+            value = int(digits) if len(digits.lstrip("0")) <= 19 else INT64_MAX + 1
+            if value > INT64_MAX:
+                self.fail("integer literal out of range", pos)
+            node = IntLit(value)
+        elif kind == "(":
+            node = self.expr()
+            self.expect(")")
+        elif kind == "!" or kind == "-":
             arg = self.expr(_PREFIX_PREC)
             node = Not(arg) if kind == "!" else BinOp("-", IntLit(0), arg)
+        elif kind == "let":
+            name = self.expect("id")
+            self.expect("=")
+            bound = self.expr()
+            self.expect("in")
+            node = Let(name, bound, self.expr())
+        elif kind == "if":
+            guard = self.expr()
+            self.expect("then")
+            then = self.expr()
+            self.expect("else")
+            node = If(guard, then, self.expr())
+        elif kind == "true" or kind == "false":
+            node = BoolLit(kind == "true")
+        elif kind == "feature":
+            self.expect("(")
+            name = self.expect("string")[1:-1]
+            if not name or not all(c.isalnum() or c == "_" for c in name) or name[0].isdigit():
+                self.fail(f"feature name must be an identifier, got {name!r}", self.pos - 1)
+            self.expect(")")
+            node = Feature(name)
         else:
-            node = self.atom()
-        kinds = self.kinds
+            self.pos = pos
+            if kind in KEYWORDS:
+                self.fail(f"unexpected keyword {kind!r}")
+            self.fail(f"unexpected {self.word(pos) or kind!r}")
         while True:
             op = kinds[self.pos]
             prec = _PREC.get(op, 0)
@@ -289,54 +333,6 @@ class _Parser(Scanner):
                 return node
             self.pos += 1
             node = BinOp(op, node, self.expr(prec + 1))
-
-    def atom(self) -> Expr:
-        pos = self.pos
-        kind = self.kinds[pos]
-        self.pos = pos + 1
-        if kind == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        if kind == "id":
-            if self.kinds[pos + 1] != "(":
-                return Var(self.texts[pos])
-            self.pos += 1
-            args = self.comma_list(self.expr)
-            self.expect(")")
-            return Call(self.texts[pos], args)
-        if kind == "int":
-            digits = self.texts[pos]
-            # int() refuses numerals of thousands of digits, and none fits
-            value = int(digits) if len(digits.lstrip("0")) <= 19 else INT64_MAX + 1
-            if value > INT64_MAX:
-                self.fail("integer literal out of range", pos)
-            return IntLit(value)
-        if kind == "let":
-            name = self.expect("id")
-            self.expect("=")
-            bound = self.expr()
-            self.expect("in")
-            return Let(name, bound, self.expr())
-        if kind == "if":
-            guard = self.expr()
-            self.expect("then")
-            then = self.expr()
-            self.expect("else")
-            return If(guard, then, self.expr())
-        if kind == "true" or kind == "false":
-            return BoolLit(kind == "true")
-        if kind == "feature":
-            self.expect("(")
-            name = self.expect("string")[1:-1]
-            if not name or not all(c.isalnum() or c == "_" for c in name) or name[0].isdigit():
-                self.fail(f"feature name must be an identifier, got {name!r}", self.pos - 1)
-            self.expect(")")
-            return Feature(name)
-        self.pos = pos
-        if kind in KEYWORDS:
-            self.fail(f"unexpected keyword {kind!r}")
-        self.fail(f"unexpected {self.word(pos) or kind!r}")
 
 
 def parse(text: str) -> Program:

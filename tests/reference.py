@@ -9,16 +9,20 @@ pair of labels for overlap, kept to check the failure texts of
 ``WorldSetAlgebra.problems`` against.  ``EveryNodeCheckedEval`` is the
 earlier checked deep evaluator, which tests the labels of every node,
 kept to check that the shipped one skips only nodes that cannot fail.
+``prime_and_greedy_text`` is the earlier display of a feature label, which
+runs the prime search and the greedy pass's sort and heap on every label,
+kept to check the shortcuts of ``FeatureAlgebra.canonical_text`` against.
 """
 
 import functools
+import heapq
 import itertools
 import re
 
 import pytest
 
 from multiworld.errors import BindingsError, InvariantViolation, ParseError
-from multiworld.labels import FAnd, FFalse, FNot, FOr, FTrue, FVar
+from multiworld.labels import FAnd, FFalse, FNot, FOr, FTrue, FVar, _fold_text
 from multiworld.modal_eval import _DeepEval
 
 KEYWORDS = {"fun", "let", "in", "if", "then", "else", "true", "false", "feature"}
@@ -197,6 +201,53 @@ def prime_cubes(label: int, k: int) -> set:
             if not any(inside(label, bits & ~f, dont_care | f) for f in fixed):
                 out.add((bits, dont_care))
     return out
+
+
+def essential_primes(alg, label: int) -> tuple:
+    """A feature label's primes, each mapped to the minterms it covers, and
+    its essential primes: those covering a minterm no other prime covers."""
+    cover_of = {}
+    for bits, dont_care in alg._prime_cubes(label):
+        cover = 1 << bits
+        for i in range(dont_care.bit_length()):
+            if dont_care >> i & 1:
+                cover |= cover << (1 << i)
+        cover_of[bits, dont_care] = cover
+    once = twice = 0
+    for cover in cover_of.values():
+        twice |= once & cover
+        once |= cover
+    return cover_of, {p for p in cover_of if cover_of[p] & once & ~twice}
+
+
+def prime_and_greedy_text(alg, label: int) -> str:
+    """A feature label's display up to ``_DNF_FEATURE_CAP`` features: the
+    essential primes, then greedily the first prime in (size, text) order
+    that covers the most minterms still uncovered, sorted by text."""
+    if label in (0, alg.top):
+        return "true" if label else "false"
+    width = len(alg.features)
+    cover_of, chosen = essential_primes(alg, label)
+    text = {
+        (bits, dc): _fold_text("&", [name if bits >> i & 1 else "!" + name
+                                     for i, name in enumerate(alg.features) if not dc >> i & 1])
+        for bits, dc in cover_of
+    }
+    uncovered = label
+    for p in chosen:
+        uncovered &= ~cover_of[p]
+    order = sorted(cover_of, key=lambda p: (width - p[1].bit_count(), text[p]))
+    heap = [(-(cover_of[p] & uncovered).bit_count(), rank, p) for rank, p in enumerate(order)]
+    heapq.heapify(heap)
+    while uncovered:
+        key, rank, p = heapq.heappop(heap)
+        count = (cover_of[p] & uncovered).bit_count()
+        if count == -key:
+            chosen.add(p)
+            uncovered &= ~cover_of[p]
+        elif count:
+            heapq.heappush(heap, (-count, rank, p))
+    return _fold_text("|", sorted(text[p] for p in chosen))
 
 
 def assert_scans_like(reference, scanner, text):

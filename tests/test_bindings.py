@@ -6,6 +6,7 @@ from multiworld.errors import (
     BindingsError,
     BudgetExceeded,
     EmptyModalValue,
+    ProbabilityOverflow,
     TooManyFeatures,
     UndeclaredFeature,
 )
@@ -154,6 +155,15 @@ def test_token_soup_raises_only_documented_errors(head, tokens):
         if starts is not None:  # a parse error names a token's start
             assert (ex.line, ex.col) in {line_col(text, start) for start in starts}
     # a well-formed file can still name an undeclared feature, declare too
-    # many, or bind a value whose every label is empty
-    except (UndeclaredFeature, TooManyFeatures, EmptyModalValue):
+    # many, bind a value whose every label is empty, or join weights past 1
+    except (UndeclaredFeature, TooManyFeatures, EmptyModalValue, ProbabilityOverflow):
         pass
+
+
+def test_token_soup_can_overflow_a_weight():
+    # the soup's own tokens, as it joins them after the probability head
+    text = HEADS[2] + " ".join(["bind", "x", "=", "{", "0", "@", "0.5", ",", "0", "@", "0.5",
+                                ",", "0", "@", "0.5", "}", ";"])
+    with pytest.raises(ProbabilityOverflow) as exc:
+        parse_bindings(text)
+    assert str(exc.value) == "binding 'x': joined weights sum to 1.5 > 1.0"

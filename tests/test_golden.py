@@ -23,7 +23,9 @@ make, with
 which prints ``<file>: <old> -> <new>`` for every line that changed.
 """
 
+import functools
 import json
+import operator
 import random
 import sys
 from itertools import zip_longest
@@ -36,6 +38,7 @@ from multiworld.bindings import parse_bindings
 from multiworld.cli import display_label
 from multiworld.labels import FeatureAlgebra
 from multiworld.modal_eval import ModalEnv, eval_modal
+from reference import essential_primes
 from test_cli import EXAMPLES, run_example
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -120,6 +123,43 @@ def test_generated_display_entries_are_current():
     entries = json.loads(DISPLAY.read_text())[RECORDED:]
     labels = [(entry["features"], entry["bits"]) for entry in entries]
     assert labels == [(list(alg.features), hex(label)) for alg, label in generated_labels()]
+
+
+def nested_let_golden() -> list:
+    """(algebra, label, golden text) of every result label of the largest
+    program of each nested-let sweep."""
+    golden = {(tuple(e["features"]), e["bits"]): e["text"] for e in json.loads(DISPLAY.read_text())}
+    out = []
+    for k, n in ((6, 12), (10, 4)):
+        alg, labels = nested_let_labels(k, n)
+        out += [(alg, label, golden[alg.features, hex(label)]) for label in labels]
+    return out
+
+
+def refuse(*args):
+    raise AssertionError("display took a step this label does not need")
+
+
+def test_one_cube_labels_print_without_a_prime_search(monkeypatch):
+    # one product, so the label is one cube
+    cubes = [case for case in nested_let_golden()
+             if case[2] not in ("true", "false") and " | " not in case[2]]
+    assert len(cubes) > 50
+    monkeypatch.setattr(FeatureAlgebra, "_prime_cubes", refuse)
+    for alg, label, text in cubes:
+        assert display_label(alg)(label) == text
+
+
+def test_labels_their_essential_primes_cover_print_without_a_greedy_pass(monkeypatch):
+    covered = []
+    for alg, label, text in nested_let_golden():
+        cover_of, essential = essential_primes(alg, label)
+        if functools.reduce(operator.or_, [cover_of[p] for p in essential], 0) == label:
+            covered.append((alg, label, text, len(essential)))
+    assert sum(count > 1 for *_, count in covered) >= 5  # labels that are not one cube
+    monkeypatch.setattr(FeatureAlgebra, "_greedy_cover", refuse)
+    for alg, label, text, _ in covered:
+        assert display_label(alg)(label) == text
 
 
 def record_cli():

@@ -25,7 +25,14 @@ from multiworld.labels import (
     or_all,
 )
 from multiworld.modal import ModalValue
-from reference import build, pairwise_problems, prime_cubes, satisfies, world_set
+from reference import (
+    build,
+    pairwise_problems,
+    prime_and_greedy_text,
+    prime_cubes,
+    satisfies,
+    world_set,
+)
 
 NAMES = ("FA", "FB", "FC", "FD", "FE", "FF")
 
@@ -382,6 +389,39 @@ def test_prime_cubes_match_their_definition():
         density = rng.choice((0.1, 0.5, 0.9, rng.random()))
         label = sum(1 << p for p in range(1 << k) if rng.random() < density)
         assert alg._prime_cubes(label) == prime_cubes(label, k), (k, hex(label))
+
+
+@st.composite
+def display_cases(draw):
+    """A feature algebra of 1-10 features and a label of one of the shapes
+    display treats apart: one configuration, one cube, a union of 2-4
+    cubes or its complement, or a uniform random table."""
+    k = draw(st.integers(1, 10))
+    alg = FeatureAlgebra([f"F{i}" for i in range(k)])
+
+    def cube():
+        label = alg.top
+        for i, lit in enumerate(draw(st.lists(st.sampled_from("01-"), min_size=k, max_size=k))):
+            if lit != "-":
+                label &= alg.var(f"F{i}") if lit == "1" else alg.complement(alg.var(f"F{i}"))
+        return label
+
+    shape = draw(st.sampled_from(("config", "cube", "union", "complement", "table")))
+    if shape == "config":
+        return alg, 1 << draw(st.integers(0, (1 << k) - 1))
+    if shape == "cube":
+        return alg, cube()
+    if shape == "table":
+        return alg, draw(st.integers(0, alg.top))
+    union = functools.reduce(alg.join, [cube() for _ in range(draw(st.integers(2, 4)))])
+    return alg, alg.complement(union) if shape == "complement" else union
+
+
+@settings(max_examples=300, deadline=None)
+@given(display_cases())
+def test_display_matches_the_prime_and_greedy_printer(case):
+    alg, label = case
+    assert alg.canonical_text(label) == prime_and_greedy_text(alg, label)
 
 
 def test_half_dense_minimal_dnf_display_is_fast_and_exact():
