@@ -13,8 +13,9 @@ Line-oriented, ``//`` comments, one modality declaration first, then binds:
     bind r = [4 .. 9];
 
 Feature labels use ``!`` (tightest), ``&``, ``|`` (loosest), parentheses,
-and the literals ``true``/``false``.  Values are integer literals (unary
-minus allowed) or ``true``/``false``.  The tokens come from
+and the literals ``true``/``false``, which name no feature.  Names follow
+``lang.is_identifier``, as a program's do.  Values are integer literals
+(unary minus allowed) or ``true``/``false``.  The tokens come from
 ``lang.Scanner``, as a program's do: one ``findall`` and one kind lookup
 per token, and a line and column only for an error.
 """
@@ -25,15 +26,16 @@ import re
 
 from .errors import BindingsError, BudgetExceeded, EmptyModalValue, ProbabilityOverflow
 from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
-from .lang import INT64_MAX, INT64_MIN, Scanner, read_source
+from .lang import INT64_MAX, INT64_MIN, Scanner, is_identifier, read_source
 from .modal import ModalValue, normalize
 
 # One match per token: the whitespace and comments before it, then the
-# token.  A punctuation mark's kind is the mark itself.
+# token, tried first as a punctuation mark, the commonest token of a label.
+# A punctuation mark's kind is the mark itself.
 _TOKEN_RE = re.compile(
     r"""
     (?:\s|//[^\n]*)*
-    (\d+\.\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\.\.|[{}\[\]()@,;=!&|+-]|\Z|.)
+    ([{}\[\]()@,;=!&|+-]|\d+\.\d+|\d+|[^\W\d]\w*|\.\.|\Z|.)
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -46,9 +48,9 @@ class _Reader(Scanner):
     def classify(self, word: str) -> str:
         if word[0].isdecimal():
             return "float" if "." in word else "int"
-        if word.isascii() and word.isidentifier():
+        if is_identifier(word):
             return "id"
-        self.error_at(self.texts.index(word), f"unexpected character {word!r}")
+        self.error_at(self.texts.index(word), f"unexpected character {word[0]!r}")
 
     def fail(self, message: str):
         found = self.texts[self.pos] or self.kinds[self.pos]
@@ -76,8 +78,7 @@ class _Reader(Scanner):
 
     def file(self):
         self.expect("id", "modality")
-        alg = self.modality()
-        self._alg = alg  # the label sub-parser needs the declared features
+        alg, value_pairs = self.modality()
         self.expect(";")
         bindings: dict = {}
         while self.accept("id", "bind"):
@@ -86,7 +87,7 @@ class _Reader(Scanner):
                 self.fail(f"duplicate binding for {name!r}")
             self.expect("=")
             try:
-                bindings[name] = self.modal_value(alg)
+                bindings[name] = normalize(alg, ModalValue(value_pairs(), alg.kind))
             except (EmptyModalValue, ProbabilityOverflow) as ex:
                 raise type(ex)(f"binding {name!r}: {ex}") from None
             self.expect(";")
@@ -95,48 +96,51 @@ class _Reader(Scanner):
         return alg, bindings
 
     def modality(self):
+        """The declared algebra, and the reader of a binding's pairs in it."""
         kind = self.expect("id")
         if kind == "feature":
             self.expect("(")
-            names = [self.expect("id")]
-            while self.accept(","):
+            names = []
+            while not names or self.accept(","):
+                if self.texts[self.pos] in ("true", "false"):
+                    self.fail("expected a feature name, not a label literal")
                 names.append(self.expect("id"))
             self.expect(")")
             if len(set(names)) != len(names):
                 self.fail("duplicate feature name")
-            return FeatureAlgebra(names)
+            self.alg = FeatureAlgebra(names)  # feature_label reads it
+            return self.alg, lambda: self.braced_pairs(self.feature_label)
         if kind == "probability":
-            return ProbabilityAlgebra()
+            return ProbabilityAlgebra(), lambda: self.braced_pairs(self.weight)
         if kind == "interval":
-            return IntervalAlgebra()
+            return IntervalAlgebra(), self.range_pairs
         self.fail("expected feature(...), probability, or interval")
 
-    def modal_value(self, alg) -> ModalValue:
-        if self.at("["):
-            if alg.kind != "interval":
-                self.fail("range syntax needs the interval modality")
-            self.pos += 1
-            lo = self.int_value()
-            self.expect("dots")
-            hi = self.int_value()
-            self.expect("]")
-            pairs = ((lo, Tag.MIN), (hi, Tag.MAX))
-            return normalize(alg, ModalValue(pairs, alg.kind))
-        if alg.kind == "interval":
+    def range_pairs(self) -> tuple:
+        if not self.at("["):
             self.fail("interval bindings use the [lo .. hi] form")
-        self.expect("{")
-        pairs = [self.pair(alg)]
-        while self.accept(","):
-            pairs.append(self.pair(alg))
-        self.expect("}")
-        return normalize(alg, ModalValue(tuple(pairs), alg.kind))
+        self.pos += 1
+        lo = self.int_value()
+        self.expect("dots")
+        hi = self.int_value()
+        self.expect("]")
+        return (lo, Tag.MIN), (hi, Tag.MAX)
 
-    def pair(self, alg):
+    def braced_pairs(self, label) -> tuple:
+        """``{ value @ label, ... }``, each label read by ``label()``."""
+        if self.at("["):
+            self.fail("range syntax needs the interval modality")
+        self.expect("{")
+        pairs = [self.pair(label)]
+        while self.accept(","):
+            pairs.append(self.pair(label))
+        self.expect("}")
+        return tuple(pairs)
+
+    def pair(self, label):
         value = self.value()
         self.expect("@")
-        if alg.kind == "feature":
-            return value, self.feature_or()
-        return value, self.weight()
+        return value, label()
 
     def value(self):
         if self.accept("id", "true"):
@@ -164,39 +168,33 @@ class _Reader(Scanner):
             return weight
         self.fail("expected a weight in [0, 1]")
 
-    def feature_or(self):
-        node = self.feature_and()
-        while self.kinds[self.pos] == "|":
-            self.pos += 1
-            node = self._alg.join(node, self.feature_and())
-        return node
-
-    def feature_and(self):
-        node = self.feature_unary()
-        while self.kinds[self.pos] == "&":
-            self.pos += 1
-            node = self._alg.meet(node, self.feature_unary())
-        return node
-
-    def feature_unary(self):
-        pos = self.pos
+    def feature_label(self, min_prec: int = 1):
+        """A feature label whose binary operators bind at least as tightly as
+        ``min_prec``.  As ``lang._Parser.expr`` does, it reads a chain of
+        operators at one level as a loop, so a nesting level costs one frame."""
+        alg, pos = self.alg, self.pos
         kind = self.kinds[pos]
         self.pos = pos + 1
         if kind == "!":
-            return self._alg.complement(self.feature_unary())
-        if kind == "(":
-            node = self.feature_or()
+            node = alg.complement(self.feature_label(3))
+        elif kind == "(":
+            node = self.feature_label()
             self.expect(")")
-            return node
-        if kind == "id":
+        elif kind == "id":
             name = self.texts[pos]
-            if name == "true":
-                return self._alg.top
-            if name == "false":
-                return 0  # the empty world set
-            return self._alg.var(name)
-        self.pos = pos
-        self.fail("expected a feature expression")
+            # ``false`` is the empty world set
+            node = alg.top if name == "true" else 0 if name == "false" else alg.var(name)
+        else:
+            self.pos = pos
+            self.fail("expected a feature expression")
+        while True:
+            op = self.kinds[self.pos]
+            prec = 2 if op == "&" else 1 if op == "|" else 0  # and ``!`` binds at 3
+            if prec < min_prec:
+                return node
+            self.pos += 1
+            rhs = self.feature_label(prec + 1)
+            node = alg.meet(node, rhs) if op == "&" else alg.join(node, rhs)
 
 
 def parse_bindings(text: str):

@@ -82,7 +82,8 @@ class TooManyFeatures(ModalError):
 
 class BudgetExceeded(ModalError):
     """World enumeration would exceed the configured budget, or input is
-    nested deeper than the parsers or evaluators can follow."""
+    nested deeper than Python's recursion limit lets a parser or an
+    evaluator follow at one frame a level (two in checked deep)."""
 
     exit_code = 3
 

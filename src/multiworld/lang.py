@@ -21,20 +21,20 @@ Program file grammar (``.mdl``, ``//`` comments):
 Precedence, loosest to tightest: ``||``, ``&&``, comparisons
 (``<`` ``<=`` ``==``), ``+ -``, ``* /``, unary ``! -``.  All binary
 operators associate to the left; unary minus desugars to ``0 - e``.
-Identifiers and numerals may use letters and decimal digits of any
-script; other digit characters (``²``) are not numerals.
+Identifiers (by ``is_identifier``, every front end's rule) and numerals
+may use letters and decimal digits of any script, and no other digit (``²``).
 
 The front end makes one pass of each kind: one ``findall`` of a compiled
-regular expression reads every token's text and one lookup gives each
-kind (``Scanner``, which ``bindings`` shares), a precedence-climbing
-parser reads a chain of operators at one level as a loop, and one walk
-with an explicit stack makes the load checks (scopes, arities, call
-cycles) and records what the evaluators read of the program
-(``Program.analysis``).  Error positions are 1-based line and column,
-found by matching the text again when an error is raised.  Nesting
-deeper than the parser's, the renderer's or the evaluator's recursion
-allows raises ``BudgetExceeded``.  Syntax nodes are slotted dataclasses,
-compared by class and fields; they are neither frozen nor hashable.
+regular expression reads every token's text and one lookup gives each kind
+(``Scanner``, which ``bindings`` shares), a precedence-climbing parser
+reads a chain of operators at one level as a loop, and one walk with an
+explicit stack makes the load checks (scopes, arities, call cycles) and
+records what the evaluators read of the program (``Program.analysis``).
+Error positions are 1-based line and column, found by matching the text
+again when an error is raised.  The parser, the renderer and the evaluator
+spend one Python frame a nesting level; nesting past the recursion limit
+raises ``BudgetExceeded``.  Syntax nodes are slotted dataclasses, compared
+by class and fields; they are neither frozen nor hashable.
 """
 
 from __future__ import annotations
@@ -186,10 +186,15 @@ class Scanner:
         raise self.error(message, *_line_col(self.text, match.start(1)))
 
 
+def is_identifier(word: str) -> bool:
+    """Whether ``word`` is a name: a letter of any script or ``_``, then letters, digits, ``_``."""
+    return word.replace("_", "a").isalnum() and (word[0].isalpha() or word[0] == "_")
+
+
 # One match per token: the whitespace and comments before it, then the
 # token.  ``\s``, ``\d`` and ``\w`` mean ``str.isspace``, ``isdecimal`` and
 # ``isalnum``-or-underscore, so identifiers and numerals may come from any
-# script; a word that starts with no letter (``²``) is a stray.
+# script; a word that is no identifier (``²``) is a stray.
 _TOKEN_RE = re.compile(
     r"""
     (?:\s|//[^\n]*)*
@@ -220,7 +225,7 @@ class _Parser(Scanner):
         head = word[0]
         if head.isdecimal():
             return "int"
-        if head.isalpha() or head == "_":
+        if is_identifier(word):
             return "id"
         if head == '"' and word != '"':
             return "string"
@@ -243,13 +248,6 @@ class _Parser(Scanner):
         self.pos = pos + 1
         return self.texts[pos]
 
-    def comma_list(self, item) -> tuple:
-        items = [item()]
-        while self.kinds[self.pos] == ",":
-            self.pos += 1
-            items.append(item())
-        return tuple(items)
-
     def program(self) -> Program:
         fundefs = []
         while self.kinds[self.pos] == "fun":
@@ -263,12 +261,15 @@ class _Parser(Scanner):
         self.pos += 1  # "fun"
         name = self.expect("id")
         self.expect("(")
-        params = self.comma_list(lambda: self.expect("id"))
+        params = [self.expect("id")]
+        while self.kinds[self.pos] == ",":
+            self.pos += 1
+            params.append(self.expect("id"))
         self.expect(")")
         self.expect("=")
         body = self.expr()
         self.expect(";")
-        return FunDef(name, params, body)
+        return FunDef(name, tuple(params), body)
 
     def expr(self, min_prec: int = 1) -> Expr:
         """An expression whose binary operators all bind at least as tightly
@@ -284,9 +285,12 @@ class _Parser(Scanner):
                 node = Var(texts[pos])
             else:
                 self.pos += 1
-                args = self.comma_list(self.expr)
+                args = [self.expr()]  # each argument in a loop here: one frame a level
+                while kinds[self.pos] == ",":
+                    self.pos += 1
+                    args.append(self.expr())
                 self.expect(")")
-                node = Call(texts[pos], args)
+                node = Call(texts[pos], tuple(args))
         elif kind == "int":
             digits = texts[pos]
             # int() refuses numerals of thousands of digits, and none fits
@@ -317,7 +321,7 @@ class _Parser(Scanner):
         elif kind == "feature":
             self.expect("(")
             name = self.expect("string")[1:-1]
-            if not name or not all(c.isalnum() or c == "_" for c in name) or name[0].isdigit():
+            if not is_identifier(name):
                 self.fail(f"feature name must be an identifier, got {name!r}", self.pos - 1)
             self.expect(")")
             node = Feature(name)
@@ -461,7 +465,10 @@ def render_expr(e: Expr) -> str:
             f" else {render_expr(e.orelse)})"
         )
     if isinstance(e, Call):
-        return f"{e.fn}({', '.join(render_expr(a) for a in e.args)})"
+        args = []  # in a loop: a generator would cost a frame a level
+        for arg in e.args:
+            args.append(render_expr(arg))
+        return f"{e.fn}({', '.join(args)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -552,9 +559,7 @@ def eval_plain(program: Program, env, config=None, stats=None):
     fundefs = program.analysis.fundefs
 
     def ev(e, scope):
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, BoolLit):
+        if isinstance(e, (IntLit, BoolLit)):
             return e.value
         if isinstance(e, Var):
             try:
@@ -585,10 +590,12 @@ def eval_plain(program: Program, env, config=None, stats=None):
             return prim.fn(lhs, rhs)
         if isinstance(e, Call):
             fd = fundefs[e.fn]
-            args = [ev(a, scope) for a in e.args]
+            inner = {}  # in a loop: a comprehension would cost a frame a level
+            for name, arg in zip(fd.params, e.args):
+                inner[name] = ev(arg, scope)
             if stats is not None:
                 stats.applications[e.fn] += 1
-            return ev(fd.body, dict(zip(fd.params, args)))
+            return ev(fd.body, inner)
         if isinstance(e, Feature):
             if config is None or e.name not in config:
                 raise MissingConfig(f"no configuration value for feature {e.name!r}")

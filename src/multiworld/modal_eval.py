@@ -26,12 +26,12 @@ read through ``lifting.restrict``, and ``apply_pairs`` maps an operator
 over its one varying operand instead of crossing.  Every node returns
 normalized pairs: normalized parts pass through, and only a union of two
 or more non-empty parts is merged, so the answer is never merged again.
-Each node type has one method, found by ``type`` in one table, so a
-nesting level costs two Python frames, checked or not.  Under
-``check_invariants`` the evaluator is ``_CheckedDeepEval``, whose
-``eval`` checks that each node's labels partition its path condition;
-one value pair labelled with the path condition is a partition of it by
-construction and is not tested again.
+Each node type has one method, found by ``type`` in one table through
+which every method reads its children, so a nesting level costs one
+Python frame.  Under ``check_invariants`` the table is
+``_CheckedDeepEval``'s, whose entries check that each node's labels
+partition its path condition, at two frames a level; one value pair
+labelled with the path condition is a partition of it by construction.
 
 ``eval_shallow_blackbox`` is the contrast case: shallow lifting of the
 whole program.  It crosses ``main``'s bound inputs, lifted as a deep run
@@ -46,21 +46,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lang
-from .errors import (
-    TYPE_MISMATCH,
-    BudgetExceeded,
-    InvariantViolation,
-    MissingBinding,
-)
+from .errors import TYPE_MISMATCH, BudgetExceeded, InvariantViolation, MissingBinding
 from .lifting import LiftStats, apply_pairs, cross, restrict
 from .lifting import shallow_apply  # noqa: F401 -- not called; perfbench's tracer test reads it
-from .modal import (
-    ModalResult,
-    bound_inputs,
-    collect_outcomes,
-    merge_value_pairs,
-    validate,
-)
+from .modal import ModalResult, bound_inputs, collect_outcomes, merge_value_pairs, validate
 
 
 @dataclass
@@ -102,11 +91,7 @@ class _DeepEval:
             return merge_value_pairs(self.alg, [pair for part in parts for pair in part])
         return parts[0] if parts else ()
 
-    # -- expression dispatch: one method per node type -----------------------
-
-    def eval(self, expr, scope, ctx):
-        """Returns (value_pairs, error_pairs) jointly covering ``ctx``."""
-        return self._node[type(expr)](self, expr, scope, ctx)
+    # -- one method per node type: (value_pairs, error_pairs) covering ctx ---
 
     def _const(self, expr, scope, ctx):
         return ((expr.value, ctx),), ()
@@ -124,7 +109,7 @@ class _DeepEval:
         return restrict(self.alg, _feature_pairs(self.alg, expr.name), ctx), ()
 
     def _not(self, expr, scope, ctx):
-        av, ae = self.eval(expr.arg, scope, ctx)
+        av, ae = self._node[type(expr.arg)](self, expr.arg, scope, ctx)
         values, errors = apply_pairs(self.alg, lang.PRIMITIVES["!"], (av,), self.stats, ctx)
         return values, self._union((ae, errors)) if ae else errors
 
@@ -132,13 +117,13 @@ class _DeepEval:
         """An operator; ``a && b`` is ``if a then bool(b) else false``, and
         dually for ``||``: worlds where an operand it reads holds a
         non-boolean become TypeMismatch errors."""
-        op = expr.op
-        lv, le = self.eval(expr.lhs, scope, ctx)
+        op, lhs, rhs = expr.op, expr.lhs, expr.rhs
+        lv, le = self._node[type(lhs)](self, lhs, scope, ctx)
         if op == "&&" or op == "||":
             values, errors = [], [le]
             for val, label in lv:
                 if val is (op == "&&"):  # the right operand decides
-                    rv, re_ = self.eval(expr.rhs, scope, label)
+                    rv, re_ = self._node[type(rhs)](self, rhs, scope, label)
                     values.append([(v, l) for v, l in rv if isinstance(v, bool)])
                     errors.extend([(TYPE_MISMATCH, l)] for v, l in rv if not isinstance(v, bool))
                     errors.append(re_)
@@ -151,7 +136,7 @@ class _DeepEval:
             ctx = self.alg.narrow(ctx, le)
             if self.alg.is_empty(ctx):
                 return (), le
-        rv, re_ = self.eval(expr.rhs, scope, ctx)
+        rv, re_ = self._node[type(rhs)](self, rhs, scope, ctx)
         values, errors = apply_pairs(self.alg, lang.PRIMITIVES[op], (lv, rv), self.stats, ctx)
         return values, self._union((le, re_, errors)) if le or re_ else errors
 
@@ -162,14 +147,16 @@ class _DeepEval:
         arm no world selects is never evaluated, and an arm that every
         world selects is the node's answer as it stands.
         """
-        gv, ge = self.eval(expr.guard, scope, ctx)
+        gv, ge = self._node[type(expr.guard)](self, expr.guard, scope, ctx)
         if len(gv) == 1 and not ge and isinstance(gv[0][0], bool):
-            return self.eval(expr.then if gv[0][0] else expr.orelse, scope, ctx)
+            arm = expr.then if gv[0][0] else expr.orelse
+            return self._node[type(arm)](self, arm, scope, ctx)
         values: list = []
         errors: list = [ge]
         for val, label in gv:
             if isinstance(val, bool):
-                av, ae = self.eval(expr.then if val else expr.orelse, scope, label)
+                arm = expr.then if val else expr.orelse
+                av, ae = self._node[type(arm)](self, arm, scope, label)
                 values.append(av)
                 errors.append(ae)
             else:
@@ -177,12 +164,12 @@ class _DeepEval:
         return self._union(values), self._union(errors)
 
     def _let(self, expr, scope, ctx):
-        bv, be = self.eval(expr.bound, scope, ctx)
+        bv, be = self._node[type(expr.bound)](self, expr.bound, scope, ctx)
         if be:
             ctx = self.alg.narrow(ctx, be)
             if self.alg.is_empty(ctx):
                 return (), be
-        xv, xe = self.eval(expr.body, {**scope, expr.name: bv}, ctx)
+        xv, xe = self._node[type(expr.body)](self, expr.body, {**scope, expr.name: bv}, ctx)
         return xv, self._union((be, xe)) if be else xe
 
     def _call(self, expr, scope, ctx):
@@ -191,7 +178,7 @@ class _DeepEval:
         fd = self.fundefs[expr.fn]
         inner, errors = {}, []
         for name, arg in zip(fd.params, expr.args):
-            av, ae = self.eval(arg, scope, ctx)
+            av, ae = self._node[type(arg)](self, arg, scope, ctx)
             if ae:
                 errors.append(ae)
                 ctx = self.alg.narrow(ctx, ae)
@@ -199,7 +186,7 @@ class _DeepEval:
                     return (), self._union(errors)
             inner[name] = av
         self.stats.applications[expr.fn] += 1
-        xv, xe = self.eval(fd.body, inner, ctx)
+        xv, xe = self._node[type(fd.body)](self, fd.body, inner, ctx)
         return xv, self._union((*errors, xe)) if errors else xe
 
     _node = _Nodes({
@@ -211,23 +198,26 @@ class _DeepEval:
 
     def run(self) -> ModalResult:
         self.alg, scope = self.env.alg.lift(bound_inputs(self.program, self.env.alg, self.env.bindings))
-        return _finish_result(self.env, self.alg, *self.eval(self.program.main, scope, self.alg.top))
+        main = self.program.main
+        return _finish_result(self.env, self.alg, *self._node[type(main)](self, main, scope, self.alg.top))
 
 
-class _CheckedDeepEval(_DeepEval):
-    """The deep evaluator that checks that each node's labels partition
-    its path condition (``check_invariants``).  A node that answers one
-    value pair labelled with its path condition partitions it by
-    construction, so only the other nodes are tested."""
-
-    def eval(self, expr, scope, ctx):
-        values, errors = self._node[type(expr)](self, expr, scope, ctx)
-        if errors or len(values) != 1 or values[0][1] != ctx:
-            labels_ = [label for _, label in values] + [label for _, label in errors]
-            problems = self.alg.problems(labels_, within=ctx)
+def _checked(method):
+    """A node method that then checks that its answer's labels partition its path condition."""
+    def checked(self, expr, scope, ctx):
+        values, errors = method(self, expr, scope, ctx)
+        if errors or len(values) != 1 or values[0][1] != ctx:  # else a partition by construction
+            problems = self.alg.problems([label for _, label in (*values, *errors)], within=ctx)
             if problems:
                 raise InvariantViolation("intermediate value: " + "; ".join(problems))
         return values, errors
+    return checked
+
+
+class _CheckedDeepEval(_DeepEval):
+    """The deep evaluator of ``check_invariants``: each node method is checked."""
+
+    _node = _Nodes({cls: _checked(method) for cls, method in _DeepEval._node.items()})
 
 
 def eval_modal(program: lang.Program, env: ModalEnv, stats: LiftStats | None = None) -> ModalResult:

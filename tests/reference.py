@@ -23,7 +23,7 @@ import pytest
 
 from multiworld.errors import BindingsError, InvariantViolation, ParseError
 from multiworld.labels import FAnd, FFalse, FNot, FOr, FTrue, FVar, _fold_text
-from multiworld.modal_eval import _DeepEval
+from multiworld.modal_eval import _DeepEval, _Nodes
 
 KEYWORDS = {"fun", "let", "in", "if", "then", "else", "true", "false", "feature"}
 
@@ -45,11 +45,11 @@ _BINDINGS_TOKEN_RE = re.compile(
     (?:\s|//[^\n]*)*
     (?:(?P<float>\d+\.\d+)
       |(?P<int>\d+)
-      |(?P<id>[A-Za-z_][A-Za-z0-9_]*)
+      |(?P<id>[A-Za-z_]\w*)
       |(?P<dots>\.\.)
       |(?P<punct>[{}\[\]()@,;=!&|+-])
       |(?P<eof>\Z)
-      |(?P<other>.))
+      |(?P<other>[^\W\d]\w*|.))
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -95,7 +95,9 @@ def bindings_tokens(text: str) -> tuple:
         if group == "punct":
             kind = word
         elif group == "other":
-            raise BindingsError(f"unexpected character {word!r}", *line_col(text, m.start(group)))
+            if not word[0].isalpha():
+                raise BindingsError(f"unexpected character {word[0]!r}", *line_col(text, m.start(group)))
+            kind = "id"
         kinds.append(kind)
         texts.append(word)
         starts.append(m.start(group))
@@ -121,17 +123,23 @@ def pairwise_problems(alg, labels, within=None) -> list:
     return out
 
 
-class EveryNodeCheckedEval(_DeepEval):
-    """The deep evaluator that checks that the labels of every node, a
-    one-pair answer at its path condition too, partition its path condition."""
-
-    def eval(self, expr, scope, ctx):
-        values, errors = self._node[type(expr)](self, expr, scope, ctx)
+def _check_every_node(method):
+    def checked(self, expr, scope, ctx):
+        values, errors = method(self, expr, scope, ctx)
         labels_ = [label for _, label in values] + [label for _, label in errors]
         problems = self.alg.problems(labels_, within=ctx)
         if problems:
             raise InvariantViolation("intermediate value: " + "; ".join(problems))
         return values, errors
+    return checked
+
+
+class EveryNodeCheckedEval(_DeepEval):
+    """The deep evaluator that checks that the labels of every node, a
+    one-pair answer at its path condition too, partition its path condition:
+    its node table wraps each of the unchecked evaluator's methods."""
+
+    _node = _Nodes({cls: _check_every_node(method) for cls, method in _DeepEval._node.items()})
 
 
 def satisfies(expr, config) -> bool:

@@ -6,11 +6,13 @@ from multiworld.errors import (
     BindingsError,
     BudgetExceeded,
     EmptyModalValue,
+    ParseError,
     ProbabilityOverflow,
     TooManyFeatures,
     UndeclaredFeature,
 )
 from multiworld.labels import Tag
+from multiworld.lang import is_identifier, parse
 from multiworld.modal import validate
 from reference import assert_scans_like, bindings_tokens, line_col
 
@@ -112,13 +114,41 @@ def test_feature_limit_flows_through():
         ("modality feature(FA);\n\nbind x = { 1 @ FA $ };", "unexpected character '$' (line 3, col 19)"),
         ("modality interval;\nbind x = [1 .. " + "9" * 5000 + "];",
          "integer out of 64-bit range (found ']') (line 2, col 5016)"),
+        ("modality probability;\nbind x = [1 .. 2];",
+         "range syntax needs the interval modality (found '[') (line 2, col 10)"),
+        ("modality interval;\nbind x = { 1 @ MIN };",
+         "interval bindings use the [lo .. hi] form (found '{') (line 2, col 10)"),
+        # true is every world in a label and false none, so no feature takes their names
+        ("modality feature(true);",
+         "expected a feature name, not a label literal (found 'true') (line 1, col 18)"),
+        ("modality feature(FA, false);",
+         "expected a feature name, not a label literal (found 'false') (line 1, col 22)"),
     ],
-    ids=["multi-line", "after-comment", "stray-character", "huge-integer"],
+    ids=["multi-line", "after-comment", "stray-character", "huge-integer", "range-syntax", "pair-syntax",
+         "true-feature", "false-feature"],
 )
 def test_error_messages_and_lines(text, message):
     with pytest.raises(BindingsError) as exc:
         parse_bindings(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("word, ok", [
+    *((word, True) for word in ("café", "Fé", "é", "_", "_1", "a²", "x½")),
+    *((word, False) for word in ("²", "½x", "1a")),
+])
+def test_one_identifier_rule_for_every_front_end(word, ok):
+    # a program's variables, its feature("...") names and the names of a
+    # bindings file are read by one rule: a letter of any script or _ first
+    assert is_identifier(word) == ok
+    for read in (parse, lambda w: parse(f'feature("{w}")'),
+                 lambda w: parse_bindings(f"modality feature({w});\nbind {w} = {{ 1 @ true }};")):
+        try:
+            read(word)
+        except (ParseError, BindingsError) as ex:
+            assert not ok, ex
+        else:
+            assert ok
 
 
 def test_deeply_nested_label_is_a_budget_error():
@@ -138,7 +168,7 @@ BINDINGS_TOKENS = [
     "modality", "feature", "probability", "interval", "bind", "true", "false",
     "x", "FA", "FB", "0", "7", "٣", "0.5", "٠.٥", "1.5", "9223372036854775808", "[4..9]",
     "(", ")", "{", "}", "[", "]", "..", "@", ",", ";", "=", "!", "&", "|", "-", "+",
-    " ", "\n", "// c\n", "// c", ".", "$", "é", '"',
+    " ", "\n", "// c\n", "// c", ".", "$", "é", "²", '"',
 ]
 HEADS = ["", "modality feature(FA, FB);", "modality probability;", "modality interval;"]
 

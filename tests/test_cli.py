@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from multiworld import cli
 from multiworld.cli import main
 from multiworld.errors import ModalError
-from multiworld.lang import render_program
+from multiworld.lang import parse, render_program
 from multiworld.modal_eval import eval_modal
 from multiworld.oracle import random_bindings, random_program
 from test_bindings import BINDINGS_TOKENS
@@ -435,6 +435,105 @@ def test_deep_nesting_exits_with_budget_code(tmp_path):
     assert code == 3
     assert out == ""
     assert err == "error: program nested too deeply to evaluate\n"
+
+
+@pytest.mark.parametrize("program, bindings", [
+    ('if feature("true") then 1 else 2', "modality feature(true); bind y = { 1 @ true };"),
+    ("x", "modality feature(true, FA); bind x = { 1 @ !true, 2 @ true };"),
+], ids=("tested", "labelled"))
+def test_label_literals_cannot_be_declared_as_features(tmp_path, capsys, program, bindings):
+    # true in a label is every world, so a feature named true would be unreadable
+    assert _run_files(tmp_path, program, bindings) == 1
+    assert capsys.readouterr() == (
+        "", "error: expected a feature name, not a label literal (found 'true') (line 1, col 18)\n")
+
+
+@pytest.mark.parametrize("mode", ("plain", "shallow", "deep", "oracle", "check"))
+def test_names_in_any_script_in_every_mode(tmp_path, capsys, mode):
+    # the bindings reader names what a program reads and tests by the
+    # program's own identifier rule
+    flags = ["--config", "Fé=1"] if mode == "plain" else []
+    code = _run_files(tmp_path, 'if feature("Fé") then café * 10 else café',
+                      "modality feature(Fé);\nbind café = { 1 @ Fé, 2 @ !Fé };", "--mode", mode, *flags)
+    answer = "2 @ !Fé\n10 @ Fé\n"
+    answer = {"plain": "10\n", "check": answer + "check: deep == oracle\n"}.get(mode, answer)
+    assert (code, *capsys.readouterr()) == (0, answer, "")
+
+
+# --- nesting depth: one Python frame a level in every walker --------------------
+
+DEPTH_BINDINGS = "modality feature(FA);\nbind x = { -7 @ FA, 3 @ !FA };\n"
+DEPTH_MODES = {
+    "plain": ("--mode", "plain", "--config", "FA=1"),
+    "shallow": ("--mode", "shallow"),
+    "oracle": ("--mode", "oracle"),
+    "deep": ("--mode", "deep"),
+    "check": ("--mode", "check"),
+}
+DEEP_CHECKED = ("--mode", "deep", "--check-invariants")
+
+
+# each shape's innermost term, then the forms that its levels wrap around it in turn
+NESTINGS = {
+    "let": ("x", ("let a = {} in a", "let a = x in {}")),
+    "if": ("x", ('if feature("FA") then {} else x', "if true then {} else 0")),
+    "minus": ("x", ("- {}",)),
+    "not": ("(x < 0)", ("!{}",)),
+    "and": ("x < 0", ("{} && true",)),
+    # a guard that varies at every level, and the right operand of &&
+    "logic": ("(x < 0)", ("if {} then true else false", "true && {}")),
+    "plus": ("x", ("{} + 1",)),
+    "calls": ("x", ("f({})",)),
+}
+
+
+def nested(shape, n):
+    """A program and bindings nested ``n`` levels deep (``n`` even), and
+    the answer's text where FA holds and where it does not."""
+    if shape == "label":
+        return "x", DEPTH_BINDINGS.replace("@ FA", "@ " + "(" * n + "FA" + ")" * n), "-7", "3"
+    if shape == "chain":  # n / 2 functions, each a call and an addition deep
+        funs = "".join(f"fun f{i}(a) = f{i - 1}(a) + 1;\n" for i in range(1, n // 2))
+        program = f"fun f0(a) = a + 1;\n{funs}f{n // 2 - 1}(x)"
+        return program, DEPTH_BINDINGS, str(-7 + n // 2), str(3 + n // 2)
+    program, forms = NESTINGS[shape]
+    for i in range(n):
+        program = forms[i % len(forms)].format(program)
+    if shape in ("not", "and", "logic"):
+        return program, DEPTH_BINDINGS, "true", "false"
+    offset = n if shape in ("plus", "calls") else 0
+    return "fun f(a) = a + 1;\n" + program, DEPTH_BINDINGS, str(-7 + offset), str(3 + offset)
+
+
+DEPTH_SHAPES = (*NESTINGS, "label", "chain")
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+def test_every_mode_answers_the_same_nesting(tmp_path, capsys, shape):
+    # at 850 levels, under the default recursion limit of 1000, every mode
+    # answers, deep too, and the program renders; checked deep, at two
+    # frames a level, answers 400
+    for n, modes in ((850, DEPTH_MODES), (400, {"deep-checked": DEEP_CHECKED})):
+        program, bindings, at_fa, off_fa = nested(shape, n)
+        render_program(parse(program))
+        answer = {f"{at_fa} @ FA", f"{off_fa} @ !FA"}
+        for mode, flags in modes.items():
+            want = {"plain": {at_fa}, "check": answer | {"check: deep == oracle"}}.get(mode, answer)
+            code = _run_files(tmp_path, program, bindings, *flags)
+            out, err = capsys.readouterr()
+            assert (code, set(out.splitlines()), err) == (0, want, ""), (n, mode)
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+def test_every_mode_exits_3_past_the_recursion_limit(tmp_path, capsys, shape):
+    program, bindings, *_ = nested(shape, 3000)
+    # a chain of operators parses as a loop, and a chain of functions one
+    # function at a time, so only their evaluation runs out of frames
+    stage = "evaluate" if shape in ("plus", "and", "chain") else "parse"
+    message = f"{'bindings' if shape == 'label' else 'program'} nested too deeply to {stage}"
+    for flags in (*DEPTH_MODES.values(), DEEP_CHECKED):
+        code = _run_files(tmp_path, program, bindings, *flags)
+        assert (code, *capsys.readouterr()) == (3, "", f"error: {message}\n"), flags
 
 
 def test_bindings_are_validated_without_flags(tmp_path):

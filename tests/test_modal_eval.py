@@ -427,8 +427,8 @@ def test_checked_run_tests_the_label_not_the_node_type(monkeypatch):
     program, alg, binds, env = setup(
         'if feature("FA") then 1 else 2', "modality feature(FA);", check_invariants=True
     )
-    monkeypatch.setitem(modal_eval._DeepEval._node, lang.IntLit,
-                        lambda self, expr, scope, ctx: (((expr.value, self.alg.top),), ()))
+    monkeypatch.setitem(modal_eval._CheckedDeepEval._node, lang.IntLit, modal_eval._checked(
+        lambda self, expr, scope, ctx: (((expr.value, self.alg.top),), ())))
     with pytest.raises(InvariantViolation,
                        match=r"^intermediate value: configuration \{FA=1\} is outside the context$"):
         eval_modal(program, env)
@@ -570,15 +570,16 @@ def test_shared_error_splits_per_endpoint():
 def test_every_deep_node_returns_normalized_pairs(monkeypatch, kind):
     # a node that passes its parts through unmerged must already hold what
     # a merge of them would give
-    evaluate = modal_eval._DeepEval.eval
+    def normalized(method):
+        def checked(self, *args):
+            values, errors = method(self, *args)
+            assert tuple(values) == modal.merge_value_pairs(self.alg, values)
+            assert tuple(errors) == modal.merge_value_pairs(self.alg, errors)
+            return values, errors
+        return checked
 
-    def checked(self, *args):
-        values, errors = evaluate(self, *args)
-        assert tuple(values) == modal.merge_value_pairs(self.alg, values)
-        assert tuple(errors) == modal.merge_value_pairs(self.alg, errors)
-        return values, errors
-
-    monkeypatch.setattr(modal_eval._DeepEval, "eval", checked)
+    for cls, method in list(modal_eval._DeepEval._node.items()):
+        monkeypatch.setitem(modal_eval._DeepEval._node, cls, normalized(method))
     for seed in range(40):
         rng = random.Random(seed)
         alg, binds = random_bindings(rng, kind)
@@ -696,11 +697,28 @@ def test_every_entry_point_rejects_the_same_bad_inputs(entry, kind, message):
 
 @pytest.mark.parametrize("check", [False, True])
 def test_deep_nesting_capacity(check):
-    # two frames per nesting level, checked or not: 400 levels fit in the
-    # default recursion limit of 1000
+    # one frame per nesting level, two checked: 400 levels fit in the
+    # default recursion limit of 1000 either way
     program, alg, binds, env = setup(" + ".join(["x"] * 400), SHARING_BINDS, check_invariants=check)
     result = eval_modal(program, env)
     assert {v for v, _ in result.values} == {-7 * 400, 3 * 400}
+
+
+def test_arms_under_a_split_guard_cost_one_frame_a_level():
+    # 850 nested conditionals over x's 256 values, one a configuration:
+    # the outer 255 each split one configuration off and evaluate the rest
+    # in their else arm, and the inner ones, which test those values again,
+    # find one pair; configuration 255 reaches x, and every world answers x
+    features = [f"F{i}" for i in range(8)]
+    minterms = [" & ".join(f if w >> i & 1 else "!" + f for i, f in enumerate(features)) for w in range(256)]
+    program, alg, binds, env = setup(
+        "".join(f"if x == {i % 255} then {i % 255} else " for i in range(850)) + "x",
+        f"modality feature({', '.join(features)});\n"
+        f"bind x = {{ {', '.join(f'{w} @ {m}' for w, m in enumerate(minterms))} }};",
+    )
+    result = eval_modal(program, env)
+    assert (result.values, result.errors) == (binds["x"].pairs, ())
+    assert assert_equiv(alg, result, brute_force_eval(program, binds, alg)) == (True, None)
 
 
 @pytest.mark.parametrize("kind", ["feature", "interval", "probability"])
