@@ -23,6 +23,7 @@ per token, and a line and column only for an error.
 from __future__ import annotations
 
 import re
+import unicodedata
 
 from .errors import BindingsError, BudgetExceeded, EmptyModalValue, ProbabilityOverflow
 from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
@@ -200,13 +201,14 @@ class _Reader(Scanner):
 def parse_bindings(text: str):
     """Parse bindings text into (algebra, {name: ModalValue}).
 
+    Names are compared, and error columns counted, in the text's NFC form.
     A label nested deeper than the parser's recursion allows raises
     ``BudgetExceeded``; a binding that normalizes to no pair, or whose
     weights join past 1, raises ``EmptyModalValue`` or
     ``ProbabilityOverflow`` naming the binding.
     """
     try:
-        return _Reader(text).file()
+        return _Reader(unicodedata.normalize("NFC", text)).file()
     except RecursionError:
         raise BudgetExceeded("bindings nested too deeply to parse") from None
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
 
 from . import lang
 from .bindings import load_bindings
@@ -34,17 +33,6 @@ from .lifting import LiftStats
 from .modal import bound_inputs, project, render_result, validate, value_text
 from .modal_eval import ModalEnv, eval_modal, eval_shallow_blackbox
 from .oracle import assert_equiv, brute_force_eval
-
-
-@dataclass
-class RunConfig:
-    program: str
-    bindings: str
-    mode: str = "deep"
-    config: str | None = None
-    stats: bool = False
-    check_invariants: bool = False
-    interval_empty: str = "reject"
 
 
 def display_label(alg):
@@ -75,8 +63,9 @@ def _run_plain(program, alg, bindings, cfg, stats):
         return [f"error:{ex.kind}"]
 
 
-def run(cfg: RunConfig):
-    """Execute one run; returns (exit_code, stdout lines, stderr lines)."""
+def run(cfg: argparse.Namespace):
+    """Execute one run of ``modal run``'s options, as ``build_parser`` parses
+    them; returns (exit_code, stdout lines, stderr lines)."""
     out: list = []
     err: list = []
     program = lang.parse(lang.read_source(cfg.program))
@@ -169,9 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
-        cfg = RunConfig(**{f.name: getattr(ns, f.name) for f in fields(RunConfig)})
-        code, out, err = run(cfg)
+        code, out, err = run(build_parser().parse_args(argv))
     except (ModalError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return getattr(ex, "exit_code", 1)

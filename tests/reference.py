@@ -12,6 +12,8 @@ kept to check that the shipped one skips only nodes that cannot fail.
 ``prime_and_greedy_text`` is the earlier display of a feature label, which
 runs the prime search and the greedy pass's sort and heap on every label,
 kept to check the shortcuts of ``FeatureAlgebra.canonical_text`` against.
+``raise_call_cycle`` is the earlier hand-written search for call cycles,
+kept to check the cycle that ``lang`` reports through ``graphlib``.
 """
 
 import functools
@@ -21,7 +23,7 @@ import re
 
 import pytest
 
-from multiworld.errors import BindingsError, InvariantViolation, ParseError
+from multiworld.errors import BindingsError, CyclicCallError, InvariantViolation, ParseError
 from multiworld.labels import FAnd, FFalse, FNot, FOr, FTrue, FVar, _fold_text
 from multiworld.modal_eval import _DeepEval, _Nodes
 
@@ -102,6 +104,30 @@ def bindings_tokens(text: str) -> tuple:
         texts.append(word)
         starts.append(m.start(group))
     return kinds, texts, starts
+
+
+def raise_call_cycle(fundefs, edges):
+    """Raise ``CyclicCallError`` for the first call cycle that a depth-first
+    search meets, over the functions ``fundefs`` in definition order and
+    ``edges``, each one's sorted callees."""
+    # cycle detection over the call graph (recursion is out of scope): a
+    # depth-first search whose trail is the chain of active calls
+    done: set = set()
+    for root in fundefs:
+        if root in done:
+            continue
+        trail, pending = [root], [iter(edges[root])]
+        while pending:
+            callee = next(pending[-1], None)
+            if callee is None:
+                done.add(trail.pop())
+                pending.pop()
+            elif callee in trail:
+                cycle = trail[trail.index(callee):] + [callee]
+                raise CyclicCallError(f"call cycle: {' -> '.join(cycle)}")
+            elif callee not in done:
+                trail.append(callee)
+                pending.append(iter(edges[callee]))
 
 
 def pairwise_problems(alg, labels, within=None) -> list:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from multiworld.bindings import load_bindings
-from multiworld.cli import RunConfig, run as cli_run
+from multiworld.cli import build_parser, run as cli_run
 from multiworld.labels import ProbabilityAlgebra
 from multiworld.lang import PRIMITIVES, parse
 from multiworld.lifting import LiftStats, shallow_apply
@@ -114,12 +114,13 @@ def test_c02_sharing_counters():
     reports = {}
     for mode in ("deep", "shallow"):
         code, out, err = cli_run(
-            RunConfig(
-                program=str(PROGRAMS / "sharing.mdl"),
-                bindings=str(PROGRAMS / "sharing.mb"),
-                mode=mode,
-                stats=True,
-            )
+            build_parser().parse_args([
+                "run",
+                "--program", str(PROGRAMS / "sharing.mdl"),
+                "--bindings", str(PROGRAMS / "sharing.mb"),
+                "--mode", mode,
+                "--stats",
+            ])
         )
         assert code == 0, err
         reports[mode] = out

@@ -1,7 +1,9 @@
+import codecs
 import io
 import random
 import subprocess
 import sys
+import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -224,16 +226,41 @@ def test_every_error_class_ends_a_run_with_its_exit_code(monkeypatch, capsys):
         assert capsys.readouterr() == ("", "error: boom\n"), name
 
 
-@pytest.mark.parametrize("undecodable", ["program", "bindings"])
-def test_undecodable_input_files_exit_1(tmp_path, capsys, undecodable):
+def _undecodable_run(tmp_path, capsys, undecodable, content):
     files = {"program": tmp_path / "p.mdl", "bindings": tmp_path / "b.mb"}
     files["program"].write_text("x")
     files["bindings"].write_text("modality interval;\nbind x = [1 .. 2];")
-    files[undecodable].write_bytes(b"x \xff")
-    assert main(["run", "-p", str(files["program"]), "-b", str(files["bindings"])]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {files[undecodable]}: not valid UTF-8 (byte 0xff at offset 2)\n"
+    files[undecodable].write_bytes(content)
+    code = main(["run", "-p", str(files["program"]), "-b", str(files["bindings"])])
+    return code, *capsys.readouterr(), files[undecodable]
+
+
+@pytest.mark.parametrize("undecodable", ["program", "bindings"])
+def test_undecodable_input_files_exit_1(tmp_path, capsys, undecodable):
+    code, out, err, path = _undecodable_run(tmp_path, capsys, undecodable, b"x \xff")
+    assert (code, out, err) == (1, "", f"error: {path}: not valid UTF-8 (byte 0xff at offset 2)\n")
+
+
+@pytest.mark.parametrize("undecodable", ["program", "bindings"])
+def test_a_byte_order_mark_counts_in_a_bad_byte_offset(tmp_path, capsys, undecodable):
+    # the offset is the bad byte's in the file, as a hex dump shows it
+    content = codecs.BOM_UTF8 + b"x \xff"
+    code, out, err, path = _undecodable_run(tmp_path, capsys, undecodable, content)
+    assert (code, out, err) == (1, "", f"error: {path}: not valid UTF-8 (byte 0xff at offset 5)\n")
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_files_may_start_with_a_byte_order_mark(tmp_path, capsys, name):
+    for suffix in (".mdl", ".mb"):
+        source = PROGRAMS / f"{name}{suffix}"
+        (tmp_path / source.name).write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+    for mode in ("plain", "shallow", "deep", "oracle", "check"):
+        answers = []
+        for folder in (PROGRAMS, tmp_path):
+            code = main(["run", "-p", str(folder / f"{name}.mdl"), "-b", str(folder / f"{name}.mb"),
+                         "--mode", mode, "--stats"])
+            answers.append((code, *capsys.readouterr()))
+        assert answers[1] == answers[0], mode
 
 
 def _run_files(tmp_path, program, bindings, *flags):
@@ -318,8 +345,9 @@ def test_check_mode_reports_where_deep_and_oracle_disagree(tmp_path, capsys, mon
 def test_oracle_makes_no_emptiness_check(name):
     # sat_calls counts the run's emptiness checks, not the bindings load's,
     # and the oracle runs every world plainly
-    config = cli.RunConfig(str(PROGRAMS / f"{name}.mdl"), str(PROGRAMS / f"{name}.mb"),
-                           mode="oracle", stats=True)
+    config = cli.build_parser().parse_args(
+        ["run", "-p", str(PROGRAMS / f"{name}.mdl"), "-b", str(PROGRAMS / f"{name}.mb"),
+         "--mode", "oracle", "--stats"])
     code, out, err = cli.run(config)
     assert (code, out[-1], err) == (0, "sat_calls=0", [])
 
@@ -448,16 +476,36 @@ def test_label_literals_cannot_be_declared_as_features(tmp_path, capsys, program
         "", "error: expected a feature name, not a label literal (found 'true') (line 1, col 18)\n")
 
 
+SCRIPT_PROGRAM = 'if feature("Fé") then café * 10 else café'
+SCRIPT_BINDINGS = "modality feature(Fé);\nbind café = { 1 @ Fé, 2 @ !Fé };"
+
+
+def _script_answer(mode):
+    answer = "2 @ !Fé\n10 @ Fé\n"
+    return 0, {"plain": "10\n", "check": answer + "check: deep == oracle\n"}.get(mode, answer), ""
+
+
 @pytest.mark.parametrize("mode", ("plain", "shallow", "deep", "oracle", "check"))
 def test_names_in_any_script_in_every_mode(tmp_path, capsys, mode):
     # the bindings reader names what a program reads and tests by the
     # program's own identifier rule
     flags = ["--config", "Fé=1"] if mode == "plain" else []
-    code = _run_files(tmp_path, 'if feature("Fé") then café * 10 else café',
-                      "modality feature(Fé);\nbind café = { 1 @ Fé, 2 @ !Fé };", "--mode", mode, *flags)
-    answer = "2 @ !Fé\n10 @ Fé\n"
-    answer = {"plain": "10\n", "check": answer + "check: deep == oracle\n"}.get(mode, answer)
-    assert (code, *capsys.readouterr()) == (0, answer, "")
+    code = _run_files(tmp_path, SCRIPT_PROGRAM, SCRIPT_BINDINGS, "--mode", mode, *flags)
+    assert (code, *capsys.readouterr()) == _script_answer(mode)
+
+
+@pytest.mark.parametrize("bindings_form", ("NFC", "NFD"))
+@pytest.mark.parametrize("program_form", ("NFC", "NFD"))
+@pytest.mark.parametrize("mode", ("plain", "shallow", "deep", "oracle", "check"))
+def test_names_typed_decomposed_are_their_composed_names(
+    tmp_path, capsys, mode, program_form, bindings_form
+):
+    # either front end reads a name typed with combining marks (NFD, as
+    # cafe + U+0301) as its composed form (NFC)
+    flags = ["--config", "Fé=1"] if mode == "plain" else []
+    code = _run_files(tmp_path, unicodedata.normalize(program_form, SCRIPT_PROGRAM),
+                      unicodedata.normalize(bindings_form, SCRIPT_BINDINGS), "--mode", mode, *flags)
+    assert (code, *capsys.readouterr()) == _script_answer(mode)
 
 
 # --- nesting depth: one Python frame a level in every walker --------------------

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import importlib
 import random
@@ -34,7 +35,7 @@ from multiworld.lang import (
 )
 from multiworld.lifting import LiftStats
 from multiworld.oracle import random_bindings, random_program
-from reference import assert_scans_like, line_col, program_tokens
+from reference import assert_scans_like, line_col, program_tokens, raise_call_cycle
 
 DIV_PROGRAM = """
 fun foo(x, y) =
@@ -140,6 +141,39 @@ def test_scope_and_cycle_errors():
         parse("fun f(x) = g(x); fun g(x) = f(x); f(1)")
 
 
+def _cycle_text(load, *args):
+    try:
+        load(*args)
+    except CyclicCallError as ex:
+        return str(ex)
+    return None
+
+
+def test_call_cycles_are_reported_as_the_earlier_search_found_them():
+    # graphlib leaves open which of several cycles it reports; adding every
+    # function before any edge makes it the one the earlier search met first
+    rng = random.Random(33)
+    shapes = collections.Counter()
+    for _ in range(20_000):
+        names = rng.sample("abcdefg", rng.randint(1, 7))  # in definition order
+        calls = {name: rng.choices(names, k=rng.randint(0, 3)) for name in names}
+        text = "".join(
+            f"fun {name}(a) = {' + '.join(f'{callee}(a)' for callee in callees) or 'a'};\n"
+            for name, callees in calls.items()
+        ) + rng.choice(["0", f"{rng.choice(names)}(1)"])
+        edges = {name: sorted(set(callees)) for name, callees in calls.items()}
+        want = _cycle_text(raise_call_cycle, names, edges)
+        assert _cycle_text(parse, text) == want, text
+        if want is None:
+            shapes["acyclic"] += 1
+            continue
+        cycle = want.removeprefix("call cycle: ").split(" -> ")
+        shapes["self-call" if len(cycle) == 2 else "longer"] += 1
+        edges[cycle[-2]].remove(cycle[-1])  # with several cycles, one is left
+        shapes["several"] += _cycle_text(raise_call_cycle, names, edges) is not None
+    assert min(shapes[shape] for shape in ("acyclic", "self-call", "longer", "several")) > 1000, shapes
+
+
 def test_analysis_records_functions_features_and_inputs():
     program = parse(
         'fun f(a) = if feature("FB") then a else 0;\n'
@@ -237,6 +271,23 @@ def test_render_round_trip_shapes():
     text = 'fun f(a) = (if feature("FA") then a else -a);\nlet x = f(2) in x <= 3 && !false'
     program = parse(text)
     assert parse(render_program(program)) == program
+
+
+def test_render_round_trips_to_half_the_parser_depth():
+    # texts are compared: Program.__eq__ recurses, and overflows past about 330 lets
+    def nested_let(n):
+        return "let a = " * n + "x" + " in a" * n
+
+    text = render_program(parse(nested_let(400)))
+    assert render_program(parse(text)) == text
+    text = render_program(parse(nested_let(600)))  # every let parenthesized
+    with pytest.raises(BudgetExceeded, match="^program nested too deeply to parse$"):
+        parse(text)
+    text = render_program(parse("x" + " + 1" * 850))
+    assert render_program(parse(text)) == text
+    chain = parse("x" + " + 1" * 5000)  # a loop in the parser, a frame a term in the renderer
+    with pytest.raises(BudgetExceeded, match="^program nested too deeply to render$"):
+        render_program(chain)
 
 
 # --- plain evaluation -----------------------------------------------------------

@@ -660,7 +660,8 @@ def test_inputs_must_partition_every_world():
 
 
 def _plain(program, alg, binds):
-    cfg = cli.RunConfig("p.mdl", "b.mb", mode="plain", config="FA=1" if alg.features else None)
+    config = ["--config", "FA=1"] if alg.features else []
+    cfg = cli.build_parser().parse_args(["run", "-p", "p.mdl", "-b", "b.mb", "--mode", "plain", *config])
     return cli._run_plain(program, alg, binds, cfg, LiftStats())
 
 
