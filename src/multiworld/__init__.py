@@ -23,13 +23,7 @@ from .modal import (
     validate,
 )
 from .modal_eval import ModalEnv, eval_modal, eval_shallow_blackbox
-from .oracle import (
-    assert_equiv,
-    brute_force_eval,
-    enumerate_worlds,
-    random_bindings,
-    random_program,
-)
+from .oracle import assert_equiv, brute_force_eval, enumerate_worlds
 
 __version__ = "0.1.0"
 
@@ -58,8 +52,6 @@ __all__ = [
     "parse",
     "parse_bindings",
     "project",
-    "random_bindings",
-    "random_program",
     "render_program",
     "render_result",
     "restrict",

@@ -39,6 +39,7 @@ import itertools
 import math
 import operator
 import re
+import unicodedata
 from dataclasses import dataclass
 
 from .errors import (
@@ -360,9 +361,10 @@ class FeatureAlgebra(WorldSetAlgebra):
         return "{" + ", ".join(f"{n}={int(config[n])}" for n in self.features) + "}"
 
     def parse_world(self, text):
-        """A configuration from ``FA=1,FB=0`` text naming every feature once."""
+        """A configuration from ``FA=1,FB=0`` text naming every feature once,
+        read in NFC as programs and bindings are."""
         config = {}
-        for part in text.split(",") if text else ():
+        for part in unicodedata.normalize("NFC", text).split(",") if text else ():
             name, _, raw = part.partition("=")
             name, raw = name.strip(), raw.strip().lower()
             if raw not in ("0", "1", "true", "false"):

@@ -35,7 +35,8 @@ Error positions are 1-based line and column, found by matching the text
 again when an error is raised.  The parser, the renderer and the evaluator
 spend one Python frame a nesting level; nesting past the recursion limit
 raises ``BudgetExceeded``.  Syntax nodes are slotted dataclasses, compared
-by class and fields; they are neither frozen nor hashable.
+by class and fields with an explicit stack, so at any depth; they are
+neither frozen nor hashable.
 """
 
 from __future__ import annotations
@@ -74,55 +75,73 @@ KEYWORDS = {"fun", "let", "in", "if", "then", "else", "true", "false", "feature"
 class Expr:
     __slots__ = ()
 
+    def __eq__(self, other):
+        """Equal class and fields, compared with an explicit stack, so two
+        deeply nested trees compare in one Python frame."""
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if isinstance(a, Expr):
+                if a.__class__ is not b.__class__:
+                    return False
+                stack.extend((getattr(a, f), getattr(b, f)) for f in a.__slots__)
+            elif isinstance(a, tuple):
+                if not isinstance(b, tuple) or len(a) != len(b):
+                    return False
+                stack.extend(zip(a, b))
+            elif a != b:
+                return False
+        return True
 
-@dataclass(slots=True)
+
+@dataclass(slots=True, eq=False)
 class IntLit(Expr):
     value: int
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Let(Expr):
     name: str
     bound: Expr
     body: Expr
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class If(Expr):
     guard: Expr
     then: Expr
     orelse: Expr
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class BinOp(Expr):
     op: str
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Not(Expr):
     arg: Expr
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Call(Expr):
     fn: str
     args: tuple
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Feature(Expr):
     name: str
 

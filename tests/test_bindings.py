@@ -123,9 +123,13 @@ def test_feature_limit_flows_through():
          "expected a feature name, not a label literal (found 'true') (line 1, col 18)"),
         ("modality feature(FA, false);",
          "expected a feature name, not a label literal (found 'false') (line 1, col 22)"),
+        ("modality probability;\nbind x = { 1 @ FA };",
+         "expected a weight in [0, 1] (found 'FA') (line 2, col 16)"),
+        ("modality feature(FA);\nbind x = { 1 @ FA & ) };",
+         "expected a feature expression (found ')') (line 2, col 21)"),
     ],
     ids=["multi-line", "after-comment", "stray-character", "huge-integer", "range-syntax", "pair-syntax",
-         "true-feature", "false-feature"],
+         "true-feature", "false-feature", "no-weight", "no-label"],
 )
 def test_error_messages_and_lines(text, message):
     with pytest.raises(BindingsError) as exc:

@@ -1,7 +1,7 @@
 """Deep evaluation pinned record by record.
 
 ``golden/deep_eval.jsonl`` holds one record per deep run of a seeded random
-program (``oracle.random_bindings`` + ``oracle.random_program``): 100 seeds
+program (``generators.random_bindings`` + ``random_program``): 100 seeds
 per modality, even seeds linear, odd seeds not.  A non-linear
 probability program reads a variable more than once, and reads one draw
 of it in each world, as the oracle does.  Every program runs with ``check_invariants`` off and on, interval
@@ -31,7 +31,7 @@ import pytest
 from multiworld import lang
 from multiworld.lifting import LiftStats
 from multiworld.modal_eval import ModalEnv, eval_modal
-from multiworld.oracle import random_bindings, random_program
+from generators import random_bindings, random_program
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "deep_eval.jsonl"
 SEEDS = range(100)

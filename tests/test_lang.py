@@ -34,7 +34,7 @@ from multiworld.lang import (
     render_program,
 )
 from multiworld.lifting import LiftStats
-from multiworld.oracle import random_bindings, random_program
+from generators import random_bindings, random_program
 from reference import assert_scans_like, line_col, program_tokens, raise_call_cycle
 
 DIV_PROGRAM = """
@@ -257,6 +257,17 @@ def test_nodes_are_slotted_dataclasses_compared_by_class_and_fields():
     assert IntLit(0) != BoolLit(False)
     assert Var("x") != Feature("x")
     assert BinOp("+", Var("x"), IntLit(1)) == BinOp("+", Var("x"), IntLit(1))
+    assert Call("f", (IntLit(1),)) != Call("f", (IntLit(1), IntLit(2)))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(IntLit(0))
+
+
+def test_trees_compare_at_the_depth_the_parser_reads():
+    # equality walks both trees with an explicit stack, so 900 nested lets
+    # (the parser reads about 990) compare, and one changed leaf tells
+    text = "let a = " * 900 + "x" + " in a" * 900
+    assert parse(text) == parse(text)
+    assert parse(text) != parse(text.replace("x", "y"))
 
 
 def test_count_nodes_walks_the_slotted_fields(monkeypatch):

@@ -19,14 +19,9 @@ from multiworld.lang import parse
 from multiworld.lifting import LiftStats
 from multiworld.modal import ModalValue, validate
 from multiworld.modal_eval import ModalEnv, eval_modal, eval_shallow_blackbox
-from multiworld.oracle import (
-    assert_equiv,
-    brute_force_eval,
-    outcome_at,
-    random_bindings,
-    random_program,
-)
+from multiworld.oracle import assert_equiv, brute_force_eval, outcome_at
 from multiworld.bindings import parse_bindings
+from generators import random_bindings, random_program
 from reference import EveryNodeCheckedEval
 
 SHARING = """
@@ -250,6 +245,8 @@ HAND_BUILT = (
     (lang.Program((lang.FunDef("f", ("a",), _call("g", lang.Var("a"))),
                    lang.FunDef("g", ("a",), _call("f", lang.Var("a")))), _call("f", lang.Var("x"))),
      CyclicCallError, "call cycle: f -> g -> f"),
+    (lang.Program((lang.FunDef("f", ("a",), lang.Var("a")),) * 2, _call("f", lang.Var("x"))),
+     ScopeError, "duplicate function 'f'"),
 )
 
 
@@ -694,6 +691,17 @@ def test_every_entry_point_rejects_the_same_bad_inputs(entry, kind, message):
     with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
         ENTRY_POINTS[entry](parse("x + 1"), alg, {"x": x})
     assert validate(alg, x).problems == (message.partition(": ")[2],)
+
+
+@pytest.mark.parametrize("text", ["x && true", "x || false"])
+def test_short_circuit_on_a_non_boolean_left_operand(text):
+    # where the left operand is a bool it decides or defers to the right;
+    # where it is an int the operator fails, in every lifted mode alike
+    program = parse(text)
+    alg, binds = parse_bindings("modality feature(FA);\nbind x = { 1 @ FA, true @ !FA };")
+    for entry in ("deep", "deep-checked", "shallow", "oracle"):
+        result = ENTRY_POINTS[entry](program, alg, binds)
+        assert modal.render_result(alg, result) == ["true @ !FA", "error:TypeMismatch @ FA"], entry
 
 
 @pytest.mark.parametrize("check", [False, True])

@@ -13,14 +13,9 @@ from multiworld.labels import (
 from multiworld.lang import eval_plain, parse, render_program
 from multiworld.modal import ModalResult, ModalValue, merge_value_pairs, validate
 from multiworld.modal_eval import ModalEnv, eval_modal
-from multiworld.oracle import (
-    assert_equiv,
-    brute_force_eval,
-    enumerate_worlds,
-    random_bindings,
-    random_program,
-)
+from multiworld.oracle import assert_equiv, brute_force_eval, enumerate_worlds
 from multiworld.bindings import parse_bindings
+from generators import random_bindings, random_program
 
 DIV = """
 fun foo(x, y) =
@@ -161,6 +156,52 @@ def test_assert_equiv_probability_tolerance():
     c = ModalResult(((1, 0.6), (2, 0.4)), (), "probability")
     ok, diff = assert_equiv(alg, a, c)
     assert not ok and "weight" in diff
+
+
+def test_assert_equiv_reports_the_first_diverging_weight():
+    # values by value_key (ints, then bools), then errors by kind: the
+    # first outcome whose total weights differ by more than the tolerance
+    alg = ProbabilityAlgebra()
+    a = ModalResult(((1, 0.5), (True, 0.25)), (("DivByZero", 0.25),), "probability")
+    by_value = ModalResult(((1, 0.25), (True, 0.25)), (("DivByZero", 0.25), ("Overflow", 0.25)), "probability")
+    by_error = ModalResult(((1, 0.5), (True, 0.25)), (("DivByZero", 0.15), ("Overflow", 0.1)), "probability")
+    assert assert_equiv(alg, a, by_value) == (False, "value 1: weight 0.5 vs 0.25")
+    assert assert_equiv(alg, a, by_error) == (False, "error DivByZero: weight 0.25 vs 0.15")
+    # pairs that split an outcome's weight differently still agree
+    split = ModalResult(((True, 0.25), (1, 0.25), (1, 0.25)), (("DivByZero", 0.25),), "probability")
+    assert assert_equiv(alg, a, split) == (True, None)
+
+
+def test_assert_equiv_tells_one_from_true():
+    # 1 == True in Python; the language tells them apart in every modality
+    feature = FeatureAlgebra(("FA", "FB"))
+    one = ModalResult(((1, feature.top),), (), "feature")
+    true = ModalResult(((True, feature.top),), (), "feature")
+    assert assert_equiv(feature, one, true) == (
+        False, "diverges at {FA=0, FB=0}: ('value', 1) vs ('value', True)"
+    )
+    alg = ProbabilityAlgebra()
+    one = ModalResult(((1, 1.0),), (), "probability")
+    true = ModalResult(((True, 1.0),), (), "probability")
+    assert assert_equiv(alg, one, true) == (False, "value 1: weight 1.0 vs 0.0")
+
+
+def test_identical_results_agree_without_a_world_walk(monkeypatch):
+    # a result that diverges reports its first world; results with the
+    # same pairs agree at every world, so no world is walked
+    alg, binds = parse_bindings("modality feature(FA, FB);\nbind x = { 1 @ FA, 2 @ !FA };")
+    program = parse('if feature("FB") then x else x + 1')
+    deep = eval_modal(program, ModalEnv(alg, binds))
+    oracle = brute_force_eval(program, binds, alg)
+    last, label = oracle.values[-1]  # 3 @ !FA & !FB, the first world
+    wrong = ModalResult(oracle.values[:-1] + ((last + 1, label),), (), "feature")
+    assert assert_equiv(alg, deep, wrong) == (
+        False, "diverges at {FA=0, FB=0}: ('value', 3) vs ('value', 4)"
+    )
+    walked = []
+    monkeypatch.setattr(alg, "covers", lambda *args: walked.append(args))
+    assert assert_equiv(alg, deep, oracle) == (True, None)
+    assert walked == []
 
 
 def test_assert_equiv_spot_check_equivalence_relation():
