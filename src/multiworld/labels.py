@@ -100,20 +100,22 @@ FALSE = FFalse()
 
 
 def feature_text(expr: FeatureExpr) -> str:
-    """Deterministic, fully parenthesized rendering: ``!``, ``&``, ``|``."""
-    if isinstance(expr, FTrue):
-        return "true"
-    if isinstance(expr, FFalse):
-        return "false"
-    if isinstance(expr, FVar):
-        return expr.name
-    if isinstance(expr, FNot):
-        return "!" + feature_text(expr.arg)
-    if isinstance(expr, FAnd):
-        return f"({feature_text(expr.lhs)} & {feature_text(expr.rhs)})"
-    if isinstance(expr, FOr):
-        return f"({feature_text(expr.lhs)} | {feature_text(expr.rhs)})"
-    raise TypeError(f"not a feature expression: {expr!r}")
+    """Deterministic, fully parenthesized rendering: ``!``, ``&``, ``|``, from
+    an explicit stack of formulas, each with how many of its texts are out."""
+    out, stack = [], [(expr, 0)]
+    while stack:
+        e, done = stack.pop()
+        if isinstance(e, (FAnd, FOr)):  # "(", lhs, the operator, rhs, ")"
+            out.append(("(", " & " if isinstance(e, FAnd) else " | ", ")")[done])
+            stack += ((e, done + 1), (e.rhs if done else e.lhs, 0)) if done < 2 else ()
+        elif isinstance(e, FNot):
+            out.append("!")
+            stack.append((e.arg, 0))
+        elif isinstance(e, (FVar, FTrue, FFalse)):
+            out.append(e.name if isinstance(e, FVar) else "true" if isinstance(e, FTrue) else "false")
+        else:
+            raise TypeError(f"not a feature expression: {e!r}")
+    return "".join(out)
 
 
 def and_all(exprs) -> FeatureExpr:

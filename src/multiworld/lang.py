@@ -1,11 +1,13 @@
 """A small first-order expression language and its single-world evaluator.
 
 The plain evaluator is the ground-truth semantics that every lifted mode
-must agree with world by world.  Values are 64-bit signed integers and
-booleans; division truncates toward zero; overflow and division by zero
-are runtime errors; ``&&`` and ``||`` short-circuit.  ``feature("N")``
-tests one feature of the active configuration.  Each primitive operator
-is defined once, in ``PRIMITIVES``, the table every evaluator applies.
+must agree with world by world; like the deep evaluator, it finds each
+node's method by ``type`` in one table (``_Nodes``).  Values are 64-bit
+signed integers and booleans; division truncates toward zero; overflow and
+division by zero are runtime errors; ``&&`` and ``||`` short-circuit.
+``feature("N")`` tests one feature of the active configuration.  Each
+primitive operator is defined once, in ``PRIMITIVES``, the table every
+evaluator applies.
 
 Program file grammar (``.mdl``, ``//`` comments):
 
@@ -46,6 +48,7 @@ import graphlib
 import itertools
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -569,61 +572,81 @@ PRIMITIVES = {
 }
 
 
+class _Nodes(dict):  # an evaluator's method for each node type, by ``type(node)``
+    def __missing__(self, cls):
+        raise TypeError(f"not an expression: {cls.__name__}")
+
+
+class _PlainEval:
+    """One plain run: the functions, the configuration and the counters."""
+
+    __slots__ = ("fundefs", "config", "applications")
+
+    def __init__(self, fundefs, config, applications):
+        self.fundefs, self.config, self.applications = fundefs, config, applications
+
+    def _const(self, e, scope):
+        return e.value
+
+    def _var(self, e, scope):
+        try:
+            return scope[e.name]
+        except KeyError:
+            raise MissingBinding(f"no value bound for {e.name!r}") from None
+
+    def _let(self, e, scope):
+        value = self._node[type(e.bound)](self, e.bound, scope)
+        return self._node[type(e.body)](self, e.body, {**scope, e.name: value})
+
+    def _if(self, e, scope):
+        arm = e.then if _as_bool(self._node[type(e.guard)](self, e.guard, scope)) else e.orelse
+        return self._node[type(arm)](self, arm, scope)
+
+    def _not(self, e, scope):
+        arg, prim = e.arg, PRIMITIVES["!"]
+        value = self._node[type(arg)](self, arg, scope)
+        self.applications[prim.name] += 1
+        return prim.fn(value)
+
+    def _binop(self, e, scope):
+        lhs, rhs, prim = e.lhs, e.rhs, PRIMITIVES.get(e.op)
+        left = self._node[type(lhs)](self, lhs, scope)
+        if prim is None:  # && or ||: false decides &&, true decides ||
+            left = _as_bool(left)
+            return left if left == (e.op == "||") else _as_bool(self._node[type(rhs)](self, rhs, scope))
+        right = self._node[type(rhs)](self, rhs, scope)
+        self.applications[prim.name] += 1
+        return prim.fn(left, right)
+
+    def _call(self, e, scope):
+        fd, inner = self.fundefs[e.fn], {}
+        for name, arg in zip(fd.params, e.args):  # a comprehension would cost a frame a level
+            inner[name] = self._node[type(arg)](self, arg, scope)
+        self.applications[e.fn] += 1
+        return self._node[type(fd.body)](self, fd.body, inner)
+
+    def _feature(self, e, scope):
+        if self.config is None or e.name not in self.config:
+            raise MissingConfig(f"no configuration value for feature {e.name!r}")
+        return bool(self.config[e.name])
+
+    _node = _Nodes({
+        IntLit: _const, BoolLit: _const, Var: _var, Feature: _feature,
+        Not: _not, BinOp: _binop, If: _if, Let: _let, Call: _call,
+    })
+
+
 def eval_plain(program: Program, env, config=None, stats=None):
     """Strict call-by-value evaluation in a single world.
 
     ``env`` binds the free variables of ``main`` to plain values; ``config``
     is a feature-to-bool map, required only when the program tests features.
     ``stats``, when given, counts function and operator applications.  A
-    program nested deeper than the interpreter's stack is a budget overrun.
+    node's method is found by ``type`` in one table, as deep evaluation
+    finds it; nesting past the interpreter's stack is a budget overrun.
     """
-    fundefs = program.analysis.fundefs
-
-    def ev(e, scope):
-        if isinstance(e, (IntLit, BoolLit)):
-            return e.value
-        if isinstance(e, Var):
-            try:
-                return scope[e.name]
-            except KeyError:
-                raise MissingBinding(f"no value bound for {e.name!r}") from None
-        if isinstance(e, Let):
-            bound = ev(e.bound, scope)
-            return ev(e.body, {**scope, e.name: bound})
-        if isinstance(e, If):
-            guard = _as_bool(ev(e.guard, scope))
-            return ev(e.then if guard else e.orelse, scope)
-        if isinstance(e, Not):
-            arg = ev(e.arg, scope)
-            prim = PRIMITIVES["!"]
-            if stats is not None:
-                stats.applications[prim.name] += 1
-            return prim.fn(arg)
-        if isinstance(e, BinOp):
-            if e.op == "&&" or e.op == "||":
-                lhs = _as_bool(ev(e.lhs, scope))  # false decides &&, true decides ||
-                return lhs if lhs == (e.op == "||") else _as_bool(ev(e.rhs, scope))
-            lhs = ev(e.lhs, scope)
-            rhs = ev(e.rhs, scope)
-            prim = PRIMITIVES[e.op]
-            if stats is not None:
-                stats.applications[prim.name] += 1
-            return prim.fn(lhs, rhs)
-        if isinstance(e, Call):
-            fd = fundefs[e.fn]
-            inner = {}  # in a loop: a comprehension would cost a frame a level
-            for name, arg in zip(fd.params, e.args):
-                inner[name] = ev(arg, scope)
-            if stats is not None:
-                stats.applications[e.fn] += 1
-            return ev(fd.body, inner)
-        if isinstance(e, Feature):
-            if config is None or e.name not in config:
-                raise MissingConfig(f"no configuration value for feature {e.name!r}")
-            return bool(config[e.name])
-        raise TypeError(f"not an expression: {e!r}")
-
+    run = _PlainEval(program.analysis.fundefs, config, Counter() if stats is None else stats.applications)
     try:
-        return ev(program.main, dict(env))
+        return run._node[type(program.main)](run, program.main, dict(env))
     except RecursionError:
         raise BudgetExceeded("program nested too deeply to evaluate") from None

@@ -72,11 +72,6 @@ def _feature_pairs(alg, name) -> tuple:
     return ((False, alg.complement(v)), (True, v))
 
 
-class _Nodes(dict):
-    def __missing__(self, cls):
-        raise TypeError(f"not an expression: {cls.__name__}")
-
-
 class _DeepEval:
     def __init__(self, program: lang.Program, env: ModalEnv, stats: LiftStats):
         self.program = program
@@ -189,7 +184,7 @@ class _DeepEval:
         xv, xe = self._node[type(fd.body)](self, fd.body, inner, ctx)
         return xv, self._union((*errors, xe)) if errors else xe
 
-    _node = _Nodes({
+    _node = lang._Nodes({
         lang.IntLit: _const, lang.BoolLit: _const, lang.Var: _var, lang.Feature: _feature,
         lang.Not: _not, lang.BinOp: _binop, lang.If: _if, lang.Let: _let, lang.Call: _call,
     })
@@ -217,7 +212,7 @@ def _checked(method):
 class _CheckedDeepEval(_DeepEval):
     """The deep evaluator of ``check_invariants``: each node method is checked."""
 
-    _node = _Nodes({cls: _checked(method) for cls, method in _DeepEval._node.items()})
+    _node = lang._Nodes({cls: _checked(method) for cls, method in _DeepEval._node.items()})
 
 
 def eval_modal(program: lang.Program, env: ModalEnv, stats: LiftStats | None = None) -> ModalResult:

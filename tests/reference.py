@@ -14,6 +14,9 @@ runs the prime search and the greedy pass's sort and heap on every label,
 kept to check the shortcuts of ``FeatureAlgebra.canonical_text`` against.
 ``raise_call_cycle`` is the earlier hand-written search for call cycles,
 kept to check the cycle that ``lang`` reports through ``graphlib``.
+``recursive_feature_text`` is the earlier recursive printer of a formula,
+kept to check the texts of ``labels.feature_text``, which prints from an
+explicit stack.
 """
 
 import functools
@@ -25,7 +28,8 @@ import pytest
 
 from multiworld.errors import BindingsError, CyclicCallError, InvariantViolation, ParseError
 from multiworld.labels import FAnd, FFalse, FNot, FOr, FTrue, FVar, _fold_text
-from multiworld.modal_eval import _DeepEval, _Nodes
+from multiworld.lang import _Nodes
+from multiworld.modal_eval import _DeepEval
 
 KEYWORDS = {"fun", "let", "in", "if", "then", "else", "true", "false", "feature"}
 
@@ -182,6 +186,23 @@ def satisfies(expr, config) -> bool:
         return satisfies(expr.lhs, config) and satisfies(expr.rhs, config)
     if isinstance(expr, FOr):
         return satisfies(expr.lhs, config) or satisfies(expr.rhs, config)
+    raise TypeError(f"not a feature expression: {expr!r}")
+
+
+def recursive_feature_text(expr) -> str:
+    """The earlier printer of a formula, one recursive call a node."""
+    if isinstance(expr, FTrue):
+        return "true"
+    if isinstance(expr, FFalse):
+        return "false"
+    if isinstance(expr, FVar):
+        return expr.name
+    if isinstance(expr, FNot):
+        return "!" + recursive_feature_text(expr.arg)
+    if isinstance(expr, FAnd):
+        return f"({recursive_feature_text(expr.lhs)} & {recursive_feature_text(expr.rhs)})"
+    if isinstance(expr, FOr):
+        return f"({recursive_feature_text(expr.lhs)} | {recursive_feature_text(expr.rhs)})"
     raise TypeError(f"not a feature expression: {expr!r}")
 
 

@@ -30,6 +30,7 @@ from reference import (
     pairwise_problems,
     prime_and_greedy_text,
     prime_cubes,
+    recursive_feature_text,
     satisfies,
     world_set,
 )
@@ -304,6 +305,37 @@ def test_canonical_text_shapes():
     assert feature_text(FOr(fa, FNot(fb))) == "(FA | !FB)"
     assert feature_text(and_all([])) == "true"
     assert feature_text(or_all([])) == "false"
+
+
+def _random_formula(rng, size):
+    """A formula of about ``size`` nodes, every shape ``feature_text`` prints."""
+    if size <= 1:
+        return rng.choice([TRUE, FALSE, *map(FVar, NAMES)])
+    shape = rng.choice([FNot, FAnd, FOr])
+    if shape is FNot:
+        return FNot(_random_formula(rng, size - 1))
+    left = rng.randrange(1, size)
+    return shape(_random_formula(rng, left), _random_formula(rng, size - left))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_feature_text_prints_as_the_recursive_printer(seed):
+    rng = random.Random(seed)
+    for _ in range(50):
+        expr = _random_formula(rng, rng.randrange(1, 60))
+        assert feature_text(expr) == recursive_feature_text(expr)
+
+
+def test_feature_text_prints_at_any_depth():
+    # 3000 levels, three times the default recursion limit
+    assert feature_text(functools.reduce(lambda e, _: FNot(e), range(3000), FVar("FA"))) == (
+        "!" * 3000 + "FA"
+    )
+    assert feature_text(and_all([FVar("FA")] * 3000)) == "(" * 2999 + "FA" + " & FA)" * 2999
+    right = functools.reduce(lambda e, _: FOr(FVar("FB"), e), range(2999), FVar("FA"))
+    assert feature_text(right) == "(FB | " * 2999 + "FA" + ")" * 2999
+    with pytest.raises(TypeError, match="not a feature expression: 'FA'"):
+        feature_text(FNot(FAnd(FVar("FB"), "FA")))
 
 
 @given(formulas(), formulas())

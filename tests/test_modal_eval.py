@@ -366,6 +366,34 @@ def test_deep_nesting_is_a_budget_error(entry):
         run()
 
 
+@pytest.mark.parametrize("entry", ["eval_modal", "eval_shallow_blackbox", "eval_plain", "brute_force_eval"])
+@pytest.mark.parametrize("main", [7, "x"], ids=("int", "str"))
+def test_a_main_that_is_no_expression_is_one_type_error(entry, main):
+    # every evaluator finds a node's method in one ``lang._Nodes`` table,
+    # whose missing entry names the class, not the object
+    _, alg, binds, env = setup("x", SHARING_BINDS)
+    program = lang.Program((), main)
+    run = {
+        "eval_modal": lambda: eval_modal(program, env),
+        "eval_shallow_blackbox": lambda: eval_shallow_blackbox(program, env),
+        "eval_plain": lambda: lang.eval_plain(program, {}, {"FA": True, "FB": False}),
+        "brute_force_eval": lambda: brute_force_eval(program, binds, alg),
+    }[entry]
+    with pytest.raises(TypeError) as info:
+        run()
+    assert str(info.value) == f"not an expression: {type(main).__name__}"
+
+
+@pytest.mark.parametrize("table", [
+    lang._PlainEval._node, modal_eval._DeepEval._node, modal_eval._CheckedDeepEval._node,
+], ids=("plain", "deep", "checked"))
+def test_every_evaluator_has_a_method_for_every_node_type(table):
+    nodes = {cls for cls in vars(lang).values()
+             if isinstance(cls, type) and issubclass(cls, lang.Expr) and cls is not lang.Expr}
+    assert len(nodes) == 9
+    assert set(table) == nodes
+
+
 @pytest.mark.parametrize("binds_text, message", [
     (SHARING_BINDS, r"intermediate value: configuration \{FA=1, FB=0\} is outside the context$"),
     ("modality interval;\nbind x = [1 .. 4];",
