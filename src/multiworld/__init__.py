@@ -12,18 +12,10 @@ from .bindings import load_bindings, parse_bindings
 from .errors import EvalError, ModalError
 from .labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
 from .lang import Program, eval_plain, parse, render_program
-from .lifting import LiftStats, PrimitiveFn, restrict, shallow_apply
-from .modal import (
-    ModalResult,
-    ModalValue,
-    make_const,
-    normalize,
-    project,
-    render_result,
-    validate,
-)
+from .lifting import LiftStats, shallow_apply
+from .modal import ModalResult, ModalValue, normalize, render_result, validate
 from .modal_eval import ModalEnv, eval_modal, eval_shallow_blackbox
-from .oracle import assert_equiv, brute_force_eval, enumerate_worlds
+from .oracle import assert_equiv, brute_force_eval
 
 __version__ = "0.1.0"
 
@@ -36,25 +28,20 @@ __all__ = [
     "ModalError",
     "ModalResult",
     "ModalValue",
-    "PrimitiveFn",
     "ProbabilityAlgebra",
     "Program",
     "Tag",
     "assert_equiv",
     "brute_force_eval",
-    "enumerate_worlds",
     "eval_modal",
     "eval_plain",
     "eval_shallow_blackbox",
     "load_bindings",
-    "make_const",
     "normalize",
     "parse",
     "parse_bindings",
-    "project",
     "render_program",
     "render_result",
-    "restrict",
     "shallow_apply",
     "validate",
 ]

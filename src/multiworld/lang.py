@@ -1,10 +1,12 @@
 """A small first-order expression language and its single-world evaluator.
 
 The plain evaluator is the ground-truth semantics that every lifted mode
-must agree with world by world; like the deep evaluator, it finds each
-node's method by ``type`` in one table (``_Nodes``).  Values are 64-bit
-signed integers and booleans; division truncates toward zero; overflow and
-division by zero are runtime errors; ``&&`` and ``||`` short-circuit.
+must agree with world by world; like the deep evaluator and the
+renderer, it finds each node's method by ``type`` in one table
+(``_Nodes``).  Values are 64-bit signed integers and booleans, an
+operand's type checked by identity; division truncates toward zero;
+overflow and division by zero are runtime errors; ``&&`` and ``||``
+short-circuit.
 ``feature("N")`` tests one feature of the active configuration.  Each
 primitive operator is defined once, in ``PRIMITIVES``, the table every
 evaluator applies.
@@ -462,32 +464,36 @@ def _analyse(program: Program) -> Analysis:
 # Renderer (round-trips through parse, to half the parser's nesting depth)
 # --------------------------------------------------------------------------
 
+class _Nodes(dict):  # a walker's method for each node type, by ``type(node)``
+    def __missing__(self, cls):
+        raise TypeError(f"not an expression: {cls.__name__}")
+
+
+def _call_text(e):
+    args = []  # in a loop: a comprehension would cost a frame a level
+    for arg in e.args:
+        args.append(_TEXT[type(arg)](arg))
+    return f"{e.fn}({', '.join(args)})"
+
+
+# Each node's text, reading its children through the same table, so that a
+# nesting level costs one frame, as in the evaluators.
+_TEXT = _Nodes({
+    IntLit: lambda e: str(e.value),
+    BoolLit: lambda e: "true" if e.value else "false",
+    Var: lambda e: e.name,
+    Feature: lambda e: f'feature("{e.name}")',
+    Not: lambda e: "!" + _TEXT[type(e.arg)](e.arg),
+    BinOp: lambda e: f"({_TEXT[type(e.lhs)](e.lhs)} {e.op} {_TEXT[type(e.rhs)](e.rhs)})",
+    Let: lambda e: f"(let {e.name} = {_TEXT[type(e.bound)](e.bound)} in {_TEXT[type(e.body)](e.body)})",
+    If: lambda e: (f"(if {_TEXT[type(e.guard)](e.guard)} then {_TEXT[type(e.then)](e.then)}"
+                   f" else {_TEXT[type(e.orelse)](e.orelse)})"),
+    Call: _call_text,
+})
+
+
 def render_expr(e: Expr) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Feature):
-        return f'feature("{e.name}")'
-    if isinstance(e, Not):
-        return "!" + render_expr(e.arg)
-    if isinstance(e, BinOp):
-        return f"({render_expr(e.lhs)} {e.op} {render_expr(e.rhs)})"
-    if isinstance(e, Let):
-        return f"(let {e.name} = {render_expr(e.bound)} in {render_expr(e.body)})"
-    if isinstance(e, If):
-        return (
-            f"(if {render_expr(e.guard)} then {render_expr(e.then)}"
-            f" else {render_expr(e.orelse)})"
-        )
-    if isinstance(e, Call):
-        args = []  # in a loop: a generator would cost a frame a level
-        for arg in e.args:
-            args.append(render_expr(arg))
-        return f"{e.fn}({', '.join(args)})"
-    raise TypeError(f"not an expression: {e!r}")
+    return _TEXT[type(e)](e)
 
 
 def render_program(p: Program) -> str:
@@ -513,13 +519,13 @@ def render_program(p: Program) -> str:
 # --------------------------------------------------------------------------
 
 def _as_int(v):
-    if isinstance(v, bool) or not isinstance(v, int):
+    if type(v) is not int:  # a bool is no int here
         raise EvalError(TYPE_MISMATCH, f"expected an integer, got {v!r}")
     return v
 
 
 def _as_bool(v):
-    if not isinstance(v, bool):
+    if type(v) is not bool:
         raise EvalError(TYPE_MISMATCH, f"expected a boolean, got {v!r}")
     return v
 
@@ -539,7 +545,7 @@ def _div(a, b):
 
 
 def _eq(a, b):
-    if isinstance(a, bool) != isinstance(b, bool):
+    if (type(a) is bool) != (type(b) is bool):
         raise EvalError(TYPE_MISMATCH, "== needs operands of one type")
     return a == b
 
@@ -570,11 +576,6 @@ PRIMITIVES = {
     "==": PrimitiveFn("eq", 2, _eq),
     "!": PrimitiveFn("not", 1, lambda a: not _as_bool(a)),
 }
-
-
-class _Nodes(dict):  # an evaluator's method for each node type, by ``type(node)``
-    def __missing__(self, cls):
-        raise TypeError(f"not an expression: {cls.__name__}")
 
 
 class _PlainEval:

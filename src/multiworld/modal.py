@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyModalValue, EvalError, InvariantViolation
+from .errors import EmptyModalValue, EvalError, InvariantViolation, ModalityMismatch
 
 Value = int | bool
 
@@ -57,24 +57,23 @@ class ModalResult:
     modality: str
 
 
-def make_const(alg, v: Value) -> ModalValue:
-    """The modal value that is ``v`` in every world, in normal form."""
-    return ModalValue(alg.lower(((v, alg.top),)), alg.kind)
-
-
 def bound_inputs(program, alg, bindings) -> dict:
     """The bindings that ``program``'s ``main`` reads, in first-use order,
     once ``alg`` has accepted the features the program tests.  Every
     evaluator reads only these; an unbound input fails where it is read.
 
-    An input whose labels do not partition every world (``alg.problems``:
-    an overlap, a gap, weights that do not sum to 1) raises
+    An input of another modality raises ``ModalityMismatch`` naming it.  An
+    input whose labels do not partition every world (``alg.problems``: an
+    overlap, a gap, weights that do not sum to 1) raises
     ``InvariantViolation`` naming it, with the text ``modal run`` prints
     for it; the test makes no emptiness check."""
     facts = program.analysis
     alg.check_features(facts.features)
     inputs = {name: bindings[name] for name in facts.inputs if name in bindings}
     for name, mv in inputs.items():
+        if mv.modality != alg.kind:
+            raise ModalityMismatch(
+                f"binding {name!r}: modality {mv.modality!r} does not match {alg.kind!r}")
         problems = alg.problems([label for _, label in mv.pairs])
         if problems:
             raise InvariantViolation(f"binding {name!r}: " + "; ".join(problems))
@@ -241,7 +240,3 @@ def render_result(alg, result: ModalResult, label_text=None, *,
     lines = [f"{value_text(v)} @ {fmt(label)}" for v, label in result.values]
     lines.extend(f"error:{kind} @ {fmt(label)}" for kind, label in result.errors)
     return lines
-
-
-def render_value(alg, mv: ModalValue, label_text=None) -> list:
-    return render_result(alg, ModalResult(mv.pairs, (), mv.modality), label_text)

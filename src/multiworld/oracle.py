@@ -82,16 +82,9 @@ def brute_force_eval(program: lang.Program, bindings, alg, stats=None) -> ModalR
 # Equivalence
 # --------------------------------------------------------------------------
 
-def _as_result(obj) -> ModalResult:
-    if isinstance(obj, ModalResult):
-        return obj
-    return ModalResult(obj.pairs, (), obj.modality)
-
-
-def outcome_at(alg, result, world) -> tuple:
+def outcome_at(alg, result: ModalResult, world) -> tuple:
     """The single outcome a result takes at one world:
     ("value", v), ("error", kind), or ("invalid", diagnostic)."""
-    result = _as_result(result)
     hits = [("value", v) for v, label in result.values if alg.covers(label, world)]
     hits += [("error", k) for k, label in result.errors if alg.covers(label, world)]
     if len(hits) != 1:
@@ -121,7 +114,7 @@ def _typed_pairs(result) -> tuple:
     return [(value_key(v), label) for v, label in result.values], result.errors
 
 
-def assert_equiv(alg, a, b) -> tuple:
+def assert_equiv(alg, a: ModalResult, b: ModalResult) -> tuple:
     """Denotational equality of two results; (ok, first-divergence).
 
     Results agree at every named world, or, when labels are weights, give
@@ -129,7 +122,6 @@ def assert_equiv(alg, a, b) -> tuple:
     Results with the same pairs in the same order agree at once, with no
     world walked.
     """
-    a, b = _as_result(a), _as_result(b)
     if a.modality != b.modality:
         raise ModalityMismatch("cannot compare results of different modalities")
     if _typed_pairs(a) == _typed_pairs(b):

@@ -7,9 +7,14 @@ every run, so a corpus is named by its seeds alone.
 
 from multiworld import lang
 from multiworld.labels import FeatureAlgebra, IntervalAlgebra, ProbabilityAlgebra, Tag
-from multiworld.modal import ModalValue, make_const, normalize
+from multiworld.modal import ModalValue, normalize
 
 _FEATURE_POOL = ("FA", "FB", "FC", "FD")
+
+
+def make_const(alg, v) -> ModalValue:
+    """The modal value that is ``v`` in every world, in normal form."""
+    return ModalValue(alg.lower(((v, alg.top),)), alg.kind)
 
 
 def random_bindings(rng, kind: str, *, max_features: int = 4, max_vars: int = 4):

@@ -16,7 +16,9 @@ kept to check the shortcuts of ``FeatureAlgebra.canonical_text`` against.
 kept to check the cycle that ``lang`` reports through ``graphlib``.
 ``recursive_feature_text`` is the earlier recursive printer of a formula,
 kept to check the texts of ``labels.feature_text``, which prints from an
-explicit stack.
+explicit stack.  ``isinstance_render_program`` is the earlier program
+printer, an ``isinstance`` chain over node types, kept to check the texts
+of ``lang.render_program``, which dispatches through a type table.
 """
 
 import functools
@@ -28,7 +30,7 @@ import pytest
 
 from multiworld.errors import BindingsError, CyclicCallError, InvariantViolation, ParseError
 from multiworld.labels import FAnd, FFalse, FNot, FOr, FTrue, FVar, _fold_text
-from multiworld.lang import _Nodes
+from multiworld.lang import BinOp, BoolLit, Call, Feature, If, IntLit, Let, Not, Var, _Nodes
 from multiworld.modal_eval import _DeepEval
 
 KEYWORDS = {"fun", "let", "in", "if", "then", "else", "true", "false", "feature"}
@@ -204,6 +206,39 @@ def recursive_feature_text(expr) -> str:
     if isinstance(expr, FOr):
         return f"({recursive_feature_text(expr.lhs)} | {recursive_feature_text(expr.rhs)})"
     raise TypeError(f"not a feature expression: {expr!r}")
+
+
+def isinstance_render_expr(e) -> str:
+    """The earlier printer of an expression, one ``isinstance`` test a node type."""
+    if isinstance(e, IntLit):
+        return str(e.value)
+    if isinstance(e, BoolLit):
+        return "true" if e.value else "false"
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Feature):
+        return f'feature("{e.name}")'
+    if isinstance(e, Not):
+        return "!" + isinstance_render_expr(e.arg)
+    if isinstance(e, BinOp):
+        return f"({isinstance_render_expr(e.lhs)} {e.op} {isinstance_render_expr(e.rhs)})"
+    if isinstance(e, Let):
+        return f"(let {e.name} = {isinstance_render_expr(e.bound)} in {isinstance_render_expr(e.body)})"
+    if isinstance(e, If):
+        return (
+            f"(if {isinstance_render_expr(e.guard)} then {isinstance_render_expr(e.then)}"
+            f" else {isinstance_render_expr(e.orelse)})"
+        )
+    if isinstance(e, Call):
+        return f"{e.fn}({', '.join(isinstance_render_expr(arg) for arg in e.args)})"
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def isinstance_render_program(p) -> str:
+    """The earlier text of a program: each function, then ``main``."""
+    lines = [f"fun {fd.name}({', '.join(fd.params)}) = {isinstance_render_expr(fd.body)};"
+             for fd in p.fundefs]
+    return "\n".join(lines + [isinstance_render_expr(p.main)])
 
 
 def build(alg, expr) -> int:

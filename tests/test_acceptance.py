@@ -13,10 +13,10 @@ from multiworld.cli import build_parser, run as cli_run
 from multiworld.labels import ProbabilityAlgebra
 from multiworld.lang import PRIMITIVES, parse
 from multiworld.lifting import LiftStats, shallow_apply
-from multiworld.modal import ModalValue, make_const, validate
+from multiworld.modal import ModalValue, validate
 from multiworld.modal_eval import ModalEnv, eval_modal, eval_shallow_blackbox
 from multiworld.oracle import assert_equiv, brute_force_eval, outcome_at
-from generators import random_bindings, random_program
+from generators import make_const, random_bindings, random_program
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 CORPUS_SIZE = 500

@@ -35,7 +35,13 @@ from multiworld.lang import (
 )
 from multiworld.lifting import LiftStats
 from generators import random_bindings, random_program
-from reference import assert_scans_like, line_col, program_tokens, raise_call_cycle
+from reference import (
+    assert_scans_like,
+    isinstance_render_program,
+    line_col,
+    program_tokens,
+    raise_call_cycle,
+)
 
 DIV_PROGRAM = """
 fun foo(x, y) =
@@ -198,6 +204,7 @@ def test_render_round_trip_on_random_corpus():
         alg, binds = random_bindings(rng, kind)
         program = random_program(rng, alg, binds)
         assert parse(render_program(program)) == program
+        assert render_program(program) == isinstance_render_program(program)
 
 
 @settings(max_examples=200)
@@ -211,6 +218,7 @@ def test_render_round_trip_fuzzed(seed, kind, max_depth):
     alg, binds = random_bindings(rng, kind)
     program = random_program(rng, alg, binds, linear=kind == "probability", max_depth=max_depth)
     assert parse(render_program(program)) == program
+    assert render_program(program) == isinstance_render_program(program)
 
 
 PROGRAM_TOKENS = [
@@ -338,13 +346,21 @@ def test_overflow_is_an_error():
 
 
 def test_type_errors():
-    with pytest.raises(EvalError) as exc:
-        eval_plain(parse("1 + true"), {})
-    assert exc.value.kind == "TypeMismatch"
-    with pytest.raises(EvalError):
-        eval_plain(parse("if 3 then 1 else 2"), {})
-    with pytest.raises(EvalError):
-        eval_plain(parse("1 == true"), {})
+    # an operand's type is checked by identity: a bool is no int here,
+    # though Python's bool subclasses int
+    for text, message in [
+        ("1 + true", "expected an integer, got True"),
+        ("false * 2", "expected an integer, got False"),
+        ("x < 1", "expected an integer, got True"),
+        ("if 3 then 1 else 2", "expected a boolean, got 3"),
+        ("!0", "expected a boolean, got 0"),
+        ("1 && true", "expected a boolean, got 1"),
+        ("1 == true", "== needs operands of one type"),
+        ("x == 0", "== needs operands of one type"),
+    ]:
+        with pytest.raises(EvalError) as exc:
+            eval_plain(parse(text), {"x": True})
+        assert (exc.value.kind, str(exc.value)) == ("TypeMismatch", message)
     assert eval_plain(parse("true == true"), {}) is True
 
 

@@ -14,15 +14,14 @@ from multiworld.modal import (
     ModalResult,
     ModalValue,
     collect_outcomes,
-    make_const,
     merge_value_pairs,
     normalize,
     project,
     render_result,
-    render_value,
     validate,
     value_key,
 )
+from generators import make_const
 
 FEAT = FeatureAlgebra(("FA", "FB"))
 PROB = ProbabilityAlgebra()
@@ -34,27 +33,6 @@ AND, NOT, TOP = FEAT.meet, FEAT.complement, FEAT.top
 
 def fval(pairs):
     return ModalValue(tuple(pairs), "feature")
-
-
-# --- make_const -------------------------------------------------------------
-
-def test_make_const_feature():
-    mv = make_const(FEAT, 5)
-    assert mv.pairs == ((5, TOP),)
-    assert validate(FEAT, mv).ok
-
-
-def test_make_const_probability():
-    mv = make_const(PROB, 0)
-    assert mv.pairs == ((0, 1.0),)
-    assert validate(PROB, mv).ok
-
-
-def test_make_const_interval():
-    mv = make_const(INTV, 5)
-    assert mv.pairs == ((5, Tag.MAX), (5, Tag.MIN))  # normal form
-    assert normalize(INTV, mv) == mv
-    assert validate(INTV, mv).ok
 
 
 # --- normalize ----------------------------------------------------------------
@@ -266,13 +244,13 @@ def test_project_detects_bad_value():
 # --- rendering ------------------------------------------------------------------
 
 def test_render_feature_value():
-    x = fval([(-7, FA), (3, NOT(FA))])
-    assert render_value(FEAT, x) == ["-7 @ FA", "3 @ !FA"]
+    x = ModalResult(((-7, FA), (3, NOT(FA))), (), "feature")
+    assert render_result(FEAT, x) == ["-7 @ FA", "3 @ !FA"]
 
 
 def test_render_interval_forms():
-    rng = ModalValue(((4, Tag.MIN), (9, Tag.MAX)), "interval")
-    assert render_value(INTV, rng) == ["[4 .. 9]"]
+    rng = ModalResult(((4, Tag.MIN), (9, Tag.MAX)), (), "interval")
+    assert render_result(INTV, rng) == ["[4 .. 9]"]
     partial = ModalResult(((0, Tag.MAX),), (("DivByZero", Tag.MIN),), "interval")
     assert render_result(INTV, partial) == ["0 @ MAX", "error:DivByZero @ MIN"]
 

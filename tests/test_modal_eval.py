@@ -21,7 +21,7 @@ from multiworld.modal import ModalValue, validate
 from multiworld.modal_eval import ModalEnv, eval_modal, eval_shallow_blackbox
 from multiworld.oracle import assert_equiv, brute_force_eval, outcome_at
 from multiworld.bindings import parse_bindings
-from generators import random_bindings, random_program
+from generators import make_const, random_bindings, random_program
 from reference import EveryNodeCheckedEval
 
 SHARING = """
@@ -366,11 +366,13 @@ def test_deep_nesting_is_a_budget_error(entry):
         run()
 
 
-@pytest.mark.parametrize("entry", ["eval_modal", "eval_shallow_blackbox", "eval_plain", "brute_force_eval"])
+@pytest.mark.parametrize("entry", [
+    "eval_modal", "eval_shallow_blackbox", "eval_plain", "brute_force_eval", "render_program",
+])
 @pytest.mark.parametrize("main", [7, "x"], ids=("int", "str"))
 def test_a_main_that_is_no_expression_is_one_type_error(entry, main):
-    # every evaluator finds a node's method in one ``lang._Nodes`` table,
-    # whose missing entry names the class, not the object
+    # every evaluator, and the renderer, finds a node's method in one
+    # ``lang._Nodes`` table, whose missing entry names the class, not the object
     _, alg, binds, env = setup("x", SHARING_BINDS)
     program = lang.Program((), main)
     run = {
@@ -378,6 +380,7 @@ def test_a_main_that_is_no_expression_is_one_type_error(entry, main):
         "eval_shallow_blackbox": lambda: eval_shallow_blackbox(program, env),
         "eval_plain": lambda: lang.eval_plain(program, {}, {"FA": True, "FB": False}),
         "brute_force_eval": lambda: brute_force_eval(program, binds, alg),
+        "render_program": lambda: lang.render_program(program),
     }[entry]
     with pytest.raises(TypeError) as info:
         run()
@@ -574,8 +577,8 @@ def test_endpoints_keep_one_pair_each_outside_a_run():
     both = ((5, Tag.MAX), (5, Tag.MIN))
     assert binds["x"].pairs == both
     assert modal.normalize(alg, ModalValue(((5, Tag.MIN), (5, Tag.MAX)), "interval")).pairs == both
-    assert modal.make_const(alg, 5).pairs == both
-    zero = modal.make_const(alg, 0)
+    assert make_const(alg, 5).pairs == both
+    zero = make_const(alg, 0)
     assert lifting.shallow_apply(alg, lang.PRIMITIVES["+"], [binds["x"], zero]).values == both
     assert eval_modal(program, env).values == both
     assert eval_shallow_blackbox(program, env).values == both
@@ -701,22 +704,28 @@ ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
-@pytest.mark.parametrize("kind, message", [
-    ("probability", "binding 'x': totality gap +0.5"),
-    ("feature", "binding 'x': configuration {FA=0} is uncovered"),
-], ids=("probability", "feature"))
-def test_every_entry_point_rejects_the_same_bad_inputs(entry, kind, message):
+@pytest.mark.parametrize("kind, error, message", [
+    ("probability", InvariantViolation, "binding 'x': totality gap +0.5"),
+    ("feature", InvariantViolation, "binding 'x': configuration {FA=0} is uncovered"),
+    ("interval", ModalityMismatch, "binding 'x': modality 'interval' does not match 'feature'"),
+], ids=("probability", "feature", "interval"))
+def test_every_entry_point_rejects_the_same_bad_inputs(entry, kind, error, message):
     # every mode reads its inputs through ``modal.bound_inputs``, which
     # rejects a hand-built input that does not partition every world with
     # the text ``modal run`` prints for it: weights that miss 1, and a
-    # gap, even where a plain run's world is covered
+    # gap, even where a plain run's world is covered; and an interval
+    # input under a feature algebra, whose two labels would pass as a
+    # partition of FA's configurations
     if kind == "probability":
         alg = ProbabilityAlgebra()
         x = ModalValue(((1, 0.5),), alg.kind)
-    else:
+    elif kind == "feature":
         alg = FeatureAlgebra(("FA",))
         x = ModalValue(((5, alg.var("FA")),), alg.kind)
-    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+    else:
+        alg = FeatureAlgebra(("FA",))
+        x = ModalValue(((4, 1), (9, 2)), kind)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         ENTRY_POINTS[entry](parse("x + 1"), alg, {"x": x})
     assert validate(alg, x).problems == (message.partition(": ")[2],)
 
